@@ -123,16 +123,14 @@ def cmd_solve(args) -> int:
 # -- plan ----------------------------------------------------------------------
 
 def _dispatch_settings(args, cfg):
-    dt = _setting(args, "dt", float, cfg and cfg.dt, 0.1)
-    sft = _setting(args, "sft", float, cfg and cfg.sft)
-    t_wait = _setting(args, "t_wait", int, cfg and cfg.t_wait, 10)
-    if _setting(args, "sft_1", _bool, cfg and cfg.sft_1, False):
-        sft = 1.0
-    minimum = 10
-    if _setting(args, "frontier_min_1", _bool, cfg and cfg.frontier_min_1, False):
-        minimum = 1
-    return DispatchParams(dt=dt, sft=sft, min_subtree_expansions=minimum,
-                          min_sim_open=minimum, t_wait=t_wait)
+    return DispatchParams.from_settings(
+        dt=_setting(args, "dt", float, cfg and cfg.dt, 0.1),
+        sft=_setting(args, "sft", float, cfg and cfg.sft),
+        t_wait=_setting(args, "t_wait", int, cfg and cfg.t_wait, 10),
+        frontier_min_1=_setting(args, "frontier_min_1", _bool,
+                                cfg and cfg.frontier_min_1, False),
+        sft_1=_setting(args, "sft_1", _bool, cfg and cfg.sft_1, False),
+    )
 
 
 def cmd_plan(args) -> int:
@@ -337,7 +335,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dist import DiscreteDistribution, KnownDeadline
+from .dist import DiscreteDistribution
 from .kds import success_prob
 
 # floor on 1 - s: keeps LPF finite while preserving ranking
@@ -30,62 +30,55 @@ class DdaParams:
             raise ValueError("gamma must be in (0, 1]")
 
 
-def lpf(profile: DiscreteDistribution, deadline, t: int, t_b: int) -> float:
-    """Log probability of failure after t units starting at t_b; <= 0."""
+def lpf(profile: DiscreteDistribution, d: int, t: int, t_b: int) -> float:
+    """Log probability of failure after t units starting at t_b, against the
+    known deadline d; <= 0, floored at log(FAILURE_FLOOR)."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    s = success_prob(profile, deadline, t, t_b)
+    s = success_prob(profile, d, t, t_b)
     return math.log(max(1.0 - s, FAILURE_FLOOR))
 
 
-def _deadline_horizon(deadline) -> int:
-    # last time at which completing can still beat the deadline, plus one
-    if isinstance(deadline, KnownDeadline):
-        return deadline.d
-    return deadline.support_max
+def effective_time(profile: DiscreteDistribution, d: int, t_b: int) -> int:
+    """Allocation length in [1, d - t_b] minimizing LPF/t; smallest on ties.
 
-
-def effective_time(profile: DiscreteDistribution, deadline, t_b: int) -> int:
-    """Allocation length in [1, T - t_b] minimizing LPF/t; smallest on ties.
-
-    T is the deadline horizon; when T - t_b < 1 the window is already shut
-    and the process is scored as harmless (returns 1). Lengths beyond the
-    profile support leave LPF flat and only worsen the ratio, so the scan
-    stops there.
+    When d - t_b < 1 the window is already shut and the process is scored as
+    harmless (returns 1). Lengths beyond the profile support leave LPF flat
+    and only worsen the ratio, so the scan stops there.
     """
     if t_b < 0:
         raise ValueError("t_b must be >= 0")
-    cap = _deadline_horizon(deadline) - t_b
+    cap = d - t_b
     if cap < 1:
         return 1
     best_t = 1
-    best = lpf(profile, deadline, 1, t_b) / 1.0
+    best = lpf(profile, d, 1, t_b) / 1.0
     for t in range(2, min(cap, max(profile.support_max, 1)) + 1):
-        ratio = lpf(profile, deadline, t, t_b) / t
+        ratio = lpf(profile, d, t, t_b) / t
         if ratio < best:
             best = ratio
             best_t = t
     return best_t
 
 
-def q_value(profile: DiscreteDistribution, deadline, params: DdaParams) -> float:
+def q_value(profile: DiscreteDistribution, d: int, params: DdaParams) -> float:
     """Damage of delaying this process by t_u units (higher = more urgent).
 
     Q = gamma * LPF(e(t_u), t_u)/e(t_u) - LPF(e(0), 0)/e(0); a term whose
-    allocation window T - t_b is empty contributes 0.
+    allocation window d - t_b is empty contributes 0.
     """
 
     def term(t_b: int) -> float:
-        if _deadline_horizon(deadline) - t_b < 1:
+        if d - t_b < 1:
             return 0.0
-        e = effective_time(profile, deadline, t_b)
-        return lpf(profile, deadline, e, t_b) / e
+        e = effective_time(profile, d, t_b)
+        return lpf(profile, d, e, t_b) / e
 
     return params.gamma * term(params.t_u) - term(0)
 
 
 def dda_rank(processes, params: DdaParams) -> list[int]:
-    """Indices of (profile, deadline) pairs by Q descending, stable ties."""
+    """Indices of (profile, deadline d) pairs by Q descending, stable ties."""
     if not processes:
         raise ValueError("no processes to rank")
     scored = [(q_value(p, d, params), i) for i, (p, d) in enumerate(processes)]

@@ -1,14 +1,11 @@
 """Discrete completion-time distributions on an integer grid.
 
 Time is measured in whole computation units t = 0, 1, 2, ...; a distribution
-stores its probability mass densely over [0, support_max]. Deadlines come in
-two flavours: a full distribution (unknown deadline) or a :class:`KnownDeadline`
-whose CDF is a unit step at d.
+stores its probability mass densely over [0, support_max], together with the
+running sum of that mass that every success probability is read from.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +15,7 @@ PMF_TOLERANCE = 1e-9
 class DiscreteDistribution:
     """Probability mass function over integer times 0..support_max."""
 
-    __slots__ = ("probs",)
+    __slots__ = ("probs", "cum")
 
     def __init__(self, probs) -> None:
         arr = np.asarray(probs, dtype=float)
@@ -32,6 +29,9 @@ class DiscreteDistribution:
         # values are kept exactly as given so build -> serialize -> build is
         # the identity; in-tolerance deviation from 1 is harmless downstream
         self.probs = np.clip(arr, 0.0, None)
+        # accumulated in index order, so cum[t] is bit for bit the sequential
+        # sum probs[0] + ... + probs[t]
+        self.cum = np.cumsum(self.probs)
 
     # -- constructors ------------------------------------------------------
 
@@ -80,12 +80,14 @@ class DiscreteDistribution:
         return float(self.probs[t])
 
     def cdf(self, t: int) -> float:
-        """P(T <= t); clamps to [0, 1] outside the support."""
+        """P(T <= t): the running sum at min(t, support_max); 0 for t < 0.
+
+        Beyond the support this is the total mass as summed, which may differ
+        from 1 by rounding; it is not clamped.
+        """
         if t < 0:
             return 0.0
-        if t >= self.support_max:
-            return 1.0
-        return float(self.probs[: t + 1].sum())
+        return float(self.cum[min(t, self.support_max)])
 
     def mean(self) -> float:
         return float(np.dot(self.probs, np.arange(len(self.probs))))
@@ -124,31 +126,3 @@ class DiscreteDistribution:
 
     def __repr__(self) -> str:
         return f"DiscreteDistribution({self.pairs()!r})"
-
-
-@dataclass(frozen=True)
-class KnownDeadline:
-    """Deterministic deadline at integer time d; CDF is a unit step at d.
-
-    Completion at exactly d fails: the survival factor 1 - D(t) is 1 iff t < d.
-    """
-
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 0:
-            raise ValueError("deadline must be >= 0")
-
-    def cdf(self, t: int) -> float:
-        return 1.0 if t >= self.d else 0.0
-
-    def survival(self, t: int) -> float:
-        """1 - CDF(t): probability the deadline lies strictly after t."""
-        return 1.0 if t < self.d else 0.0
-
-
-def deadline_survival(deadline, t: int) -> float:
-    """1 - D(t) for either a KnownDeadline or a DiscreteDistribution."""
-    if isinstance(deadline, KnownDeadline):
-        return deadline.survival(t)
-    return 1.0 - deadline.cdf(t)

@@ -250,12 +250,9 @@ class BenchmarkConfig:
                 raise ValueError(f"unknown mode {m!r}")
 
     def dispatch_params(self) -> DispatchParams:
-        minimum = 1 if self.frontier_min_1 else 10
-        sft = 1.0 if self.sft_1 else self.sft
-        return DispatchParams(
-            dt=self.dt, sft=sft,
-            min_subtree_expansions=minimum, min_sim_open=minimum,
-            t_wait=self.t_wait,
+        return DispatchParams.from_settings(
+            dt=self.dt, sft=self.sft, t_wait=self.t_wait,
+            frontier_min_1=self.frontier_min_1, sft_1=self.sft_1,
         )
 
     def to_dict(self) -> dict:
@@ -313,15 +310,15 @@ def benchmark_tasks(config: BenchmarkConfig) -> list:
     return tasks
 
 
-def run_benchmark(config: BenchmarkConfig) -> list:
-    """One row per (speed, mode, instance), sorted by that key.
+def benchmark_runs(config: BenchmarkConfig):
+    """Yield (row, task, PlanResult) per (speed, mode, instance), sorted by
+    that key.
 
     Every solved run is re-checked by the independent validator; an invalid
     plan is a bug, not a data point, so it raises.
     """
     tasks = benchmark_tasks(config)
     dparams = config.dispatch_params()
-    rows = []
     for speed in sorted(config.speeds):
         for mode in sorted(config.modes):
             for idx, task in enumerate(tasks):
@@ -339,7 +336,7 @@ def run_benchmark(config: BenchmarkConfig) -> list:
                         if decided > scheduled + 1e-9:
                             raise RuntimeError(
                                 f"decision after start on instance {idx} ({mode}, {speed})")
-                rows.append({
+                row = {
                     "speed": speed,
                     "mode": mode,
                     "dt": dparams.dt,
@@ -349,8 +346,13 @@ def run_benchmark(config: BenchmarkConfig) -> list:
                     "dispatches": res.dispatches,
                     "first_dispatch_time": res.first_dispatch_time,
                     "completion_time": res.completion_time,
-                })
-    return rows
+                }
+                yield row, task, res
+
+
+def run_benchmark(config: BenchmarkConfig) -> list:
+    """One validated row per (speed, mode, instance), sorted by that key."""
+    return [row for row, _, _ in benchmark_runs(config)]
 
 
 CSV_COLUMNS = ("speed", "mode", "dt", "instance_id", "solved", "expansions",

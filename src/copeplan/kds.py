@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import DiscreteDistribution, KnownDeadline, deadline_survival
+from .dist import DiscreteDistribution
 
 BRUTE_FORCE_MAX_N = 4
 BRUTE_FORCE_MAX_T = 12
@@ -60,29 +60,15 @@ class KdsSolution:
     blocks: list[Block] = field(default_factory=list)
 
 
-def success_prob(profile: DiscreteDistribution, deadline, t: int, t_b: int) -> float:
-    """P(process completes within t units of a block starting at t_b, in time).
+def success_prob(profile: DiscreteDistribution, d: int, t: int, t_b: int) -> float:
+    """P(process completes within t units of a block starting at t_b, before d).
 
-    s(t, t_b) = sum_{t'=0}^{t} m(t') * (1 - D(t' + t_b)); `deadline` is a
-    KnownDeadline or a DiscreteDistribution over deadline times.
+    s(t, t_b) = sum of m(t') over t' <= min(t, d - 1 - t_b): completing on a
+    unit that ends at or after the known deadline d fails.
     """
     if t < 0 or t_b < 0:
         raise ValueError("t and t_b must be >= 0")
-    total = 0.0
-    for tp in range(0, min(t, profile.support_max) + 1):
-        m = profile.pmf(tp)
-        if m:
-            total += m * deadline_survival(deadline, tp + t_b)
-    return total
-
-
-def _block_success(proc: KdsProcess, t: int, t_b: int) -> float:
-    # Closed form of success_prob for a known deadline: mass at or below
-    # min(t, d - 1 - t_b) completes strictly before d.
-    cap = min(t, proc.deadline - 1 - t_b)
-    if cap < 0:
-        return 0.0
-    return proc.profile.cdf(cap)
+    return profile.cdf(min(t, d - 1 - t_b))
 
 
 def eval_schedule(instance: KdsInstance, blocks: list[Block]) -> float:
@@ -95,7 +81,8 @@ def eval_schedule(instance: KdsInstance, blocks: list[Block]) -> float:
         seen.add(b.process)
         if b.start < 0 or b.length < 0 or b.start + b.length > instance.horizon:
             raise ValueError(f"block {b} outside [0, {instance.horizon})")
-        s = _block_success(instance.processes[b.process], b.length, b.start)
+        proc = instance.processes[b.process]
+        s = success_prob(proc.profile, proc.deadline, b.length, b.start)
         logfail += math.log1p(-min(s, 1.0 - 1e-300)) if s < 1.0 else -math.inf
     return -math.expm1(logfail)
 
@@ -125,7 +112,7 @@ def solve_kds_dp(instance: KdsInstance, start_time: int = 0) -> KdsSolution:
             best = math.inf
             best_t = 0
             for t in range(0, max(0, proc.deadline - time) + 1):
-                s = _block_success(proc, t, time)
+                s = success_prob(proc.profile, proc.deadline, t, time)
                 here = math.log1p(-s) if s < 1.0 else -math.inf
                 cand = here + logfail[k + 1][time + t]
                 if cand < best:
@@ -139,7 +126,7 @@ def solve_kds_dp(instance: KdsInstance, start_time: int = 0) -> KdsSolution:
     for k in range(n):
         t = int(choice[k][time])
         proc = instance.processes[order[k]]
-        if t > 0 or _block_success(proc, 0, time) > 0.0:
+        if t > 0 or success_prob(proc.profile, proc.deadline, 0, time) > 0.0:
             blocks.append(Block(order[k], time, t))
         time += t
     value = -math.expm1(logfail[0][min(start_time, T)])

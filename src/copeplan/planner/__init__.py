@@ -12,7 +12,7 @@ from .search import (
     make_root,
     q_known,
 )
-from .task import DurativeAction, Task, TimedLiteral, step_label
+from .task import DurativeAction, Task, TimedLiteral
 from .validate import validate_plan
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "make_root",
     "q_known",
     "run_search",
-    "step_label",
     "validate_plan",
 ]

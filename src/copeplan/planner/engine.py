@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from ..dda import DdaParams, lpf
-from ..dist import KnownDeadline
 from ..stn import ORIGIN
 from .search import (
     INF,
@@ -47,6 +46,16 @@ class DispatchParams:
             raise ValueError("exploration minimums must be at least 1")
         if self.t_wait < 1:
             raise ValueError("t_wait must be at least 1")
+
+    @classmethod
+    def from_settings(cls, dt, sft, t_wait, frontier_min_1, sft_1):
+        """Parameters from user-facing settings, including the two ablations:
+        frontier_min_1 drops both evidence minimums to 1 and sft_1 forces the
+        focus threshold to 1."""
+        minimums = {}
+        if frontier_min_1:
+            minimums = {"min_subtree_expansions": 1, "min_sim_open": 1}
+        return cls(dt=dt, sft=1.0 if sft_1 else sft, t_wait=t_wait, **minimums)
 
 
 @dataclass
@@ -124,7 +133,7 @@ def _chain_log_failure(nodes, c, t_b, t_now, speed, stats):
         e = max(1, round(prof.mean()))
         offset += e
         d = deadline_steps(latest_start(nd, c), t_now, speed)
-        total += lpf(prof, KnownDeadline(d), e, offset)
+        total += lpf(prof, d, e, offset)
     return total
 
 

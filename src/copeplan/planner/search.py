@@ -73,7 +73,6 @@ class SearchNode:
     chain: tuple
     generation_tick: int
     start_tmaxes: tuple = ()
-    subtree_expansions: int = 0
 
     def key(self):
         return (self.props, self.opens, self.til_count)
@@ -362,9 +361,10 @@ def q_known(profile: DiscreteDistribution, d: int, params: DdaParams) -> float:
     """Urgency of a process against a fixed deadline d expansion-steps away.
 
     Vectorized replica of the reference scoring (same floats): success after
-    t units starting at offset t_b is the profile CDF at min(t, d-1-t_b).
+    t units starting at offset t_b is the profile's running sum at
+    min(t, d-1-t_b).
     """
-    cum = np.cumsum(profile.probs)
+    cum = profile.cum
     support = len(cum) - 1
 
     def term(t_b: int) -> float:

@@ -75,12 +75,6 @@ class Task:
 #   ("start", action_name)
 #   ("end", action_name, start_position)
 #   ("til", til_index)
-def step_label(step) -> str:
-    if step[0] == "start":
-        return f"start {step[1]}"
-    if step[0] == "end":
-        return f"end {step[1]}"
-    return f"til {step[1]}"
 
 
 def apply_start(action: DurativeAction, props: frozenset) -> frozenset:

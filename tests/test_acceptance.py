@@ -3,10 +3,13 @@
 Covers solver optimality against brute force, depth-2 decision quality,
 budget monotonicity, the deadline-reduction equivalence, Monte Carlo
 calibration, temporal-network agreement, plan validity, benchmark
-determinism, and the two speed-trend studies. Run with -v to get one
-pass/fail line per criterion; each test also prints its measured numbers.
+determinism and its pinned golden table, and the two speed-trend studies.
+Run with -v to get one pass/fail line per criterion; each test also prints
+its measured numbers.
 """
 
+import hashlib
+import json
 import math
 import os
 
@@ -24,13 +27,14 @@ from copeplan.cope import (
 from copeplan.copem import CopemInstance, expectimax_oracle, solve00, solve11
 from copeplan.dist import DiscreteDistribution
 from copeplan.harness import (
-    benchmark_tasks,
+    benchmark_runs,
+    rows_to_csv,
     run_benchmark,
     simulate_policy,
     solved_counts,
 )
 from copeplan.kds import Block, KdsInstance, KdsProcess, brute_force_kds, solve_kds_dp
-from copeplan.planner import run_search, validate_plan
+from copeplan.planner import validate_plan
 from copeplan.stn import recompute
 
 from helpers import (
@@ -41,6 +45,8 @@ from helpers import (
 )
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+# sha256 of `copeplan bench configs/bench.json` output (config echo + CSV)
+GOLDEN_BENCH_SHA256 = "d1e2ab847b4be70c2a6d3503be46bcd4816f9c8c561b3c3291a54da00c7c65fd"
 
 
 def config_path(name):
@@ -49,19 +55,9 @@ def config_path(name):
 
 @pytest.fixture(scope="module")
 def shipped_bench():
-    """Every (speed, mode, instance) run of the shipped benchmark config."""
+    """Every (row, task, PlanResult) run of the shipped benchmark config."""
     cfg = fileio.load(config_path("bench.json"))
-    tasks = benchmark_tasks(cfg)
-    dparams = cfg.dispatch_params()
-    runs = []
-    for speed in sorted(cfg.speeds):
-        for mode in sorted(cfg.modes):
-            for idx, task in enumerate(tasks):
-                res = run_search(task, mode=mode, speed=speed,
-                                 dispatch_params=dparams,
-                                 max_expansions=cfg.max_expansions)
-                runs.append((speed, mode, idx, task, res))
-    return cfg, runs
+    return cfg, list(benchmark_runs(cfg))
 
 
 def test_c01_dp_matches_brute_force():
@@ -171,12 +167,13 @@ def test_c06_stn_incremental_matches_recompute():
 def test_c07_all_emitted_plans_validate(shipped_bench):
     _, runs = shipped_bench
     solved = 0
-    for speed, mode, idx, task, res in runs:
+    for row, task, res in runs:
+        where = (row["speed"], row["mode"], row["instance_id"])
         for decided, _, scheduled in res.records:
-            assert decided <= scheduled + 1e-12, (speed, mode, idx)
+            assert decided <= scheduled + 1e-12, where
         if res.solved:
             ok, msg = validate_plan(task, res.happenings)
-            assert ok, f"{mode} at speed {speed}, instance {idx}: {msg}"
+            assert ok, f"{where}: {msg}"
             solved += 1
     assert solved > 0
     print(f"PASS plan validity: {solved}/{len(runs)} solved runs all validate, "
@@ -193,11 +190,20 @@ def test_c08_benchmark_csv_byte_deterministic(tmp_path):
     print("PASS determinism: repeated bench runs byte-identical")
 
 
+def test_c08_shipped_bench_matches_golden_digest(shipped_bench):
+    cfg, runs = shipped_bench
+    text = ("# config " + json.dumps(cfg.to_dict(), sort_keys=True) + "\n"
+            + rows_to_csv([row for row, _, _ in runs]))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_BENCH_SHA256
+    print("PASS golden digest: shipped benchmark table unchanged")
+
+
 def test_c09_dispatch_advantage_trend(shipped_bench):
     cfg, runs = shipped_bench
     counts = {}
-    for speed, mode, _, _, res in runs:
-        counts[speed, mode] = counts.get((speed, mode), 0) + int(res.solved)
+    for row, _, res in runs:
+        key = (row["speed"], row["mode"])
+        counts[key] = counts.get(key, 0) + int(res.solved)
     lo, hi = min(cfg.speeds), max(cfg.speeds)
     assert counts[lo, "disp"] >= 1.25 * counts[lo, "nodisp"]
     assert abs(counts[hi, "disp"] - counts[hi, "nodisp"]) <= 0.10 * cfg.instances

@@ -101,6 +101,15 @@ def test_bench_bad_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_invalid_plan_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("copeplan.harness.validate_plan",
+                        lambda task, happenings: (False, "x"))
+    assert main(["bench", path("bench.json"), "--instances", "1",
+                 "--speeds", "100"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid plan")
+
+
 def test_env_overrides_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("COPEPLAN_SPEED", "7")
     monkeypatch.setenv("COPEPLAN_DT", "0.25")

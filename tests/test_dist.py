@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from copeplan.dist import DiscreteDistribution, KnownDeadline, deadline_survival
+from copeplan.dist import DiscreteDistribution
 
 
 def test_delta_pmf_and_cdf():
@@ -68,17 +68,3 @@ def test_sampling_matches_pmf_tolerance():
         observed = float(np.mean(draws == t))
         assert abs(observed - p) <= 3.0 * np.sqrt(p * (1 - p) / n)
 
-
-def test_known_deadline_step():
-    dl = KnownDeadline(4)
-    assert dl.survival(3) == 1.0
-    assert dl.survival(4) == 0.0  # completion at exactly d fails
-    assert dl.cdf(4) == 1.0
-    assert deadline_survival(dl, 3) == 1.0
-
-
-def test_deadline_as_distribution():
-    dl = DiscreteDistribution.uniform([2, 4])
-    assert deadline_survival(dl, 1) == pytest.approx(1.0)
-    assert deadline_survival(dl, 2) == pytest.approx(0.5)
-    assert deadline_survival(dl, 4) == pytest.approx(0.0)

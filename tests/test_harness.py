@@ -21,7 +21,7 @@ from copeplan.harness import (
     witness_plan,
 )
 from copeplan.kds import Block, KdsInstance, KdsProcess, solve_kds_dp
-from copeplan.planner import validate_plan
+from copeplan.planner import DispatchParams, validate_plan
 
 from helpers import random_cope_instance, random_copem_instance, random_kds_instance
 
@@ -157,3 +157,15 @@ def test_plot_svg_has_one_series_per_mode():
     assert svg.count("<polyline") == 2
     assert "disp" in svg and "nodisp" in svg
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+
+def test_ablation_flags_set_dispatch_params():
+    cfg = BenchmarkConfig(speeds=(10.0,), dt=0.2, sft=0.05,
+                          frontier_min_1=True, sft_1=True)
+    direct = DispatchParams.from_settings(0.2, 0.05, 10, True, True)
+    for params in (cfg.dispatch_params(), direct):
+        assert (params.min_subtree_expansions, params.min_sim_open) == (1, 1)
+        assert params.sft == 1.0
+    plain = BenchmarkConfig(speeds=(10.0,)).dispatch_params()
+    assert (plain.min_subtree_expansions, plain.min_sim_open) == (10, 10)
+    assert plain.sft == pytest.approx(0.05)

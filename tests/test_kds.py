@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from copeplan.dist import DiscreteDistribution, KnownDeadline
+from copeplan.dist import DiscreteDistribution
 from copeplan.kds import (
     Block,
     KdsInstance,
@@ -11,15 +11,16 @@ from copeplan.kds import (
     solve_kds_dp,
     success_prob,
 )
+from copeplan.planner import discretized_lognormal
 
-from helpers import random_kds_instance
+from helpers import random_kds_instance, random_pmf
 
 
 def test_success_prob_worked_values():
     m = DiscreteDistribution.uniform([1, 2])
-    assert success_prob(m, KnownDeadline(2), t=2, t_b=0) == pytest.approx(0.5)
-    assert success_prob(m, KnownDeadline(2), t=2, t_b=1) == pytest.approx(0.0)
-    assert success_prob(DiscreteDistribution.delta(0), KnownDeadline(5), 0, 0) == 1.0
+    assert success_prob(m, 2, t=2, t_b=0) == pytest.approx(0.5)
+    assert success_prob(m, 2, t=2, t_b=1) == pytest.approx(0.0)
+    assert success_prob(DiscreteDistribution.delta(0), 5, 0, 0) == 1.0
 
 
 def test_success_prob_monotone_in_t():
@@ -27,10 +28,9 @@ def test_success_prob_monotone_in_t():
     for _ in range(30):
         inst = random_kds_instance(rng)
         p = inst.processes[0]
-        dl = KnownDeadline(p.deadline)
         prev = 0.0
         for t in range(0, inst.horizon + 1):
-            s = success_prob(p.profile, dl, t, 0)
+            s = success_prob(p.profile, p.deadline, t, 0)
             assert s >= prev - 1e-12
             prev = s
 
@@ -38,8 +38,38 @@ def test_success_prob_monotone_in_t():
 def test_success_prob_flat_beyond_deadline_window():
     # allocation past d - 1 - t_b adds nothing
     m = DiscreteDistribution.uniform([1, 2, 3])
-    d = KnownDeadline(3)
+    d = 3
     assert success_prob(m, d, 2, 0) == pytest.approx(success_prob(m, d, 3, 0))
+
+
+def _sequential_success(probs, d, t, t_b):
+    # the definition, summed term by term in index order
+    total = 0.0
+    for tp, m in enumerate(probs):
+        if tp <= t and tp <= d - 1 - t_b:
+            total += float(m)
+    return total
+
+
+def test_success_prob_equals_sequential_sum_exactly():
+    # exact, not approximate: planner decisions compare these floats
+    rng = np.random.default_rng(31)
+    profiles = [discretized_lognormal(mean, cv)
+                for mean in (0.4, 1.0, 2.6, 9.5, 47.0, 180.0)
+                for cv in (0.0, 0.03, 0.5, 1.3, 2.0)]
+    profiles += [discretized_lognormal(float(rng.uniform(0.5, 150.0)),
+                                       float(rng.uniform(0.0, 2.0)))
+                 for _ in range(40)]
+    profiles += [random_pmf(rng, int(rng.integers(0, 30)), max_atoms=12)
+                 for _ in range(40)]
+    for profile in profiles:
+        top = profile.support_max + 5
+        for _ in range(100):
+            t = int(rng.integers(0, top))
+            t_b = int(rng.integers(0, top))
+            d = int(rng.integers(-3, 2 * top))
+            assert success_prob(profile, d, t, t_b) == _sequential_success(
+                profile.probs, d, t, t_b), (profile, d, t, t_b)
 
 
 def test_dp_single_process_delta():

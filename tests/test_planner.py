@@ -1,10 +1,13 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from copeplan import fileio
 from copeplan.dda import DdaParams, q_value
-from copeplan.dist import DiscreteDistribution, KnownDeadline
+from copeplan.dist import DiscreteDistribution
+from copeplan.harness import benchmark_tasks
 from copeplan.planner import (
     DispatchParams,
     DurativeAction,
@@ -138,7 +141,7 @@ def test_q_known_matches_reference_scoring():
         profile = DiscreteDistribution(probs)
         d = int(rng.integers(1, 20))
         assert q_known(profile, d, params) == pytest.approx(
-            q_value(profile, KnownDeadline(d), params), abs=1e-9)
+            q_value(profile, d, params), abs=1e-9)
 
 
 def test_nodisp_solves_micro_and_validates():
@@ -189,6 +192,26 @@ def test_disp_records_decision_before_start():
                      max_expansions=2000)
     assert res.solved
     assert res.first_dispatch_time == min(t for t, k, _ in res.happenings if k == "start")
+
+
+def test_disp_that_cannot_commit_equals_nodisp():
+    # p_d <= 1 <= p_nd + 1, so with dt = sft = 1 disp never dispatches or
+    # focuses and must reproduce nodisp run for run
+    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "bench.json"))
+    never = DispatchParams(dt=1.0, sft=1.0, t_wait=cfg.t_wait)
+    shipped = cfg.dispatch_params()
+    fields = ("solved", "expansions", "dispatches", "first_dispatch_time",
+              "completion_time", "happenings", "records")
+    for idx, task in enumerate(benchmark_tasks(cfg)[:10]):
+        for speed in (6.0, 100.0):
+            disp = run_search(task, mode="disp", speed=speed, dispatch_params=never,
+                              max_expansions=cfg.max_expansions)
+            nodisp = run_search(task, mode="nodisp", speed=speed,
+                                dispatch_params=shipped,
+                                max_expansions=cfg.max_expansions)
+            for name in fields:
+                assert getattr(disp, name) == getattr(nodisp, name), (idx, speed, name)
 
 
 def _drive_to_closures(task):
