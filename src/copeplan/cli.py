@@ -39,11 +39,12 @@ def _bool(text) -> bool:
     return str(text).strip().lower() in ("1", "true", "yes", "on")
 
 
-def _setting(args, name, cast, config_value=None, default=None):
-    """flag > COPEPLAN_<NAME> > config file > default; None stays None.
+def _setting(args, name, cast, config_value):
+    """flag > COPEPLAN_<NAME> > config value; None stays None.
 
-    Only raw strings (env values, list-like flags) are cast; values that
-    arrive already typed pass through untouched.
+    The config value is the config file's, or the built-in default's when no
+    file is named. Only raw strings (env values, list-like flags) are cast;
+    values that arrive already typed pass through untouched.
     """
     value = getattr(args, name, None)
     if value is None:
@@ -52,8 +53,6 @@ def _setting(args, name, cast, config_value=None, default=None):
             value = env
     if value is None:
         value = config_value
-    if value is None:
-        return default
     return cast(value) if isinstance(value, str) else value
 
 
@@ -63,10 +62,12 @@ def _expect(obj, kinds, label):
     return obj
 
 
-def _load_config(args) -> BenchmarkConfig | None:
+def _load_config(args) -> BenchmarkConfig:
+    """The config named by --config or COPEPLAN_CONFIG; without one, the
+    built-in defaults for a single disp run at speed 10."""
     path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if path is None:
-        return None
+        return BenchmarkConfig(speeds=(10.0,), modes=("disp",))
     return _expect(fileio.load(path), BenchmarkConfig, "benchmark config")
 
 
@@ -124,23 +125,21 @@ def cmd_solve(args) -> int:
 
 def _dispatch_settings(args, cfg):
     return DispatchParams.from_settings(
-        dt=_setting(args, "dt", float, cfg and cfg.dt, 0.1),
-        sft=_setting(args, "sft", float, cfg and cfg.sft),
-        t_wait=_setting(args, "t_wait", int, cfg and cfg.t_wait, 10),
-        frontier_min_1=_setting(args, "frontier_min_1", _bool,
-                                cfg and cfg.frontier_min_1, False),
-        sft_1=_setting(args, "sft_1", _bool, cfg and cfg.sft_1, False),
+        dt=_setting(args, "dt", float, cfg.dt),
+        sft=_setting(args, "sft", float, cfg.sft),
+        t_wait=_setting(args, "t_wait", int, cfg.t_wait),
+        frontier_min_1=_setting(args, "frontier_min_1", _bool, cfg.frontier_min_1),
+        sft_1=_setting(args, "sft_1", _bool, cfg.sft_1),
     )
 
 
 def cmd_plan(args) -> int:
     task = _expect(fileio.load(args.task), Task, "task")
     cfg = _load_config(args)
-    mode = _setting(args, "mode", str, cfg and cfg.modes[0], "disp")
-    speed = _setting(args, "speed", float, cfg and sorted(cfg.speeds)[0], 10.0)
-    seed = _setting(args, "seed", int, cfg and cfg.seed, 0)
-    max_exp = _setting(args, "max_expansions", int,
-                       cfg and cfg.max_expansions, 8000)
+    mode = _setting(args, "mode", str, cfg.modes[0])
+    speed = _setting(args, "speed", float, sorted(cfg.speeds)[0])
+    seed = _setting(args, "seed", int, cfg.seed)
+    max_exp = _setting(args, "max_expansions", int, cfg.max_expansions)
     params = _dispatch_settings(args, cfg)
     echo = {"mode": mode, "speed": speed, "dt": params.dt, "sft": params.sft,
             "t_wait": params.t_wait, "seed": seed, "max_expansions": max_exp}
@@ -220,7 +219,7 @@ def cmd_bench(args) -> int:
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args)
-    gen = cfg.generator if cfg else GeneratorParams()
+    gen = cfg.generator
     lo = _setting(args, "duration_lo", float, gen.duration_range[0])
     hi = _setting(args, "duration_hi", float, gen.duration_range[1])
     params = GeneratorParams(
@@ -228,7 +227,7 @@ def cmd_gen(args) -> int:
         duration_range=(lo, hi),
         tau=_setting(args, "tau", float, gen.tau),
         width=_setting(args, "width", int, gen.width),
-        seed=_setting(args, "seed", int, cfg.seed if cfg else None, 0),
+        seed=_setting(args, "seed", int, cfg.seed),
     )
     text = fileio.dumps(generate_instance(params))
     if args.out:

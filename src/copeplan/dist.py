@@ -99,21 +99,6 @@ class DiscreteDistribution:
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         return rng.choice(len(self.probs), size=n, p=self.probs)
 
-    def shift_condition(self, elapsed: int) -> "DiscreteDistribution":
-        """Remaining-time distribution given T >= elapsed, re-indexed from 0.
-
-        Conditioning mass is P(T >= elapsed); raises if that mass is zero.
-        """
-        if elapsed < 0:
-            raise ValueError("elapsed must be >= 0")
-        if elapsed == 0:
-            return DiscreteDistribution(self.probs.copy())
-        tail = self.probs[elapsed:]
-        mass = float(tail.sum())
-        if mass <= 0.0:
-            raise ValueError(f"no mass at or after t={elapsed}")
-        return DiscreteDistribution(tail / mass)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented

@@ -1,4 +1,4 @@
-"""Virtual clock, Monte Carlo calibration, instance generator, benchmarks.
+"""Monte Carlo calibration, instance generator, benchmarks.
 
 Everything here is deterministic given its seeds: simulation draws flow from
 one generator per call, instance synthesis derives per-instance seeds from
@@ -20,30 +20,6 @@ from .planner.engine import DispatchParams, run_search
 from .planner.task import DurativeAction, Task, TimedLiteral
 from .planner.validate import validate_plan
 from .stn import EPSILON_SEPARATION
-
-
-@dataclass
-class VirtualClock:
-    """Plan time driven by search effort: t = expansions / speed."""
-
-    expansions_per_second: float
-    expansions_so_far: int = 0
-
-    def __post_init__(self):
-        if self.expansions_per_second <= 0:
-            raise ValueError("expansions_per_second must be positive")
-        if self.expansions_so_far < 0:
-            raise ValueError("expansions_so_far must be nonnegative")
-
-    @property
-    def t_now(self) -> float:
-        return self.expansions_so_far / self.expansions_per_second
-
-    def advance(self, expansions: int = 1) -> float:
-        if expansions < 0:
-            raise ValueError("the clock cannot run backwards")
-        self.expansions_so_far += expansions
-        return self.t_now
 
 
 # -- Monte Carlo calibration -------------------------------------------------
@@ -282,23 +258,21 @@ class BenchmarkConfig:
         if doc.get("format", "bench") != "bench":
             raise ValueError("not a benchmark config document")
         gen = doc.get("generator", {})
+        defaults = GeneratorParams()
         gparams = GeneratorParams(
-            goals=int(gen.get("goals", 3)),
-            duration_range=tuple(gen.get("duration_range", (1.0, 3.0))),
-            tau=float(gen.get("tau", 1.3)),
-            width=int(gen.get("width", 2)),
+            goals=int(gen.get("goals", defaults.goals)),
+            duration_range=tuple(gen.get("duration_range", defaults.duration_range)),
+            tau=float(gen.get("tau", defaults.tau)),
+            width=int(gen.get("width", defaults.width)),
         )
         kwargs = {}
         for key in ("instances", "dt", "sft", "t_wait", "frontier_min_1",
                     "sft_1", "seed", "max_expansions"):
             if key in doc:
                 kwargs[key] = doc[key]
-        return cls(
-            speeds=tuple(doc["speeds"]),
-            modes=tuple(doc.get("modes", ("disp", "nodisp"))),
-            generator=gparams,
-            **kwargs,
-        )
+        if "modes" in doc:
+            kwargs["modes"] = tuple(doc["modes"])
+        return cls(speeds=tuple(doc["speeds"]), generator=gparams, **kwargs)
 
 
 def benchmark_tasks(config: BenchmarkConfig) -> list:

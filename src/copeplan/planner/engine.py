@@ -70,20 +70,25 @@ class PlanResult:
     reason: str = ""
 
 
-def _argmax_q(pool, m, t_now, speed, stats, dda):
-    prof_cache = {}
+def _profile(nd, stats, profiles):
+    """(completion profile, expected effort e) for nodes at nd.h, memoised in
+    `profiles` until the search statistics next change."""
+    entry = profiles.get(nd.h)
+    if entry is None:
+        prof = estimate_completion(nd, stats)
+        entry = profiles[nd.h] = (prof, max(1, round(prof.mean())))
+    return entry
+
+
+def _argmax_q(pool, m, t_now, speed, stats, dda, profiles):
     q_cache = {}
     best = None
     best_q = -INF
     for nd in pool:
-        prof = prof_cache.get(nd.h)
-        if prof is None:
-            prof = estimate_completion(nd, stats)
-            prof_cache[nd.h] = prof
         d = deadline_steps(latest_start(nd, m), t_now, speed)
         q = q_cache.get((nd.h, d))
         if q is None:
-            q = q_known(prof, d, dda)
+            q = q_known(_profile(nd, stats, profiles)[0], d, dda)
             q_cache[(nd.h, d)] = q
         if best is None or q > best_q or (q == best_q and nd.generation_tick < best.generation_tick):
             best = nd
@@ -116,30 +121,26 @@ def _burst(task, node, m_exec, stats, memo, pruned_dups, counts, t_u):
     return None, frontier
 
 
-def _chain_log_failure(nodes, c, t_b, t_now, speed, stats):
+def _chain_log_failure(nodes, c, t_b, t_now, speed, stats, profiles):
     """Joint log failure of finishing every node's subtree before its window.
 
     Nodes are charged sequentially: each one waits for the expected effort of
     those before it plus its own before its success is evaluated.
     """
-    prof_cache = {}
     total = 0.0
     offset = t_b
     for nd in nodes:
-        prof = prof_cache.get(nd.h)
-        if prof is None:
-            prof = estimate_completion(nd, stats)
-            prof_cache[nd.h] = prof
-        e = max(1, round(prof.mean()))
+        prof, e = _profile(nd, stats, profiles)
         offset += e
         d = deadline_steps(latest_start(nd, c), t_now, speed)
         total += lpf(prof, d, e, offset)
     return total
 
 
-def _decide(open_list, m, t_now, speed, stats, dda, dparams, counts):
+def _decide(open_list, m, t_now, speed, stats, dparams, counts, profiles):
     """Compare acting now against deliberating; ('dispatch'|'focus'|None, step)."""
-    p_nd = 1.0 - math.exp(_chain_log_failure(open_list, m, dparams.t_wait, t_now, speed, stats))
+    p_nd = 1.0 - math.exp(_chain_log_failure(open_list, m, dparams.t_wait, t_now,
+                                             speed, stats, profiles))
     groups = {}
     for nd in open_list:
         if len(nd.prefix) > m and nd.prefix[m][0] == "start":
@@ -148,7 +149,8 @@ def _decide(open_list, m, t_now, speed, stats, dda, dparams, counts):
     best_focus = None
     for step in sorted(groups):
         nodes = groups[step]
-        p_d = 1.0 - math.exp(_chain_log_failure(nodes, m + 1, 0, t_now, speed, stats))
+        p_d = 1.0 - math.exp(_chain_log_failure(nodes, m + 1, 0, t_now, speed,
+                                                stats, profiles))
         explored = (
             counts.get((m, step), 0) >= dparams.min_subtree_expansions
             and len(nodes) >= dparams.min_sim_open
@@ -185,18 +187,20 @@ def _repin(task, node, executed):
     return node
 
 
+def _commit(task, nodes, executed, step, when):
+    """Append (step, when) to `executed`; the nodes that survive pinning it."""
+    m = len(executed)
+    executed.append((step, when))
+    return [nd for nd in nodes if _pin(task, nd, m, when) is not None]
+
+
 def _apply_dispatch(task, step, executed, open_list, memo, pruned_dups, t_now, records):
     """Commit `step` as the next executed happening and reconcile all state."""
     m = len(executed)
     matching = [nd for nd in open_list if len(nd.prefix) > m and nd.prefix[m] == step]
     when = max(t_now, float(min(nd.stn.tmin(f"s{m}") for nd in matching)))
-    executed.append((step, when))
     records.append((t_now, step[1], when))
-    survivors = []
-    for nd in matching:
-        if _pin(task, nd, m, when) is not None:
-            survivors.append(nd)
-    open_list[:] = survivors
+    open_list[:] = _commit(task, matching, executed, step, when)
 
     exec_steps = tuple(s for s, _ in executed)
     freed = []
@@ -251,12 +255,7 @@ def _auto_advance(task, executed, open_list, t_now):
             when = task.tils[step[1]].time
         if when > t_now:
             return
-        executed.append((step, when))
-        survivors = []
-        for nd in open_list:
-            if _pin(task, nd, m, when) is not None:
-                survivors.append(nd)
-        open_list[:] = survivors
+        open_list[:] = _commit(task, open_list, executed, step, when)
 
 
 def _try_finish(task, node, executed, records, stats, t_now, dispatches):
@@ -316,6 +315,9 @@ def run_search(task, mode="nodisp", speed=100.0, dispatch_params=None,
     memo = {root.key(): root.prefix}
     pruned_dups = {}
     open_list = [root]
+    # completion profiles by h; they depend only on `stats`, which changes
+    # only inside _burst
+    profiles = {}
     focus_step = None
     dispatches = 0
 
@@ -337,10 +339,11 @@ def run_search(task, mode="nodisp", speed=100.0, dispatch_params=None,
                 pool = sub
             else:
                 focus_step = None
-        chosen = _argmax_q(pool, m, t_now, speed, stats, dda)
+        chosen = _argmax_q(pool, m, t_now, speed, stats, dda, profiles)
         open_list.remove(chosen)
         goal_node, leftovers = _burst(task, chosen, m, stats, memo, pruned_dups,
                                       counts, dparams.t_wait)
+        profiles.clear()
         open_list.extend(leftovers)
         t_now = stats.expansions / speed
 
@@ -356,7 +359,8 @@ def run_search(task, mode="nodisp", speed=100.0, dispatch_params=None,
             if not open_list:
                 continue
             m = len(executed)
-            kind, step = _decide(open_list, m, t_now, speed, stats, dda, dparams, counts)
+            kind, step = _decide(open_list, m, t_now, speed, stats, dparams, counts,
+                                 profiles)
             if kind == "dispatch":
                 _apply_dispatch(task, step, executed, open_list, memo,
                                 pruned_dups, t_now, records)

@@ -16,8 +16,6 @@ ORIGIN = "origin"
 INF = math.inf
 # separation between a condition's time and the effect that achieves it
 EPSILON_SEPARATION = 0.001
-# networks above this size answer recompute() queries per-event instead
-FW_MAX_EVENTS = 64
 
 
 class Stn:
@@ -98,42 +96,14 @@ def _edge_matrix(events, constraints):
     return adj
 
 
-def _bellman_ford(adj, source):
-    n = adj.shape[0]
-    dist = adj[source].copy()
-    dist[source] = 0.0
-    for _ in range(n - 1):
-        relaxed = np.min(dist[:, None] + adj, axis=0)
-        new = np.minimum(dist, relaxed)
-        if np.array_equal(new, dist):
-            return dist, True
-        dist = new
-    relaxed = np.min(dist[:, None] + adj, axis=0)
-    return dist, not np.any(relaxed < dist)
-
-
 def recompute(stn: Stn):
-    """From-scratch (consistent, tmin, tmax) for oracle comparisons.
-
-    Small networks get a full Floyd-Warshall closure; larger ones answer the
-    two needed single-source queries (origin outward for tmax, reversed for
-    tmin) with Bellman-Ford.
-    """
-    adj = _edge_matrix(stn.events, stn.constraints)
-    n = len(stn.events)
-    if n <= FW_MAX_EVENTS:
-        dist = adj.copy()
-        for k in range(n):
-            np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-        if np.diagonal(dist).min() < 0:
-            return False, {}, {}
-        tmin = {e: -dist[stn.index[e], 0] for e in stn.events}
-        tmax = {e: dist[0, stn.index[e]] for e in stn.events}
-        return True, tmin, tmax
-    fwd, ok_f = _bellman_ford(adj, 0)
-    back, ok_b = _bellman_ford(adj.T, 0)
-    if not (ok_f and ok_b):
+    """From-scratch (consistent, tmin, tmax) for oracle comparisons: a full
+    Floyd-Warshall closure of the constraint log."""
+    dist = _edge_matrix(stn.events, stn.constraints)
+    for k in range(len(stn.events)):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    if np.diagonal(dist).min() < 0:
         return False, {}, {}
-    tmin = {e: -back[stn.index[e]] for e in stn.events}
-    tmax = {e: fwd[stn.index[e]] for e in stn.events}
+    tmin = {e: -dist[stn.index[e], 0] for e in stn.events}
+    tmax = {e: dist[0, stn.index[e]] for e in stn.events}
     return True, tmin, tmax

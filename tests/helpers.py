@@ -72,9 +72,10 @@ def random_cope_instance(
     return CopeInstance(procs, horizon)
 
 
-def random_network(rng: np.random.Generator, max_events: int = 30) -> Stn:
+def random_network(rng: np.random.Generator, max_events: int = 30,
+                   min_events: int = 2) -> Stn:
     s = Stn()
-    names = [f"e{k}" for k in range(int(rng.integers(2, max_events)))]
+    names = [f"e{k}" for k in range(int(rng.integers(min_events, max_events)))]
     for name in names:
         s = s.add_event(name)
     pool = [ORIGIN] + names

@@ -4,6 +4,7 @@ import os
 
 from copeplan import fileio
 from copeplan.cli import main
+from copeplan.harness import GeneratorParams, generate_instance
 from copeplan.planner import Task
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -120,6 +121,26 @@ def test_env_overrides_and_flag_precedence(capsys, monkeypatch):
                  "--speed", "31"]) == 0
     echo = json.loads(capsys.readouterr().out.splitlines()[0][len("# config "):])
     assert echo["speed"] == 31.0 and echo["dt"] == 0.25
+
+
+def _clear_env(monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("COPEPLAN_"):
+            monkeypatch.delenv(name)
+
+
+def test_plan_built_in_defaults(capsys, monkeypatch):
+    _clear_env(monkeypatch)
+    assert main(["plan", path("demo_task.json")]) == 0
+    echo = json.loads(capsys.readouterr().out.splitlines()[0][len("# config "):])
+    assert echo == {"dt": 0.1, "max_expansions": 8000, "mode": "disp", "seed": 0,
+                    "sft": 0.05, "speed": 10.0, "t_wait": 10}
+
+
+def test_gen_built_in_defaults(capsys, monkeypatch):
+    _clear_env(monkeypatch)
+    assert main(["gen"]) == 0
+    assert capsys.readouterr().out == fileio.dumps(generate_instance(GeneratorParams()))
 
 
 def test_config_file_supplies_plan_defaults(capsys):

@@ -42,21 +42,6 @@ def test_cdf_monotone_and_bounded():
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_shift_condition_renormalizes():
-    d = DiscreteDistribution.from_pairs([(1, 0.5), (3, 0.5)])
-    shifted = d.shift_condition(2)
-    # only the atom at 3 survives conditioning on T >= 2
-    assert shifted.pmf(1) == pytest.approx(1.0)
-    assert shifted.support_max == 1
-    with pytest.raises(ValueError):
-        d.shift_condition(4)
-
-
-def test_shift_condition_zero_is_copy():
-    d = DiscreteDistribution.uniform([0, 2])
-    assert d.shift_condition(0) == d
-
-
 def test_sampling_matches_pmf_tolerance():
     # Monte Carlo calibration of the sampler itself: each atom within
     # 3 * sqrt(p(1-p)/N) of its mass.

@@ -9,7 +9,6 @@ from copeplan.dist import DiscreteDistribution
 from copeplan.harness import (
     BenchmarkConfig,
     GeneratorParams,
-    VirtualClock,
     benchmark_tasks,
     generate_instance,
     plot_svg,
@@ -24,17 +23,6 @@ from copeplan.kds import Block, KdsInstance, KdsProcess, solve_kds_dp
 from copeplan.planner import DispatchParams, validate_plan
 
 from helpers import random_cope_instance, random_copem_instance, random_kds_instance
-
-
-def test_virtual_clock_tracks_expansions():
-    clock = VirtualClock(expansions_per_second=4.0)
-    assert clock.t_now == 0.0
-    assert clock.advance(10) == pytest.approx(2.5)
-    assert clock.advance() == pytest.approx(2.75)
-    with pytest.raises(ValueError):
-        clock.advance(-1)
-    with pytest.raises(ValueError):
-        VirtualClock(expansions_per_second=0.0)
 
 
 def test_simulate_worked_instance_is_certain():
@@ -140,6 +128,8 @@ def test_benchmark_config_round_trips():
     again = BenchmarkConfig.from_dict(doc)
     assert again.to_dict() == doc
     assert len(benchmark_tasks(cfg)) == 5
+    bare = BenchmarkConfig.from_dict({"speeds": [4.0]})
+    assert bare.generator == GeneratorParams() and bare.modes == ("disp", "nodisp")
 
 
 def test_solved_count_nondecreasing_in_speed_for_nodisp():

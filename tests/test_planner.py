@@ -23,6 +23,7 @@ from copeplan.planner import (
     run_search,
     validate_plan,
 )
+from copeplan.planner import engine
 from copeplan.planner.engine import _apply_dispatch, _auto_advance
 from copeplan.planner.search import SearchStats, make_child
 
@@ -212,6 +213,38 @@ def test_disp_that_cannot_commit_equals_nodisp():
                                 max_expansions=cfg.max_expansions)
             for name in fields:
                 assert getattr(disp, name) == getattr(nodisp, name), (idx, speed, name)
+
+
+def test_decision_cycle_builds_each_profile_once(monkeypatch):
+    """Inside one _decide, p_nd's chain and every candidate group's chain
+    read one profile memo, so no h has its profile built twice."""
+    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "bench.json"))
+    built = []
+    repeats = []
+    cycles = 0
+    estimate, decide = engine.estimate_completion, engine._decide
+
+    def counting_estimate(nd, stats):
+        built.append(nd.h)
+        return estimate(nd, stats)
+
+    def checked_decide(*args, **kwargs):
+        nonlocal cycles
+        built.clear()
+        out = decide(*args, **kwargs)
+        cycles += 1
+        repeats.extend(h for h in set(built) if built.count(h) > 1)
+        return out
+
+    monkeypatch.setattr(engine, "estimate_completion", counting_estimate)
+    monkeypatch.setattr(engine, "_decide", checked_decide)
+    for task in benchmark_tasks(cfg)[:3]:
+        run_search(task, mode="disp", speed=6.0,
+                   dispatch_params=cfg.dispatch_params(),
+                   max_expansions=cfg.max_expansions)
+    assert cycles > 0
+    assert repeats == []
 
 
 def _drive_to_closures(task):

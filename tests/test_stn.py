@@ -94,6 +94,18 @@ def test_incremental_matches_recompute_on_random_networks():
     assert 0 < inconsistent < 120
 
 
+def test_recompute_matches_incremental_on_large_networks():
+    # 65 to 89 events, well past the sizes the other tests draw
+    rng = np.random.default_rng(65)
+    inconsistent = 0
+    for _ in range(20):
+        s = random_network(rng, max_events=90, min_events=65)
+        got = s.solve()
+        assert got == recompute(s)
+        inconsistent += not got[0]
+    assert 0 < inconsistent < 20
+
+
 def test_tmin_never_exceeds_tmax():
     rng = np.random.default_rng(11)
     for _ in range(60):
