@@ -4,8 +4,9 @@ A node is a totally ordered sequence of snap happenings with a temporal
 network over their timestamps. Between two timed-literal applications every
 step must fit before the next pending literal, so sequence order and time
 order always agree. Remaining work is estimated by a delete-relaxed pass
-whose extracted action chain is also appended (as tentative events) to the
-node's network to tighten the latest feasible start of each pending step.
+whose extracted action chain is also probed against the node's network (as
+tentative events that Stn.probe never adds to it) to tighten the latest
+feasible start of each pending step.
 """
 
 import math
@@ -148,23 +149,25 @@ def relaxed_plan(task, props, opens, til_count):
 
 
 def tighten(task, node: SearchNode):
-    """Cache latest feasible starts with the relaxed chain appended.
+    """Cache latest feasible starts against the relaxed chain.
 
     The chain actions are laid out sequentially after the last step, bounded
     by upcoming timed deletions of their conditions (and of goal facts); open
-    intervals bound the chain's finish from below. The extension lives only
-    long enough to read the prefix tmax values back out. Returns False when
-    even the optimistic chain cannot fit, which callers treat as a dead end.
+    intervals bound the chain's finish from below. The chain is only probed
+    (Stn.probe), never added to the node's network; the probe's origin row
+    gives the prefix tmax values. Returns False when even the optimistic
+    chain cannot fit, which callers treat as a dead end.
     """
     stn = node.stn
+    index = stn.index
     eps = EPSILON_SEPARATION
     future = task.tils[node.til_count:]
-    prev = f"s{len(node.prefix) - 1}" if node.prefix else ORIGIN
-    last = prev
-    for i, a in enumerate(node.chain):
-        ev = f"r{i}"
-        stn = stn.add_event(ev)
-        stn = stn.add_constraint(ev, last, -eps)
+    origin = index[ORIGIN]
+    last = index[f"s{len(node.prefix) - 1}"] if node.prefix else origin
+    ev = len(stn.events)
+    edges = []
+    for a in node.chain:
+        edges.append((ev, last, -eps))
         conds = a.cond_start | a.cond_over | a.cond_end
         bound = INF
         for lit in future:
@@ -174,27 +177,26 @@ def tighten(task, node: SearchNode):
                     cut = lit.time - a.duration
                 bound = min(bound, cut)
         if bound < INF:
-            stn = stn.add_constraint(ORIGIN, ev, bound)
-        nxt = f"r{i}d"
-        stn = stn.add_event(nxt)
-        stn = stn.add_constraint(nxt, ev, -a.duration)
-        last = nxt
+            edges.append((origin, ev, bound))
+        edges.append((ev + 1, ev, -a.duration))
+        last = ev + 1
+        ev += 2
     goal_cut = INF
     for lit in future:
         if not lit.add and lit.prop in task.goal:
             goal_cut = min(goal_cut, lit.time - eps)
     if node.opens or goal_cut < INF:
-        g = "rg"
-        stn = stn.add_event(g)
-        stn = stn.add_constraint(g, last, 0.0)
+        edges.append((ev, last, 0.0))
         for name, pos in node.opens:
-            stn = stn.add_constraint(g, f"s{pos}", -task.by_name[name].duration)
+            edges.append((ev, index[f"s{pos}"], -task.by_name[name].duration))
         if goal_cut < INF:
-            stn = stn.add_constraint(ORIGIN, g, goal_cut)
-    if not stn.consistent:
+            edges.append((origin, ev, goal_cut))
+        ev += 1
+    tmax = stn.probe(ev - len(stn.events), edges)
+    if tmax is None:
         return False
     node.start_tmaxes = tuple(
-        (pos, stn.tmax(f"s{pos}"))
+        (pos, tmax[index[f"s{pos}"]])
         for pos, step in enumerate(node.prefix)
         if step[0] == "start"
     )
@@ -310,31 +312,42 @@ def is_goal(task, node: SearchNode) -> bool:
 
 # -- completion estimates and urgency ---------------------------------------
 
-def _phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 ESTIMATE_SUPPORT_CAP = 200
+# log(k + 0.5), the log of the upper edge of grid cell k, for every k a
+# discretized lognormal can reach
+_LOG_CELL_EDGES = np.array([math.log(k + 0.5) for k in range(ESTIMATE_SUPPORT_CAP + 1)])
+_SQRT2 = math.sqrt(2.0)
 
 
 def discretized_lognormal(mean: float, cv: float) -> DiscreteDistribution:
-    """Integer-grid distribution with the given mean and relative spread."""
+    """Integer-grid distribution with the given mean and relative spread.
+
+    Cell k (1 <= k < cap) holds Phi(edge k) - Phi(edge k-1) of the lognormal,
+    and the last cell takes the rest of the mass. The arithmetic around erf
+    runs on arrays; each operation rounds as the scalar form would.
+    """
     if mean <= 0:
         return DiscreteDistribution.delta(0)
-    if cv < 1e-9:
-        return DiscreteDistribution.delta(max(1, round(mean)))
     sigma2 = math.log(1.0 + cv * cv)
+    # below about 1.05e-8, cv * cv vanishes next to 1 and sigma would be 0
+    if cv < 1e-9 or sigma2 == 0.0:
+        return DiscreteDistribution.delta(max(1, round(mean)))
     sigma = math.sqrt(sigma2)
     mu = math.log(mean) - sigma2 / 2.0
     cap = int(math.ceil(math.exp(mu + 3.29 * sigma)))
     cap = max(2, min(cap, ESTIMATE_SUPPORT_CAP))
-    probs = np.zeros(cap + 1)
-    prev = 0.0
-    for k in range(1, cap + 1):
-        hi = _phi((math.log(k + 0.5) - mu) / sigma) if k < cap else 1.0
-        probs[k] = hi - prev
-        prev = hi
-    return DiscreteDistribution(probs / probs.sum())
+    z = (_LOG_CELL_EDGES[1:cap] - mu) / sigma / _SQRT2
+    # phi[k-1] = Phi(edge k) = 0.5 * (1 + erf(z)), the mass below edge k
+    phi = np.fromiter(map(math.erf, z.tolist()), float, cap - 1)
+    phi += 1.0
+    phi *= 0.5
+    probs = np.empty(cap + 1)
+    probs[0] = 0.0
+    probs[1] = phi[0]
+    np.subtract(phi[1:], phi[:-1], out=probs[2:cap])
+    probs[cap] = 1.0 - phi[-1]
+    probs /= probs.sum()
+    return DiscreteDistribution(probs)
 
 
 def estimate_completion(node: SearchNode, stats: SearchStats) -> DiscreteDistribution:
@@ -362,20 +375,27 @@ def q_known(profile: DiscreteDistribution, d: int, params: DdaParams) -> float:
 
     Vectorized replica of the reference scoring (same floats): success after
     t units starting at offset t_b is the profile's running sum at
-    min(t, d-1-t_b).
+    min(t, d-1-t_b). Each term is the least log-failure rate over t; both
+    terms read one table of log-failures and its running minimum of rates.
     """
     cum = profile.cum
     support = len(cum) - 1
+    m = min(max(d - 1, 0), support)
+    log_fail = np.log(np.maximum(1.0 - cum[: m + 1], FAILURE_FLOOR))
+    # best_rate[k-1]: least log_fail[t] / t over t = 1..k
+    best_rate = np.minimum.accumulate(log_fail[1:] / np.arange(1, m + 1))
 
     def term(t_b: int) -> float:
         cap = d - t_b
         if cap < 1:
             return 0.0
-        hi = min(cap, max(support, 1))
-        ts = np.arange(1, hi + 1)
-        lim = np.minimum(ts, d - 1 - t_b)
-        s = np.where(lim < 0, 0.0, cum[np.clip(lim, 0, support)])
-        ratios = np.log(np.maximum(1.0 - s, FAILURE_FLOOR)) / ts
-        return float(ratios[int(np.argmin(ratios))])
+        if support == 0:
+            return float(log_fail[0])
+        # t < cap reads cum[t]; t = cap (inside the support) reads cum[cap-1]
+        k = min(support, cap - 1)
+        best = best_rate[k - 1] if k >= 1 else INF
+        if cap <= support:
+            best = min(best, log_fail[cap - 1] / cap)
+        return float(best)
 
     return params.gamma * term(params.t_u) - term(0)

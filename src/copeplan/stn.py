@@ -6,6 +6,11 @@ add_event and add_constraint return new networks, so search nodes can share
 history safely. The incremental all-pairs matrix is exact because a single
 new edge can only improve a shortest path once when no negative cycle exists;
 recompute() is the from-scratch oracle for that claim.
+
+probe() answers "what would the origin row be after these additions?" without
+building the intermediate networks: it grows one scratch matrix to its final
+size and relaxes every edge in place, with the same float operations as the
+equivalent add_event/add_constraint sequence.
 """
 
 import math
@@ -64,11 +69,41 @@ class Stn:
         s.constraints = self.constraints + ((from_event, to_event, float(bound)),)
         if not self.consistent:
             return s
-        through = self.dist[:, u, None] + (bound + self.dist[None, v, :])
-        s.dist = np.minimum(self.dist, through)
+        s.dist = np.minimum(self.dist, _through(self.dist, self.dist, u, v, bound))
         if np.diagonal(s.dist).min() < 0:
             s.consistent = False
         return s
+
+    def probe(self, n_new: int, edges):
+        """Origin row after adding n_new events and then the edges, or None
+        when the result is inconsistent. Nothing is added to this network.
+
+        edges holds (u, v, b) index triples; new events are numbered from
+        len(self.events). The row equals what add_event for each new event,
+        followed by add_constraint for each edge in order, would leave:
+        - an event no edge has touched keeps the origin row and an empty
+          column, so creating every new event up front changes nothing;
+        - an edge leaving a new event that no edge enters yet can shorten
+          only that event's row, since its column holds just the diagonal 0;
+        - relaxation never raises an entry, so one consistency check at the
+          end sees any negative diagonal an earlier step would have seen.
+        """
+        if not self.consistent:
+            return None
+        m = len(self.events)
+        n = m + n_new
+        dist = np.full((n, n), INF)
+        dist[:m, :m] = self.dist
+        dist[m:, :m] = self.dist[0]
+        np.fill_diagonal(dist[m:, m:], 0.0)
+        entered = set()
+        for u, v, b in edges:
+            rows = dist[u:u + 1] if u >= m and u not in entered else dist
+            np.minimum(rows, _through(rows, dist, u, v, b), out=rows)
+            entered.add(v)
+        if np.diagonal(dist).min() < 0:
+            return None
+        return dist[0]
 
     def solve(self):
         """(consistent, tmin, tmax); the maps are empty when inconsistent."""
@@ -83,6 +118,12 @@ class Stn:
 
     def tmax(self, event: str) -> float:
         return self.dist[0, self.index[event]]
+
+
+def _through(rows, dist, u, v, b):
+    """Length of each path i -> u -> v -> j over the new edge (u, v, b), for
+    the rows i of `rows`: the network's one relaxation formula."""
+    return rows[:, u, None] + (b + dist[None, v, :])
 
 
 def _edge_matrix(events, constraints):

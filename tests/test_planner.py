@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 
@@ -23,9 +24,11 @@ from copeplan.planner import (
     run_search,
     validate_plan,
 )
-from copeplan.planner import engine
+from copeplan.planner import engine, search
 from copeplan.planner.engine import _apply_dispatch, _auto_advance
 from copeplan.planner.search import SearchStats, make_child
+
+import reference_kernels
 
 
 def fs(*names):
@@ -143,6 +146,111 @@ def test_q_known_matches_reference_scoring():
         d = int(rng.integers(1, 20))
         assert q_known(profile, d, params) == pytest.approx(
             q_value(profile, d, params), abs=1e-9)
+
+
+def test_q_known_matches_per_term_reference_exactly():
+    rng = np.random.default_rng(8)
+    profiles = [DiscreteDistribution.delta(0), DiscreteDistribution.delta(1),
+                DiscreteDistribution.delta(7),
+                DiscreteDistribution.from_pairs([(0, 0.25), (3, 0.75)])]
+    for _ in range(40):
+        profiles.append(discretized_lognormal(float(rng.uniform(0.5, 120.0)),
+                                              float(rng.uniform(0.0, 2.0))))
+        size = int(rng.integers(1, 30))
+        w = rng.random(size) * (rng.random(size) < 0.6)
+        w[-1] += 1e-3
+        profiles.append(DiscreteDistribution(w / w.sum()))
+    checked = 0
+    for profile in profiles:
+        support = profile.support_max
+        ds = {-3, 0, 1, 2, support, support + 1, support + 5, 10**9}
+        ds.update(int(x) for x in rng.integers(0, 2 * support + 12, size=6))
+        for d in sorted(ds):
+            for t_u in (1, 2, 4, 10, max(1, d), d + 3):
+                if t_u < 1:
+                    continue
+                params = DdaParams(t_u=t_u, gamma=float(rng.choice([1.0, 0.9, 0.37])))
+                assert q_known(profile, d, params) == reference_kernels.q_known(
+                    profile, d, params), (profile, d, params)
+                checked += 1
+    assert checked > 3000
+
+
+def test_discretized_lognormal_matches_scalar_reference_exactly():
+    rng = np.random.default_rng(9)
+    cases = [(0.0, 0.5), (-2.0, 1.0), (5.0, 0.0), (5.0, 5e-10), (0.4, 1.1e-8),
+             (0.3, 0.1), (1.0, 0.05), (150.0, 2.0), (1e4, 0.5), (2.5, 2.0)]
+    cases += [(float(np.exp(rng.uniform(-2.0, 6.0))), float(rng.uniform(0.0, 2.0)))
+              for _ in range(400)]
+    caps = set()
+    for mean, cv in cases:
+        got = discretized_lognormal(mean, cv)
+        want = reference_kernels.discretized_lognormal(mean, cv)
+        assert got.probs.shape == want.probs.shape, (mean, cv)
+        assert np.array_equal(got.probs, want.probs), (mean, cv)
+        caps.add(got.support_max)
+    # the grid clamps at both ends: two cells at least, the cap at most
+    assert {2, search.ESTIMATE_SUPPORT_CAP} <= caps
+
+
+def test_discretized_lognormal_without_spread_is_a_point_mass():
+    # from cv = 1e-9 up to about 1.05e-8, log(1 + cv * cv) rounds to 0; the
+    # scalar form divided by that zero sigma
+    for mean, cv in ((0.4, 1e-9), (6.0, 5e-9), (6.3, 1e-8)):
+        assert discretized_lognormal(mean, cv).pairs() == [(max(1, round(mean)), 1.0)]
+        with pytest.raises(ZeroDivisionError):
+            reference_kernels.discretized_lognormal(mean, cv)
+
+
+def _tighten_verdicts_against_reference(monkeypatch, tasks, dispatch_params,
+                                        max_expansions):
+    """Plan each task in both modes at speeds 6 and 100, checking every
+    tighten call against the reference; returns the verdicts seen."""
+    real = search.tighten
+    verdicts = []
+
+    def checked(task, node):
+        ref = copy.copy(node)
+        want = reference_kernels.tighten(task, ref)
+        got = real(task, node)
+        assert got == want
+        assert node.start_tmaxes == ref.start_tmaxes
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(search, "tighten", checked)
+    monkeypatch.setattr(engine, "tighten", checked)
+    for task in tasks:
+        for mode in ("disp", "nodisp"):
+            for speed in (6.0, 100.0):
+                run_search(task, mode=mode, speed=speed, dispatch_params=dispatch_params,
+                           max_expansions=max_expansions)
+    return verdicts
+
+
+def test_tighten_matches_persistent_network_reference(monkeypatch):
+    """Every tighten call on shipped tasks, in both modes and at two speeds,
+    gives the reference's verdict and start tmaxes bit for bit."""
+    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "bench.json"))
+    verdicts = _tighten_verdicts_against_reference(
+        monkeypatch, benchmark_tasks(cfg)[:10], cfg.dispatch_params(), cfg.max_expansions)
+    assert True in verdicts and False in verdicts
+
+
+def test_tighten_matches_reference_when_the_goal_expires(monkeypatch):
+    # no shipped task deletes a goal fact, so the chain's goal cut is only
+    # reached here: "done" is lost at `expiry`, some of them too early
+    tasks = []
+    for expiry in (4.0, 5.2, 9.5, 30.0):
+        task = micro_task()
+        tils = (TimedLiteral(time=expiry, prop="done", add=False),) + task.tils
+        tasks.append(Task(propositions=task.propositions, actions=task.actions,
+                          init=task.init, goal=task.goal,
+                          tils=tuple(sorted(tils, key=lambda lit: lit.time))))
+    verdicts = _tighten_verdicts_against_reference(
+        monkeypatch, tasks, DispatchParams(), 400)
+    assert True in verdicts and False in verdicts
 
 
 def test_nodisp_solves_micro_and_validates():

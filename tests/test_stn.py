@@ -133,5 +133,60 @@ def test_tightening_never_increases_tmax():
             assert after[e] <= before[e]
 
 
+def _grown_origin_row(base, n_new, edges):
+    """Origin row after adding the events, then the edges, one call at a time."""
+    s = base
+    names = list(base.events)
+    for k in range(n_new):
+        names.append(f"x{k}")
+        s = s.add_event(names[-1])
+    for u, v, b in edges:
+        s = s.add_constraint(names[u], names[v], b)
+    return s.dist[0] if s.consistent else None
+
+
+def test_probe_matches_step_by_step_growth():
+    rng = np.random.default_rng(31)
+    outcomes = {True: 0, False: 0}
+    for trial in range(300):
+        if trial % 10 == 0:
+            base = random_network(rng, max_events=90, min_events=65)
+        else:
+            base = random_network(rng, max_events=14)
+        before = base.dist.copy()
+        m = len(base.events)
+        n_new = int(rng.integers(0, 7))
+        edges = []
+        for _ in range(int(rng.integers(0, 3 * n_new + 4))):
+            # half the edges leave a new event, as tighten's chain edges do
+            if n_new and rng.random() < 0.5:
+                u = m + int(rng.integers(0, n_new))
+            else:
+                u = int(rng.integers(0, m + n_new))
+            v = int(rng.integers(0, m + n_new - 1))
+            v += v >= u
+            # bounds that are not dyadic, so the order of additions shows
+            edges.append((u, v, float(rng.uniform(-3.0, 12.0))))
+        got = base.probe(n_new, edges)
+        want = _grown_origin_row(base, n_new, edges)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+        outcomes[want is not None] += 1
+        assert np.array_equal(base.dist, before)
+    assert min(outcomes.values()) > 30
+
+
+def test_probe_answers_without_growing_the_network():
+    s = Stn().add_event("a").add_constraint(ORIGIN, "a", 4.5).add_constraint("a", ORIGIN, -2.0)
+    assert np.array_equal(s.probe(0, []), s.dist[0])
+    # x0 >= a + 1 and x1 >= x0 + 2 leave every upper bound where it was
+    assert np.array_equal(s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)]),
+                          [0.0, 4.5, math.inf, math.inf])
+    # x0 >= a + 1 >= 3 cannot also sit at or before 1
+    assert s.probe(1, [(2, 1, -1.0), (0, 2, 1.0)]) is None
+    assert s.events == (ORIGIN, "a")
+
+
 def test_epsilon_separation_is_small_and_positive():
     assert 0 < EPSILON_SEPARATION < 1
