@@ -21,14 +21,15 @@ class DiscreteDistribution:
         arr = np.asarray(probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("pmf must be a non-empty 1-d array")
-        if np.any(arr < -PMF_TOLERANCE):
-            raise ValueError("pmf has negative mass")
+        # one reduction rejects negative and NaN mass alike: NaN fails >=
+        if not arr.min() >= -PMF_TOLERANCE:
+            raise ValueError("pmf has negative or NaN mass")
         total = float(arr.sum())
         if abs(total - 1.0) > PMF_TOLERANCE:
             raise ValueError(f"pmf sums to {total!r}, not 1")
         # values are kept exactly as given so build -> serialize -> build is
         # the identity; in-tolerance deviation from 1 is harmless downstream
-        self.probs = np.clip(arr, 0.0, None)
+        self.probs = np.maximum(arr, 0.0)
         # accumulated in index order, so cum[t] is bit for bit the sequential
         # sum probs[0] + ... + probs[t]
         self.cum = np.cumsum(self.probs)

@@ -71,6 +71,11 @@ def success_prob(profile: DiscreteDistribution, d: int, t: int, t_b: int) -> flo
     return profile.cdf(min(t, d - 1 - t_b))
 
 
+def _log_failure(s: float) -> float:
+    """log(1 - s), with -inf for a sure success (s >= 1 after rounding)."""
+    return math.log1p(-s) if s < 1.0 else -math.inf
+
+
 def eval_schedule(instance: KdsInstance, blocks: list[Block]) -> float:
     """Success probability of a block schedule, by process independence."""
     seen = set()
@@ -82,9 +87,8 @@ def eval_schedule(instance: KdsInstance, blocks: list[Block]) -> float:
         if b.start < 0 or b.length < 0 or b.start + b.length > instance.horizon:
             raise ValueError(f"block {b} outside [0, {instance.horizon})")
         proc = instance.processes[b.process]
-        s = success_prob(proc.profile, proc.deadline, b.length, b.start)
-        logfail += math.log1p(-min(s, 1.0 - 1e-300)) if s < 1.0 else -math.inf
-    return -math.expm1(logfail)
+        logfail += _log_failure(success_prob(proc.profile, proc.deadline, b.length, b.start))
+    return 0.0 - math.expm1(logfail)
 
 
 def solve_kds_dp(instance: KdsInstance, start_time: int = 0) -> KdsSolution:
@@ -92,8 +96,20 @@ def solve_kds_dp(instance: KdsInstance, start_time: int = 0) -> KdsSolution:
 
     Processes are scheduled in contiguous blocks sorted by (deadline, index);
     the state is (next process, current time) and the choice is the block
-    length. Failure probabilities are accumulated in log space. Ties between
-    equal-value block lengths prefer the shortest.
+    length t. Failure probabilities are accumulated in log space, and the
+    value is 0.0 - expm1(log failure), so an optimum of 0 prints as +0.0.
+
+    Each process layer is solved with array operations. `lf[t]` is the log
+    failure of a block of length t, read once per layer from the profile's
+    running sum. At a time at or past the deadline only t = 0 is allowed, and
+    it adds log1p(-0.0) = -0.0. Before the deadline d, the candidate for
+    (time, t) is lf[t] + row[time + t], where row is the next layer; the
+    operand row[time + t] is a zero-copy sliding-window (Hankel) view, the last
+    allowed column t = d - time reads lf[d - 1 - time] instead (the block's
+    final unit would end at d), and longer blocks are masked to +inf. Times
+    are taken in row blocks of at most _CHUNK cells, so scratch memory stays
+    bounded at any horizon. `np.argmin` returns the first minimum, so ties
+    between equal-value block lengths prefer the shortest.
     """
     n = len(instance.processes)
     T = instance.horizon
@@ -103,23 +119,36 @@ def solve_kds_dp(instance: KdsInstance, start_time: int = 0) -> KdsSolution:
 
     # logfail[k][time]: best log failure product over processes order[k:]
     # when their first block may start at `time`.
-    times = T + 1
-    logfail = np.zeros((n + 1, times))
-    choice = np.zeros((n, times), dtype=int)
+    logfail = np.zeros((n + 1, T + 1))
+    choice = np.zeros((n, T + 1), dtype=int)
     for k in range(n - 1, -1, -1):
         proc = instance.processes[order[k]]
-        for time in range(T, -1, -1):
-            best = math.inf
-            best_t = 0
-            for t in range(0, max(0, proc.deadline - time) + 1):
-                s = success_prob(proc.profile, proc.deadline, t, time)
-                here = math.log1p(-s) if s < 1.0 else -math.inf
-                cand = here + logfail[k + 1][time + t]
-                if cand < best:
-                    best = cand
-                    best_t = t
-            logfail[k][time] = best
-            choice[k][time] = best_t
+        d = proc.deadline
+        row = logfail[k + 1]
+        logfail[k][d:] = _log_failure(0.0) + row[d:]
+        if d == 0:
+            continue
+        cum = proc.profile.cum
+        lf = np.empty(d + 1)
+        m = min(d, len(cum) - 1) + 1
+        lf[:m] = [_log_failure(s) for s in cum[:m].tolist()]
+        lf[m:] = lf[m - 1]
+        # row[time + t] for time < d, t <= d; cells past row[d] are masked,
+        # so the pad only has to be finite (inf would meet -inf in lf)
+        padded = np.zeros(2 * d)
+        padded[: d + 1] = row[: d + 1]
+        window = np.lib.stride_tricks.sliding_window_view(padded, d + 1)
+        past = np.lib.stride_tricks.sliding_window_view(np.arange(2 * d) > d, d + 1)
+        rows = max(1, _CHUNK // (d + 1))
+        for lo in range(0, d, rows):
+            hi = min(lo + rows, d)
+            cand = lf + window[lo:hi]
+            times = np.arange(lo, hi)
+            cand[times - lo, d - times] = lf[d - 1 - times] + row[d]
+            np.copyto(cand, np.inf, where=past[lo:hi])
+            best = np.argmin(cand, axis=1)
+            choice[k][lo:hi] = best
+            logfail[k][lo:hi] = cand[times - lo, best]
 
     blocks: list[Block] = []
     time = min(start_time, T)
@@ -129,7 +158,7 @@ def solve_kds_dp(instance: KdsInstance, start_time: int = 0) -> KdsSolution:
         if t > 0 or success_prob(proc.profile, proc.deadline, 0, time) > 0.0:
             blocks.append(Block(order[k], time, t))
         time += t
-    value = -math.expm1(logfail[0][min(start_time, T)])
+    value = 0.0 - math.expm1(logfail[0][min(start_time, T)])
     return KdsSolution(value, blocks)
 
 

@@ -1,5 +1,6 @@
-"""Straightforward forms of the planner's per-node kernels, kept as exact
-references for the vectorised versions in copeplan.planner.search.
+"""Straightforward forms of vectorised kernels, kept as exact references:
+the planner's per-node kernels in copeplan.planner.search and the KDS
+dynamic program in copeplan.kds.
 
 Each returns the same floats as the kernel it mirrors, so tests compare them
 with ==, not with a tolerance.
@@ -11,6 +12,7 @@ import numpy as np
 
 from copeplan.dda import FAILURE_FLOOR
 from copeplan.dist import DiscreteDistribution
+from copeplan.kds import Block, KdsSolution, success_prob
 from copeplan.planner.search import ESTIMATE_SUPPORT_CAP
 from copeplan.stn import EPSILON_SEPARATION, ORIGIN
 
@@ -106,3 +108,40 @@ def q_known(profile, d, params):
         return float(ratios[int(np.argmin(ratios))])
 
     return params.gamma * term(params.t_u) - term(0)
+
+
+def solve_kds_dp(instance, start_time=0):
+    """One success_prob and one log1p per (process, time, block length),
+    keeping the first strictly smaller candidate."""
+    n = len(instance.processes)
+    T = instance.horizon
+    if start_time < 0:
+        raise ValueError("start_time must be >= 0")
+    order = sorted(range(n), key=lambda i: (instance.processes[i].deadline, i))
+    logfail = np.zeros((n + 1, T + 1))
+    choice = np.zeros((n, T + 1), dtype=int)
+    for k in range(n - 1, -1, -1):
+        proc = instance.processes[order[k]]
+        for time in range(T, -1, -1):
+            best = math.inf
+            best_t = 0
+            for t in range(0, max(0, proc.deadline - time) + 1):
+                s = success_prob(proc.profile, proc.deadline, t, time)
+                here = math.log1p(-s) if s < 1.0 else -math.inf
+                cand = here + logfail[k + 1][time + t]
+                if cand < best:
+                    best = cand
+                    best_t = t
+            logfail[k][time] = best
+            choice[k][time] = best_t
+
+    blocks = []
+    time = min(start_time, T)
+    for k in range(n):
+        t = int(choice[k][time])
+        proc = instance.processes[order[k]]
+        if t > 0 or success_prob(proc.profile, proc.deadline, 0, time) > 0.0:
+            blocks.append(Block(order[k], time, t))
+        time += t
+    value = 0.0 - math.expm1(logfail[0][min(start_time, T)])
+    return KdsSolution(value, blocks)

@@ -21,6 +21,32 @@ def test_solve_kds_worked_instance(capsys):
     assert out[1].startswith("block process ")
 
 
+def _kds_document(tmp_path, text):
+    doc = tmp_path / "kds.json"
+    doc.write_text('{"format": "kds", "version": 1, ' + text + "}")
+    return str(doc)
+
+
+def test_solve_kds_rejects_nan_mass(tmp_path, capsys):
+    doc = _kds_document(tmp_path, '"horizon": 4, "processes": '
+                        '[{"deadline": 3, "pmf": [[1, NaN], [2, 1.0]]}]')
+    assert main(["solve", "kds", doc]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "NaN" in err[0]
+
+
+def test_solve_kds_hopeless_and_empty_instances_print_plus_zero(tmp_path, capsys):
+    hopeless = _kds_document(tmp_path, '"horizon": 4, "processes": '
+                             '[{"deadline": 2, "pmf": [[5, 1.0]]}]')
+    assert main(["solve", "kds", hopeless]) == 0
+    assert capsys.readouterr().out == "value 0.0000000\n"
+    empty = _kds_document(tmp_path, '"horizon": 4, "processes": []')
+    assert main(["solve", "kds", empty]) == 0
+    assert capsys.readouterr().out == "value 0.0000000\n"
+
+
 def test_solve_copem00_worked_instance(capsys):
     assert main(["solve", "copem00", path("copem_worked.json")]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -31,6 +31,24 @@ def test_from_pairs_accumulates_and_validates():
         DiscreteDistribution.from_pairs([(0, 1.5), (1, -0.5)])
 
 
+def test_nan_mass_is_rejected():
+    # every comparison with NaN is false, so NaN must fail the check itself
+    for probs in ([np.nan, 1.0], [1.0, np.nan], [0.5, np.nan, 0.5]):
+        with pytest.raises(ValueError, match="negative or NaN"):
+            DiscreteDistribution(probs)
+    with pytest.raises(ValueError):
+        DiscreteDistribution([np.inf, 1.0])
+
+
+def test_tolerated_negative_and_signed_zero_mass_become_plus_zero():
+    # stored bit for bit as clip(probs, 0, None) would store them
+    probs = [-0.0, 0.5, -1e-12, 0.5, 0.0, -5e-324]
+    d = DiscreteDistribution(probs)
+    assert d.probs.tolist() == [0.0, 0.5, 0.0, 0.5, 0.0, 0.0]
+    assert not np.signbit(d.probs).any()
+    assert np.array_equal(d.probs, np.clip(probs, 0.0, None))
+
+
 def test_cdf_monotone_and_bounded():
     rng = np.random.default_rng(7)
     for _ in range(50):

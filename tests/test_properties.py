@@ -2,15 +2,20 @@
 
 The unit suites sample these invariants with fixed seeds; here hypothesis
 searches for counterexamples: the KDS dynamic program against the
-brute-force oracle at its largest admitted sizes, and the incremental
-temporal network (both its persistent growth and probe) against the
-from-scratch Floyd-Warshall recompute.
+brute-force oracle at its largest admitted sizes and against its loop form
+bit for bit, and the incremental temporal network (both its persistent
+growth and probe) against the from-scratch Floyd-Warshall recompute.
 """
 
+import math
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_kernels
+from copeplan import kds
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import (
     BRUTE_FORCE_MAX_N,
@@ -54,6 +59,63 @@ def test_dp_matches_brute_force_at_the_guard_limits(case):
     assert sol.value == pytest.approx(brute_force_kds(inst, start), abs=1e-9)
     if start == 0:
         assert eval_schedule(inst, sol.blocks) == pytest.approx(sol.value, abs=1e-9)
+
+
+# the running sum of these masses ends one rounding step above 1
+ABOVE_ONE = DiscreteDistribution.from_pairs([(1, 9 / 28), (2, 18 / 28), (3, 1 / 28)])
+DP_MAX_T = 60
+
+
+@st.composite
+def dp_profiles(draw, horizon):
+    """Point masses at 0, the above-one sum, or up to five atoms with
+    integer weights, some of them past the horizon (and so the deadline)."""
+    kind = draw(st.sampled_from(("atoms", "atoms", "atoms", "zero", "above_one")))
+    if kind == "zero":
+        return DiscreteDistribution.delta(0)
+    if kind == "above_one":
+        return ABOVE_ONE
+    atoms = draw(st.dictionaries(st.integers(0, horizon + 5), st.integers(1, 1000),
+                                 min_size=1, max_size=5))
+    total = sum(atoms.values())
+    return DiscreteDistribution.from_pairs((t, w / total) for t, w in atoms.items())
+
+
+@st.composite
+def dp_cases(draw):
+    """(instance, start_time, row-block size); small blocks cut a layer's
+    times into several row blocks."""
+    horizon = draw(_up_to(DP_MAX_T))
+    processes = [
+        KdsProcess(draw(dp_profiles(horizon)), draw(st.one_of(st.just(0), _up_to(horizon))))
+        for _ in range(draw(st.integers(0, BRUTE_FORCE_MAX_N)))
+    ]
+    start = draw(st.integers(0, horizon + 2))
+    chunk = draw(st.one_of(st.just(kds._CHUNK), st.integers(1, 4 * (horizon + 1))))
+    return KdsInstance(processes, horizon), start, chunk
+
+
+SEAM_CASE = (
+    KdsInstance([KdsProcess(ABOVE_ONE, 40), KdsProcess(DiscreteDistribution.delta(0), 0),
+                 KdsProcess(DiscreteDistribution.uniform([2, 7, 50, 61]), DP_MAX_T)], DP_MAX_T),
+    1,
+    3 * (DP_MAX_T + 1),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dp_cases())
+@example(SEAM_CASE)
+@pytest.mark.filterwarnings("error")
+def test_dp_layers_match_the_loop_reference_bit_for_bit(case):
+    assert ABOVE_ONE.cum[-1] > 1.0
+    inst, start, chunk = case
+    with mock.patch.object(kds, "_CHUNK", chunk):
+        sol = solve_kds_dp(inst, start)
+    ref = reference_kernels.solve_kds_dp(inst, start)
+    assert sol.value == ref.value
+    assert math.copysign(1.0, sol.value) == math.copysign(1.0, ref.value)
+    assert sol.blocks == ref.blocks
 
 
 @st.composite
