@@ -242,8 +242,7 @@ def cmd_gen(args) -> int:
 
 def cmd_validate(args) -> int:
     task = _expect(fileio.load(args.task), Task, "task")
-    with open(args.plan, encoding="utf-8") as fh:
-        happenings = fileio.happenings_from_text(fh.read())
+    happenings = fileio.happenings_from_text(fileio.read_text(args.plan))
     ok, msg = validate_plan(task, happenings)
     if ok:
         print("valid")

@@ -35,7 +35,7 @@ def _pmf_to_json(dist):
 def _pmf_from_json(pairs, where):
     try:
         return DiscreteDistribution.from_pairs(pairs)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{where}: bad pmf ({exc})") from exc
 
 
@@ -165,6 +165,8 @@ def _task_from_dict(doc) -> Task:
     actions = []
     for k, a in enumerate(_require(doc, "actions", "task")):
         where = f"task action {k}"
+        if not isinstance(a, dict):
+            raise FormatError(f"{where}: not a JSON object")
         kwargs = {key: frozenset(a.get(key, ())) for key in _ACTION_SETS}
         actions.append(DurativeAction(
             name=str(_require(a, "name", where)),
@@ -227,7 +229,7 @@ def from_dict(doc):
         return reader(doc)
     except FormatError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise FormatError(f"{tag}: {exc}") from exc
 
 
@@ -248,9 +250,17 @@ def save(obj, path):
         fh.write(dumps(obj))
 
 
+def read_text(path) -> str:
+    """The file's text; FormatError when it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load(path):
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    return loads(read_text(path))
 
 
 # -- plan streams ------------------------------------------------------------

@@ -169,9 +169,8 @@ def _decide(open_list, m, t_now, speed, stats, dparams, counts, profiles):
 
 def _pin(task, node, pos, when):
     """Fix t(step pos) = when in the node's network; None if that breaks it."""
-    ev = f"s{pos}"
-    stn = node.stn.add_constraint(ORIGIN, ev, when)
-    stn = stn.add_constraint(ev, ORIGIN, -when)
+    origin, ev = node.stn.index[ORIGIN], node.stn.index[f"s{pos}"]
+    stn = node.stn.extend((), [(origin, ev, when), (ev, origin, -when)])
     if not stn.consistent:
         return None
     node.stn = stn
@@ -260,11 +259,12 @@ def _auto_advance(task, executed, open_list, t_now):
 
 def _try_finish(task, node, executed, records, stats, t_now, dispatches):
     """Schedule the whole plan; starts not yet committed may not predate now."""
-    stn = node.stn
+    index = node.stn.index
     m = len(executed)
-    for pos, step in enumerate(node.prefix):
-        if pos >= m and step[0] == "start":
-            stn = stn.add_constraint(f"s{pos}", ORIGIN, -t_now)
+    stn = node.stn.extend((), [
+        (index[f"s{pos}"], index[ORIGIN], -t_now)
+        for pos, step in enumerate(node.prefix) if pos >= m and step[0] == "start"
+    ])
     if not stn.consistent:
         return None
     times = {pos: float(stn.tmin(f"s{pos}")) for pos in range(len(node.prefix))}

@@ -230,20 +230,20 @@ def make_child(task, parent: SearchNode, step, tick: int):
         if not task.by_name[name].cond_over <= props:
             return None
 
-    stn = parent.stn.add_event(ev)
-    if k > 0:
-        stn = stn.add_constraint(ev, f"s{k - 1}", -eps)
+    index = parent.stn.index
+    origin = index[ORIGIN]
+    new = len(parent.stn.events)
+    edges = [(new, index[f"s{k - 1}"], -eps)] if k > 0 else []
     if step[0] == "end":
-        start_ev = f"s{step[2]}"
+        start = index[f"s{step[2]}"]
         a = task.by_name[step[1]]
-        stn = stn.add_constraint(start_ev, ev, a.duration)
-        stn = stn.add_constraint(ev, start_ev, -a.duration)
+        edges += [(start, new, a.duration), (new, start, -a.duration)]
     elif step[0] == "til":
         t = task.tils[step[1]].time
-        stn = stn.add_constraint(ORIGIN, ev, t)
-        stn = stn.add_constraint(ev, ORIGIN, -t)
+        edges += [(origin, new, t), (new, origin, -t)]
     if step[0] != "til" and til_count < len(task.tils):
-        stn = stn.add_constraint(ORIGIN, ev, task.tils[til_count].time - eps)
+        edges.append((origin, new, task.tils[til_count].time - eps))
+    stn = parent.stn.extend((ev,), edges)
     if not stn.consistent:
         return None
 

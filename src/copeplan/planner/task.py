@@ -6,6 +6,7 @@ the end sets, and cond_over must hold at every state change strictly inside
 the interval. Timed literals flip one proposition at a fixed wall time.
 """
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -22,8 +23,9 @@ class DurativeAction:
     del_end: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"action {self.name!r} needs a positive duration")
+        # a chained comparison, so that NaN fails too
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"action {self.name!r} needs a positive finite duration")
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,8 @@ class TimedLiteral:
     add: bool
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ValueError("timed literal before time 0")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(f"timed literal at {self.time!r} needs a finite time from 0")
 
 
 @dataclass

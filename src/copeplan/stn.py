@@ -2,15 +2,16 @@
 
 Events are named time points; a constraint (u, v, b) encodes t(v) - t(u) <= b.
 Every event is implicitly at or after the origin. Networks are persistent:
-add_event and add_constraint return new networks, so search nodes can share
-history safely. The incremental all-pairs matrix is exact because a single
-new edge can only improve a shortest path once when no negative cycle exists;
-recompute() is the from-scratch oracle for that claim.
+extend returns a new network, so search nodes can share history safely. The
+incremental all-pairs matrix is exact because a single new edge can only
+improve a shortest path once when no negative cycle exists; recompute() is
+the from-scratch oracle for that claim.
 
-probe() answers "what would the origin row be after these additions?" without
-building the intermediate networks: it grows one scratch matrix to its final
-size and relaxes every edge in place, with the same float operations as the
-equivalent add_event/add_constraint sequence.
+A network grows in one body: it copies the matrix into one scratch matrix of
+the final size, gives each new event the origin row and relaxes every new
+edge in place. extend keeps the result as a new network; probe only reads its
+origin row, so tentative events never enter the network. add_event and
+add_constraint are extend with one event or one edge.
 """
 
 import math
@@ -33,77 +34,73 @@ class Stn:
         self.constraints = ()
         self.consistent = True
 
-    def _clone(self) -> "Stn":
-        s = Stn.__new__(Stn)
-        s.events = self.events
-        s.index = self.index
-        s.dist = self.dist
-        s.constraints = self.constraints
-        s.consistent = self.consistent
-        return s
-
     def add_event(self, name: str) -> "Stn":
-        if name in self.index:
-            raise ValueError(f"event {name!r} already present")
-        s = self._clone()
-        s.events = self.events + (name,)
-        s.index = {**self.index, name: len(self.events)}
-        n = len(s.events)
-        dist = np.full((n, n), INF)
-        dist[: n - 1, : n - 1] = self.dist
-        dist[n - 1, n - 1] = 0.0
-        # nonnegativity: the new event sits at or after the origin, so its
-        # only outgoing edge runs to the origin and onward from there
-        dist[n - 1, : n - 1] = self.dist[0, :]
-        s.dist = dist
-        s.constraints = self.constraints + ((name, ORIGIN, 0.0),)
-        return s
+        return self.extend((name,), ())
 
     def add_constraint(self, from_event: str, to_event: str, bound: float) -> "Stn":
         try:
-            u = self.index[from_event]
-            v = self.index[to_event]
+            edge = (self.index[from_event], self.index[to_event], bound)
         except KeyError as exc:
             raise KeyError(f"unknown event {exc.args[0]!r}") from None
-        s = self._clone()
-        s.constraints = self.constraints + ((from_event, to_event, float(bound)),)
-        if not self.consistent:
-            return s
-        s.dist = np.minimum(self.dist, _through(self.dist, self.dist, u, v, bound))
-        if np.diagonal(s.dist).min() < 0:
-            s.consistent = False
+        return self.extend((), (edge,))
+
+    def extend(self, names, edges) -> "Stn":
+        """A new network with the events `names` appended, then the sequence
+        of (u, v, b) index edges added in order; new events are numbered from
+        len(self.events). Nothing changes in this network."""
+        index = dict(self.index)
+        for name in names:
+            if name in index:
+                raise ValueError(f"event {name!r} already present")
+            index[name] = len(index)
+        s = Stn.__new__(Stn)
+        s.events = self.events + tuple(names)
+        s.index = index
+        s.dist, s.consistent = self._grow(len(names), edges)
+        s.constraints = (
+            self.constraints
+            + tuple((name, ORIGIN, 0.0) for name in names)
+            + tuple((s.events[u], s.events[v], float(b)) for u, v, b in edges)
+        )
         return s
 
     def probe(self, n_new: int, edges):
         """Origin row after adding n_new events and then the edges, or None
-        when the result is inconsistent. Nothing is added to this network.
+        when the result is inconsistent. Nothing is added to this network."""
+        dist, consistent = self._grow(n_new, edges)
+        return dist[0] if consistent else None
 
-        edges holds (u, v, b) index triples; new events are numbered from
-        len(self.events). The row equals what add_event for each new event,
-        followed by add_constraint for each edge in order, would leave:
+    def _grow(self, n_new, edges):
+        """(dist, consistent) after adding n_new events and then the edges,
+        in a fresh matrix: the network's one relaxation loop.
+
+        The matrix equals what adding each new event, then each edge in order,
+        one at a time with a full relaxation each, would leave:
         - an event no edge has touched keeps the origin row and an empty
           column, so creating every new event up front changes nothing;
         - an edge leaving a new event that no edge enters yet can shorten
           only that event's row, since its column holds just the diagonal 0;
         - relaxation never raises an entry, so one consistency check at the
           end sees any negative diagonal an earlier step would have seen.
+        Once the network is inconsistent its matrix means nothing; only the
+        flag is kept exact.
         """
-        if not self.consistent:
-            return None
         m = len(self.events)
         n = m + n_new
         dist = np.full((n, n), INF)
         dist[:m, :m] = self.dist
+        # nonnegativity: a new event sits at or after the origin, so its only
+        # outgoing edge runs to the origin and onward from there
         dist[m:, :m] = self.dist[0]
         np.fill_diagonal(dist[m:, m:], 0.0)
+        if not self.consistent:
+            return dist, False
         entered = set()
         for u, v, b in edges:
             rows = dist[u:u + 1] if u >= m and u not in entered else dist
             np.minimum(rows, _through(rows, dist, u, v, b), out=rows)
             entered.add(v)
-        if np.diagonal(dist).min() < 0:
-            return None
-        return dist[0]
+        return dist, not np.diagonal(dist).min() < 0
 
     def solve(self):
         """(consistent, tmin, tmax); the maps are empty when inconsistent."""

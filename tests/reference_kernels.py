@@ -1,6 +1,7 @@
 """Straightforward forms of vectorised kernels, kept as exact references:
-the planner's per-node kernels in copeplan.planner.search and the KDS
-dynamic program in copeplan.kds.
+the temporal network's growth in copeplan.stn, the planner's per-node
+kernels in copeplan.planner.search and the KDS dynamic program in
+copeplan.kds.
 
 Each returns the same floats as the kernel it mirrors, so tests compare them
 with ==, not with a tolerance.
@@ -14,14 +15,68 @@ from copeplan.dda import FAILURE_FLOOR
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import Block, KdsSolution, success_prob
 from copeplan.planner.search import ESTIMATE_SUPPORT_CAP
-from copeplan.stn import EPSILON_SEPARATION, ORIGIN
+from copeplan.stn import EPSILON_SEPARATION, ORIGIN, Stn
 
 INF = math.inf
 
 
+def _clone(stn):
+    s = Stn.__new__(Stn)
+    s.events = stn.events
+    s.index = stn.index
+    s.dist = stn.dist
+    s.constraints = stn.constraints
+    s.consistent = stn.consistent
+    return s
+
+
+def add_event(stn, name):
+    """One new event in its own n x n matrix: its row is the origin row, its
+    column empty but for the diagonal."""
+    if name in stn.index:
+        raise ValueError(f"event {name!r} already present")
+    s = _clone(stn)
+    s.events = stn.events + (name,)
+    s.index = {**stn.index, name: len(stn.events)}
+    n = len(s.events)
+    dist = np.full((n, n), INF)
+    dist[: n - 1, : n - 1] = stn.dist
+    dist[n - 1, n - 1] = 0.0
+    dist[n - 1, : n - 1] = stn.dist[0, :]
+    s.dist = dist
+    s.constraints = stn.constraints + ((name, ORIGIN, 0.0),)
+    return s
+
+
+def add_constraint(stn, from_event, to_event, bound):
+    """One new edge, relaxed over the whole matrix and checked at once; an
+    inconsistent network only logs it."""
+    u = stn.index[from_event]
+    v = stn.index[to_event]
+    s = _clone(stn)
+    s.constraints = stn.constraints + ((from_event, to_event, float(bound)),)
+    if not stn.consistent:
+        return s
+    d = stn.dist
+    s.dist = np.minimum(d, d[:, u, None] + (bound + d[None, v, :]))
+    if np.diagonal(s.dist).min() < 0:
+        s.consistent = False
+    return s
+
+
+def grow(stn, names, edges):
+    """Stn.extend one step at a time: each event, then each (u, v, b) index
+    edge in order, every step a new network."""
+    for name in names:
+        stn = add_event(stn, name)
+    for u, v, b in edges:
+        stn = add_constraint(stn, stn.events[u], stn.events[v], b)
+    return stn
+
+
 def tighten(task, node):
-    """Append the relaxed chain to a copy of the node's network, one
-    add_event/add_constraint at a time, and read the prefix tmax values."""
+    """Append the relaxed chain to a copy of the node's network, one event
+    or edge at a time, and read the prefix tmax values."""
     stn = node.stn
     eps = EPSILON_SEPARATION
     future = task.tils[node.til_count:]
@@ -29,8 +84,8 @@ def tighten(task, node):
     last = prev
     for i, a in enumerate(node.chain):
         ev = f"r{i}"
-        stn = stn.add_event(ev)
-        stn = stn.add_constraint(ev, last, -eps)
+        stn = add_event(stn, ev)
+        stn = add_constraint(stn, ev, last, -eps)
         conds = a.cond_start | a.cond_over | a.cond_end
         bound = INF
         for lit in future:
@@ -40,10 +95,10 @@ def tighten(task, node):
                     cut = lit.time - a.duration
                 bound = min(bound, cut)
         if bound < INF:
-            stn = stn.add_constraint(ORIGIN, ev, bound)
+            stn = add_constraint(stn, ORIGIN, ev, bound)
         nxt = f"r{i}d"
-        stn = stn.add_event(nxt)
-        stn = stn.add_constraint(nxt, ev, -a.duration)
+        stn = add_event(stn, nxt)
+        stn = add_constraint(stn, nxt, ev, -a.duration)
         last = nxt
     goal_cut = INF
     for lit in future:
@@ -51,12 +106,12 @@ def tighten(task, node):
             goal_cut = min(goal_cut, lit.time - eps)
     if node.opens or goal_cut < INF:
         g = "rg"
-        stn = stn.add_event(g)
-        stn = stn.add_constraint(g, last, 0.0)
+        stn = add_event(stn, g)
+        stn = add_constraint(stn, g, last, 0.0)
         for name, pos in node.opens:
-            stn = stn.add_constraint(g, f"s{pos}", -task.by_name[name].duration)
+            stn = add_constraint(stn, g, f"s{pos}", -task.by_name[name].duration)
         if goal_cut < INF:
-            stn = stn.add_constraint(ORIGIN, g, goal_cut)
+            stn = add_constraint(stn, ORIGIN, g, goal_cut)
     if not stn.consistent:
         return False
     node.start_tmaxes = tuple(

@@ -1,6 +1,9 @@
 import glob
 import json
+import math
 import os
+
+import pytest
 
 from copeplan import fileio
 from copeplan.cli import main
@@ -67,6 +70,75 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["solve", "kds", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    return captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+
+def _demo_task_with(tmp_path, edit):
+    with open(path("demo_task.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    out = tmp_path / "task.json"
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_plan_rejects_durations_that_are_not_positive_and_finite(tmp_path, capsys, value):
+    def edit(doc):
+        doc["actions"][0]["duration"] = value
+
+    assert main(["plan", _demo_task_with(tmp_path, edit)]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_plan_rejects_timed_literals_that_are_not_finite_from_0(tmp_path, capsys, value):
+    def edit(doc):
+        doc["tils"][0][0] = value
+
+    assert main(["plan", _demo_task_with(tmp_path, edit)]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("actions", ["abc", [1, 2], [["name", "a"]]])
+def test_plan_rejects_action_entries_that_are_not_objects(tmp_path, capsys, actions):
+    def edit(doc):
+        doc["actions"] = actions
+
+    assert main(["plan", _demo_task_with(tmp_path, edit)]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_solve_rejects_times_past_float_range(tmp_path, capsys):
+    # JSON reads 1e400 as inf, which no integer time can hold
+    doc = _kds_document(tmp_path, '"horizon": 4, "processes": '
+                        '[{"deadline": 3, "pmf": [[1e400, 1.0]]}]')
+    assert main(["solve", "kds", doc]) == 2
+    assert _one_error_line(capsys)
+    doc = _kds_document(tmp_path, '"horizon": 4, "processes": '
+                        '[{"deadline": 1e400, "pmf": [[1, 1.0]]}]')
+    assert main(["solve", "kds", doc]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["solve", "plan", "validate-task", "validate-plan", "bench"])
+def test_undecodable_file_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format": "\xff\xfe"}')
+    argv = {
+        "solve": ["solve", "kds", str(bad)],
+        "plan": ["plan", str(bad)],
+        "validate-task": ["validate", str(bad), str(bad)],
+        "validate-plan": ["validate", path("demo_task.json"), str(bad)],
+        "bench": ["bench", str(bad)],
+    }[command]
+    assert main(argv) == 2
+    assert _one_error_line(capsys)
 
 
 def test_wrong_document_kind_exits_3(capsys):

@@ -68,6 +68,12 @@ def test_format_errors_name_the_problem():
     with pytest.raises(fileio.FormatError, match="kds process 0"):
         fileio.from_dict({"format": "kds", "version": 1, "horizon": 3,
                           "processes": [{"deadline": 1}]})
+    with pytest.raises(fileio.FormatError, match="task action 0: not a JSON object"):
+        fileio.from_dict({"format": "task", "version": 1, "propositions": [],
+                          "init": [], "actions": "abc"})
+    with pytest.raises(fileio.FormatError, match="bad pmf"):
+        fileio.loads('{"format": "kds", "version": 1, "horizon": 3,'
+                     ' "processes": [{"deadline": 1, "pmf": [[1e400, 1.0]]}]}')
     with pytest.raises(fileio.FormatError, match="invalid JSON"):
         fileio.loads("{nope")
     with pytest.raises(fileio.FormatError, match="cannot serialize"):

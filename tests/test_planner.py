@@ -27,6 +27,7 @@ from copeplan.planner import (
 from copeplan.planner import engine, search
 from copeplan.planner.engine import _apply_dispatch, _auto_advance
 from copeplan.planner.search import SearchStats, make_child
+from copeplan.stn import Stn
 
 import reference_kernels
 
@@ -236,6 +237,36 @@ def test_tighten_matches_persistent_network_reference(monkeypatch):
     verdicts = _tighten_verdicts_against_reference(
         monkeypatch, benchmark_tasks(cfg)[:10], cfg.dispatch_params(), cfg.max_expansions)
     assert True in verdicts and False in verdicts
+
+
+def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
+    """Every network the planner grows on shipped tasks, in both modes and at
+    two speeds, equals the reference that adds one event or edge at a time."""
+    real = Stn.extend
+    seen = {"child": 0, "pin": 0, "inconsistent": 0}
+
+    def checked(self, names, edges):
+        got = real(self, names, edges)
+        want = reference_kernels.grow(self, names, edges)
+        assert got.consistent == want.consistent
+        assert got.events == want.events
+        assert got.constraints == want.constraints
+        if want.consistent:
+            assert np.array_equal(got.dist, want.dist)
+        seen["child" if names else "pin"] += 1
+        seen["inconsistent"] += not got.consistent
+        return got
+
+    monkeypatch.setattr(Stn, "extend", checked)
+    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "bench.json"))
+    for task in benchmark_tasks(cfg)[:10]:
+        for mode in ("disp", "nodisp"):
+            for speed in (6.0, 100.0):
+                run_search(task, mode=mode, speed=speed,
+                           dispatch_params=cfg.dispatch_params(),
+                           max_expansions=cfg.max_expansions)
+    assert min(seen.values()) > 0
 
 
 def test_tighten_matches_reference_when_the_goal_expires(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from copeplan.stn import EPSILON_SEPARATION, ORIGIN, Stn, recompute
 
+import reference_kernels
 from helpers import random_network
 
 
@@ -133,32 +134,19 @@ def test_tightening_never_increases_tmax():
             assert after[e] <= before[e]
 
 
-def _grown_origin_row(base, n_new, edges):
-    """Origin row after adding the events, then the edges, one call at a time."""
-    s = base
-    names = list(base.events)
-    for k in range(n_new):
-        names.append(f"x{k}")
-        s = s.add_event(names[-1])
-    for u, v, b in edges:
-        s = s.add_constraint(names[u], names[v], b)
-    return s.dist[0] if s.consistent else None
-
-
-def test_probe_matches_step_by_step_growth():
-    rng = np.random.default_rng(31)
-    outcomes = {True: 0, False: 0}
-    for trial in range(300):
+def _random_growths(seed, trials=300):
+    """(base, n_new, edges) draws: every tenth base has 65 to 89 events, and
+    half the edges leave a new event, as tighten's chain edges do."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
         if trial % 10 == 0:
             base = random_network(rng, max_events=90, min_events=65)
         else:
             base = random_network(rng, max_events=14)
-        before = base.dist.copy()
         m = len(base.events)
         n_new = int(rng.integers(0, 7))
         edges = []
         for _ in range(int(rng.integers(0, 3 * n_new + 4))):
-            # half the edges leave a new event, as tighten's chain edges do
             if n_new and rng.random() < 0.5:
                 u = m + int(rng.integers(0, n_new))
             else:
@@ -167,12 +155,36 @@ def test_probe_matches_step_by_step_growth():
             v += v >= u
             # bounds that are not dyadic, so the order of additions shows
             edges.append((u, v, float(rng.uniform(-3.0, 12.0))))
+        yield base, n_new, edges
+
+
+def test_probe_matches_step_by_step_growth():
+    outcomes = {True: 0, False: 0}
+    for base, n_new, edges in _random_growths(31):
+        before = base.dist.copy()
         got = base.probe(n_new, edges)
-        want = _grown_origin_row(base, n_new, edges)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.array_equal(got, want)
-        outcomes[want is not None] += 1
+        want = reference_kernels.grow(base, [f"x{k}" for k in range(n_new)], edges)
+        assert (got is None) == (not want.consistent)
+        if want.consistent:
+            assert np.array_equal(got, want.dist[0])
+        outcomes[want.consistent] += 1
+        assert np.array_equal(base.dist, before)
+    assert min(outcomes.values()) > 30
+
+
+def test_extend_matches_step_by_step_growth():
+    outcomes = {True: 0, False: 0}
+    for base, n_new, edges in _random_growths(32):
+        before = base.dist.copy()
+        names = [f"x{k}" for k in range(n_new)]
+        got = base.extend(names, edges)
+        want = reference_kernels.grow(base, names, edges)
+        assert got.consistent == want.consistent
+        assert got.events == want.events and got.index == want.index
+        assert got.constraints == want.constraints
+        if want.consistent:
+            assert np.array_equal(got.dist, want.dist)
+        outcomes[want.consistent] += 1
         assert np.array_equal(base.dist, before)
     assert min(outcomes.values()) > 30
 
