@@ -10,6 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 PMF_TOLERANCE = 1e-9
+# largest time from_pairs accepts: far past every shipped and benchmark
+# profile (hundreds of steps), yet its dense array stays within 8 MB
+MAX_SUPPORT = 1_000_000
 
 
 class DiscreteDistribution:
@@ -62,6 +65,8 @@ class DiscreteDistribution:
         if not pairs:
             raise ValueError("no (t, probability) pairs given")
         tmax = max(int(t) for t, _ in pairs)
+        if tmax > MAX_SUPPORT:
+            raise ValueError(f"time {tmax} is past the support cap {MAX_SUPPORT}")
         probs = np.zeros(tmax + 1)
         for t, p in pairs:
             if t < 0:

@@ -28,13 +28,24 @@ def _require(doc, key, where):
     return doc[key]
 
 
+def _integer(value, where):
+    """value as an int. JSON has one number type, so a float with no
+    fractional part passes; booleans, fractions, non-finite floats and
+    non-numbers raise FormatError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise FormatError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _pmf_to_json(dist):
     return [[t, p] for t, p in dist.pairs()]
 
 
 def _pmf_from_json(pairs, where):
     try:
-        return DiscreteDistribution.from_pairs(pairs)
+        return DiscreteDistribution.from_pairs(
+            [(_integer(t, "time"), p) for t, p in pairs])
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{where}: bad pmf ({exc})") from exc
 
@@ -59,9 +70,10 @@ def _kds_from_dict(doc) -> KdsInstance:
         where = f"kds process {k}"
         procs.append(KdsProcess(
             profile=_pmf_from_json(_require(p, "pmf", where), where),
-            deadline=int(_require(p, "deadline", where)),
+            deadline=_integer(_require(p, "deadline", where), f"{where} deadline"),
         ))
-    return KdsInstance(procs, horizon=int(_require(doc, "horizon", "kds")))
+    return KdsInstance(
+        procs, horizon=_integer(_require(doc, "horizon", "kds"), "kds horizon"))
 
 
 def _cope_processes_to_json(processes):
@@ -80,13 +92,14 @@ def _cope_processes_from_json(items, where):
     for k, p in enumerate(items):
         loc = f"{where} process {k}"
         prefix = tuple(
-            PrefixAction(str(aid), int(dur))
+            PrefixAction(str(aid), _integer(dur, f"{loc} prefix duration"))
             for aid, dur in _require(p, "prefix", loc)
         )
         procs.append(CopeProcess(
             profile=_pmf_from_json(_require(p, "pmf", loc), loc),
             prefix=prefix,
-            induced_deadline=int(_require(p, "induced_deadline", loc)),
+            induced_deadline=_integer(_require(p, "induced_deadline", loc),
+                                      f"{loc} induced_deadline"),
         ))
     return procs
 
@@ -103,7 +116,7 @@ def cope_to_dict(inst: CopeInstance) -> dict:
 def _cope_from_dict(doc) -> CopeInstance:
     return CopeInstance(
         _cope_processes_from_json(_require(doc, "processes", "cope"), "cope"),
-        horizon=int(_require(doc, "horizon", "cope")),
+        horizon=_integer(_require(doc, "horizon", "cope"), "cope horizon"),
     )
 
 
@@ -122,10 +135,12 @@ def copem_to_dict(inst: CopemInstance) -> dict:
 def _copem_from_dict(doc) -> CopemInstance:
     return CopemInstance(
         _cope_processes_from_json(_require(doc, "processes", "copem"), "copem"),
-        dispatch_budget=int(_require(doc, "dispatch_budget", "copem")),
-        observation_budget=int(_require(doc, "observation_budget", "copem")),
+        dispatch_budget=_integer(_require(doc, "dispatch_budget", "copem"),
+                                 "copem dispatch_budget"),
+        observation_budget=_integer(_require(doc, "observation_budget", "copem"),
+                                    "copem observation_budget"),
         measurement_model=str(doc.get("measurement_model", "perfect")),
-        horizon=int(_require(doc, "horizon", "copem")),
+        horizon=_integer(_require(doc, "horizon", "copem"), "copem horizon"),
     )
 
 
@@ -219,7 +234,7 @@ def from_dict(doc):
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
     tag = _require(doc, "format", "document")
-    version = int(doc.get("version", 0))
+    version = _integer(doc.get("version", 0), "document version")
     if version != VERSION:
         raise FormatError(f"document: unsupported version {version}")
     reader = _READERS.get(tag)

@@ -258,6 +258,8 @@ class BenchmarkConfig:
         if doc.get("format", "bench") != "bench":
             raise ValueError("not a benchmark config document")
         gen = doc.get("generator", {})
+        if not isinstance(gen, dict):
+            raise TypeError("generator is not a JSON object")
         defaults = GeneratorParams()
         gparams = GeneratorParams(
             goals=int(gen.get("goals", defaults.goals)),

@@ -63,7 +63,9 @@ class SearchStats:
         return math.sqrt(self.err_m2 / self.err_count)
 
 
-@dataclass
+# distinct nodes never share a network, so identity is node equality, and
+# list.remove on the open list and the frontier need not compare fields
+@dataclass(eq=False)
 class SearchNode:
     prefix: tuple
     props: frozenset
@@ -122,8 +124,8 @@ def relaxed_plan(task, props, opens, til_count):
         for a in task.actions:
             if a.name in applied_names:
                 continue
-            if a.cond_start <= facts and (a.cond_over | a.cond_end) <= facts | a.add_start:
-                new = (a.add_start | a.add_end) - facts
+            if a.relaxed_pre <= facts:
+                new = a.adds - facts
                 if new:
                     applied_names.add(a.name)
                     applied.append(a)
@@ -142,7 +144,7 @@ def relaxed_plan(task, props, opens, til_count):
             continue
         selected.add(name)
         a = task.by_name[name]
-        for p in sorted(a.cond_start | a.cond_over | a.cond_end):
+        for p in sorted(a.conds):
             if p not in props:
                 queue.append(p)
     return [a for a in applied if a.name in selected]
@@ -168,10 +170,9 @@ def tighten(task, node: SearchNode):
     edges = []
     for a in node.chain:
         edges.append((ev, last, -eps))
-        conds = a.cond_start | a.cond_over | a.cond_end
         bound = INF
         for lit in future:
-            if not lit.add and lit.prop in conds:
+            if not lit.add and lit.prop in a.conds:
                 cut = lit.time - eps
                 if lit.prop in a.cond_over or lit.prop in a.cond_end:
                     cut = lit.time - a.duration
@@ -273,7 +274,8 @@ def candidate_steps(task, node: SearchNode):
     for name, pos in node.opens:
         steps.append(("end", name, pos))
     for a in task.actions:
-        steps.append(("start", a.name))
+        if a.cond_start <= node.props:
+            steps.append(("start", a.name))
     return steps
 
 

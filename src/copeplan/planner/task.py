@@ -21,11 +21,34 @@ class DurativeAction:
     del_start: frozenset = frozenset()
     add_end: frozenset = frozenset()
     del_end: frozenset = frozenset()
+    # derived once for the planner's per-node passes: every condition, every
+    # addition, and what the delete relaxation needs before it can apply the
+    # action (its start conditions, and those over-all and end conditions
+    # that its start effects do not supply)
+    conds: frozenset = field(init=False, compare=False, repr=False)
+    adds: frozenset = field(init=False, compare=False, repr=False)
+    relaxed_pre: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # a chained comparison, so that NaN fails too
         if not 0 < self.duration < math.inf:
             raise ValueError(f"action {self.name!r} needs a positive finite duration")
+        conds = _shared(self.cond_start | self.cond_over | self.cond_end, self.cond_start)
+        derived = {
+            "conds": conds,
+            "adds": _shared(self.add_start | self.add_end, self.add_end),
+            "relaxed_pre": _shared(
+                self.cond_start | ((self.cond_over | self.cond_end) - self.add_start),
+                conds),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+
+def _shared(derived, source):
+    """source when it equals derived, so that equal sets share one object
+    and the derived fields cost no memory for most actions."""
+    return source if derived == source else derived
 
 
 @dataclass(frozen=True)
@@ -59,10 +82,7 @@ class Task:
             raise ValueError("duplicate action names")
         self.by_name = {a.name: a for a in self.actions}
         for a in self.actions:
-            used = (
-                a.cond_start | a.cond_over | a.cond_end
-                | a.add_start | a.del_start | a.add_end | a.del_end
-            )
+            used = a.conds | a.adds | a.del_start | a.del_end
             if not used <= self.propositions:
                 raise ValueError(f"action {a.name!r} uses unknown propositions")
         for group, label in ((self.init, "init"), (self.goal, "goal")):

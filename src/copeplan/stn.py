@@ -8,10 +8,13 @@ improve a shortest path once when no negative cycle exists; recompute() is
 the from-scratch oracle for that claim.
 
 A network grows in one body: it copies the matrix into one scratch matrix of
-the final size, gives each new event the origin row and relaxes every new
-edge in place. extend keeps the result as a new network; probe only reads its
-origin row, so tentative events never enter the network. add_event and
-add_constraint are extend with one event or one edge.
+the final size, gives each new event the origin row and relaxes the new
+edges in place, each through the same formula. extend keeps the result as a
+new network; add_event and add_constraint are extend with one event or one
+edge. probe only reads the origin row and the diagonal, so tentative events
+never enter the network, and it stops after the last edge that relaxes the
+whole matrix: every edge past it writes only the row of a new event, which
+nothing reads.
 """
 
 import math
@@ -56,7 +59,8 @@ class Stn:
         s = Stn.__new__(Stn)
         s.events = self.events + tuple(names)
         s.index = index
-        s.dist, s.consistent = self._grow(len(names), edges)
+        s.dist, s.consistent = self._grow(
+            len(names), edges, _row_only(len(self.events), edges))
         s.constraints = (
             self.constraints
             + tuple((name, ORIGIN, 0.0) for name in names)
@@ -66,41 +70,68 @@ class Stn:
 
     def probe(self, n_new: int, edges):
         """Origin row after adding n_new events and then the edges, or None
-        when the result is inconsistent. Nothing is added to this network."""
-        dist, consistent = self._grow(n_new, edges)
+        when the result is inconsistent. Nothing is added to this network.
+
+        Only the edges up to the last one that relaxes the whole matrix are
+        relaxed. Each edge after it is row-only (see _row_only): it writes
+        the row of a new event, never the origin row, and leaves that row's
+        diagonal at 0, since its column holds nothing else. So neither the
+        origin row nor the consistency check can see it. With no such edge
+        at all, the answer is the origin row with an unbounded entry for
+        each new event, and no matrix is built.
+        """
+        if not self.consistent:
+            return None
+        row_only = _row_only(len(self.events), edges)
+        cut = len(edges)
+        while cut and row_only[cut - 1]:
+            cut -= 1
+        if cut == 0:
+            return np.concatenate((self.dist[0], np.full(n_new, INF)))
+        dist, consistent = self._grow(n_new, edges[:cut], row_only)
         return dist[0] if consistent else None
 
-    def _grow(self, n_new, edges):
+    def _grow(self, n_new, edges, row_only):
         """(dist, consistent) after adding n_new events and then the edges,
-        in a fresh matrix: the network's one relaxation loop.
+        in a fresh matrix: the network's one relaxation loop. row_only[k]
+        says whether edges[k] relaxes only its source row.
 
         The matrix equals what adding each new event, then each edge in order,
         one at a time with a full relaxation each, would leave:
         - an event no edge has touched keeps the origin row and an empty
           column, so creating every new event up front changes nothing;
-        - an edge leaving a new event that no edge enters yet can shorten
-          only that event's row, since its column holds just the diagonal 0;
+        - a row-only edge can shorten only its source's row, since every
+          other row reaches the source through its empty column;
         - relaxation never raises an entry, so one consistency check at the
           end sees any negative diagonal an earlier step would have seen.
-        Once the network is inconsistent its matrix means nothing; only the
-        flag is kept exact.
+        Every entry a relaxation offers is dist[i, u] + (b + dist[v, j]), in
+        that association. Once the network is inconsistent its matrix means
+        nothing; only the flag is kept exact.
         """
         m = len(self.events)
         n = m + n_new
-        dist = np.full((n, n), INF)
+        dist = np.empty((n, n))
         dist[:m, :m] = self.dist
+        dist[:, m:] = INF
         # nonnegativity: a new event sits at or after the origin, so its only
         # outgoing edge runs to the origin and onward from there
         dist[m:, :m] = self.dist[0]
-        np.fill_diagonal(dist[m:, m:], 0.0)
+        diagonal = dist.reshape(-1)[::n + 1]
+        diagonal[m:] = 0.0
         if not self.consistent:
             return dist, False
-        entered = set()
-        for u, v, b in edges:
-            rows = dist[u:u + 1] if u >= m and u not in entered else dist
-            np.minimum(rows, _through(rows, dist, u, v, b), out=rows)
-            entered.add(v)
-        return dist, not np.diagonal(dist).min() < 0
+        via = np.empty(n)
+        through = np.empty((n, n))
+        for (u, v, b), row in zip(edges, row_only):
+            np.add(b, dist[v], out=via)
+            if row:
+                source = dist[u]
+                np.add(source[u], via, out=via)
+                np.minimum(source, via, out=source)
+            else:
+                np.add(dist[:, u, None], via, out=through)
+                np.minimum(dist, through, out=dist)
+        return dist, not diagonal.min() < 0
 
     def solve(self):
         """(consistent, tmin, tmax); the maps are empty when inconsistent."""
@@ -117,10 +148,18 @@ class Stn:
         return self.dist[0, self.index[event]]
 
 
-def _through(rows, dist, u, v, b):
-    """Length of each path i -> u -> v -> j over the new edge (u, v, b), for
-    the rows i of `rows`: the network's one relaxation formula."""
-    return rows[:, u, None] + (b + dist[None, v, :])
+def _row_only(m, edges):
+    """For each (u, v, b) edge in order, whether relaxing it can change only
+    row u, in a network whose new events are numbered from m: u is a new
+    event that no earlier edge enters, and v is not u. Then column u holds
+    nothing but the diagonal 0, so only row u can gain a path, and its
+    diagonal stays 0."""
+    entered = set()
+    flags = []
+    for u, v, _ in edges:
+        flags.append(u >= m and u != v and u not in entered)
+        entered.add(v)
+    return flags
 
 
 def _edge_matrix(events, constraints):

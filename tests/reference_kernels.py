@@ -1,7 +1,7 @@
 """Straightforward forms of vectorised kernels, kept as exact references:
 the temporal network's growth in copeplan.stn, the planner's per-node
-kernels in copeplan.planner.search and the KDS dynamic program in
-copeplan.kds.
+kernels in copeplan.planner.search (with the relaxed plan's set algebra
+rebuilt on every test) and the KDS dynamic program in copeplan.kds.
 
 Each returns the same floats as the kernel it mirrors, so tests compare them
 with ==, not with a tolerance.
@@ -72,6 +72,60 @@ def grow(stn, names, edges):
     for u, v, b in edges:
         stn = add_constraint(stn, stn.events[u], stn.events[v], b)
     return stn
+
+
+def relaxed_plan(task, props, opens, til_count):
+    """search.relaxed_plan building each action's relaxed precondition and
+    its additions from the action's own sets at every test."""
+    facts = set(props)
+    adder = {}
+    for lit in task.tils[til_count:]:
+        if lit.add:
+            facts.add(lit.prop)
+    pending = [task.by_name[name] for name, _ in opens]
+    applied = []
+    applied_names = set()
+    progress = True
+    while progress:
+        progress = False
+        still = []
+        for a in pending:
+            if a.cond_end <= facts:
+                for p in a.add_end - facts:
+                    adder.setdefault(p, None)
+                if not a.add_end <= facts:
+                    facts |= a.add_end
+                    progress = True
+            else:
+                still.append(a)
+        pending = still
+        for a in task.actions:
+            if a.name in applied_names:
+                continue
+            if a.cond_start <= facts and (a.cond_over | a.cond_end) <= facts | a.add_start:
+                new = (a.add_start | a.add_end) - facts
+                if new:
+                    applied_names.add(a.name)
+                    applied.append(a)
+                    for p in new:
+                        adder.setdefault(p, a.name)
+                    facts |= new
+                    progress = True
+    if pending or not task.goal <= facts:
+        return None
+    selected = set()
+    queue = [p for p in sorted(task.goal) if p not in props]
+    while queue:
+        prop = queue.pop()
+        name = adder.get(prop)
+        if name is None or name in selected:
+            continue
+        selected.add(name)
+        a = task.by_name[name]
+        for p in sorted(a.cond_start | a.cond_over | a.cond_end):
+            if p not in props:
+                queue.append(p)
+    return [a for a in applied if a.name in selected]
 
 
 def tighten(task, node):

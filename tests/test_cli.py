@@ -126,6 +126,30 @@ def test_solve_rejects_times_past_float_range(tmp_path, capsys):
     assert _one_error_line(capsys)
 
 
+_ONE_PROCESS = '"processes": [{"deadline": 3, "pmf": [[1, 1.0]]}]'
+
+
+@pytest.mark.parametrize("fields", [
+    '"version": 1, "horizon": true, ' + _ONE_PROCESS,
+    '"version": 1, "horizon": 1.5, ' + _ONE_PROCESS,
+    '"version": 1, "horizon": 4, "processes": [{"deadline": false, "pmf": [[1, 1.0]]}]',
+    '"version": 1, "horizon": 4, "processes": [{"deadline": 3, "pmf": [[1.5, 1.0]]}]',
+    '"version": true, "horizon": 4, ' + _ONE_PROCESS,
+])
+def test_solve_rejects_integers_that_are_booleans_or_fractions(tmp_path, capsys, fields):
+    doc = tmp_path / "kds.json"
+    doc.write_text('{"format": "kds", ' + fields + "}")
+    assert main(["solve", "kds", str(doc)]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_solve_reads_integral_floats_as_integers(tmp_path, capsys):
+    doc = _kds_document(tmp_path, '"horizon": 4.0, "processes": '
+                        '[{"deadline": 3.0, "pmf": [[1.0, 1.0]]}]')
+    assert main(["solve", "kds", doc]) == 0
+    assert capsys.readouterr().out.startswith("value 1.0000000")
+
+
 @pytest.mark.parametrize("command", ["solve", "plan", "validate-task", "validate-plan", "bench"])
 def test_undecodable_file_exits_2(tmp_path, capsys, command):
     bad = tmp_path / "bad.json"
@@ -198,6 +222,11 @@ def test_bench_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["bench", path("demo_task.json")]) == 2
     capsys.readouterr()
+    doc = tmp_path / "bench.json"
+    doc.write_text('{"format": "bench", "version": 1, "speeds": [1.0], '
+                   '"generator": "abc"}')
+    assert main(["bench", str(doc)]) == 2
+    assert _one_error_line(capsys)
 
 
 def test_bench_invalid_plan_exits_3(capsys, monkeypatch):

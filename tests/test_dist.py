@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from copeplan.dist import DiscreteDistribution
+from copeplan.dist import MAX_SUPPORT, DiscreteDistribution
 
 
 def test_delta_pmf_and_cdf():
@@ -29,6 +31,19 @@ def test_from_pairs_accumulates_and_validates():
         DiscreteDistribution.from_pairs([(0, 0.4)])  # mass 0.4 != 1
     with pytest.raises(ValueError):
         DiscreteDistribution.from_pairs([(0, 1.5), (1, -0.5)])
+
+
+def test_from_pairs_refuses_times_past_the_support_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="support cap"):
+            DiscreteDistribution.from_pairs([(0, 0.5), (10**12, 0.5)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    d = DiscreteDistribution.from_pairs([(MAX_SUPPORT, 1.0)])
+    assert d.support_max == MAX_SUPPORT
 
 
 def test_nan_mass_is_rejected():

@@ -269,6 +269,40 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
     assert min(seen.values()) > 0
 
 
+def test_relaxed_plan_matches_set_expression_reference(monkeypatch):
+    """Every relaxed plan on shipped tasks and on one self-supplying action,
+    in both modes, is the chain the reference builds from the action's own
+    sets."""
+    real = search.relaxed_plan
+    seen = {"chain": 0, "dead end": 0}
+
+    def checked(task, props, opens, til_count):
+        got = real(task, props, opens, til_count)
+        assert got == reference_kernels.relaxed_plan(task, props, opens, til_count)
+        seen["dead end" if got is None else "chain"] += 1
+        return got
+
+    monkeypatch.setattr(search, "relaxed_plan", checked)
+    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "bench.json"))
+    # no shipped action supplies its own over-all or end condition at its
+    # start, so only this one reaches that part of the precondition
+    grip = Task(
+        propositions=fs("free", "held", "gripped"),
+        actions=(DurativeAction(name="grip", duration=1.0, cond_start=fs("free"),
+                                cond_over=fs("held"), cond_end=fs("held"),
+                                add_start=fs("held"), add_end=fs("gripped")),),
+        init=fs("free"),
+        goal=fs("gripped"),
+    )
+    for task in benchmark_tasks(cfg)[:10] + [grip]:
+        for mode in ("disp", "nodisp"):
+            run_search(task, mode=mode, speed=cfg.speeds[0],
+                       dispatch_params=cfg.dispatch_params(),
+                       max_expansions=cfg.max_expansions)
+    assert min(seen.values()) > 0
+
+
 def test_tighten_matches_reference_when_the_goal_expires(monkeypatch):
     # no shipped task deletes a goal fact, so the chain's goal cut is only
     # reached here: "done" is lost at `expiry`, some of them too early

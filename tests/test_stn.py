@@ -172,6 +172,62 @@ def test_probe_matches_step_by_step_growth():
     assert min(outcomes.values()) > 30
 
 
+def _probe_draws(seed, trials=300):
+    """(base, n_new, edges, tail) draws shaped like tighten's chains: a head
+    of random edges, one edge from an old event that relaxes the whole
+    matrix, then a tail of `tail` row-only edges, each leaving a new event
+    that no earlier edge enters. Every fourth draw is a tail alone, with no
+    full relaxation."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        base = random_network(rng, max_events=14)
+        m = len(base.events)
+        n_new = int(rng.integers(1, 7))
+        edges = []
+        if trial % 4:
+            for _ in range(int(rng.integers(0, 2 * n_new + 2))):
+                u = int(rng.integers(0, m + n_new))
+                v = int(rng.integers(0, m + n_new - 1))
+                edges.append((u, v + (v >= u), float(rng.uniform(-3.0, 12.0))))
+            edges.append((int(rng.integers(0, m)), int(rng.integers(1, m + n_new)),
+                          float(rng.uniform(-3.0, 12.0))))
+        entered = {v for _, v, _ in edges}
+        tail = 0
+        for _ in range(int(rng.integers(0, 2 * n_new + 1))):
+            free = [u for u in range(m, m + n_new) if u not in entered]
+            if not free:
+                break
+            u = free[int(rng.integers(0, len(free)))]
+            v = int(rng.integers(0, m + n_new - 1))
+            v += v >= u
+            edges.append((u, v, float(rng.uniform(-3.0, 12.0))))
+            entered.add(v)
+            tail += 1
+        yield base, n_new, edges, tail
+
+
+def test_probe_skips_the_row_only_tail_exactly():
+    """probe equals the origin row of the step-by-step growth when it stops
+    at the last full relaxation, when nothing relaxes the whole matrix and
+    when the base network is already inconsistent."""
+    seen = {"cut tail": 0, "no full edge": 0, "inconsistent base": 0,
+            "consistent": 0, "inconsistent": 0}
+    for base, n_new, edges, tail in _probe_draws(33):
+        got = base.probe(n_new, edges)
+        want = reference_kernels.grow(base, [f"x{k}" for k in range(n_new)], edges)
+        assert (got is None) == (not want.consistent)
+        if want.consistent:
+            assert np.array_equal(got, want.dist[0])
+        if not base.consistent:
+            seen["inconsistent base"] += 1
+        elif tail == len(edges):
+            seen["no full edge"] += 1
+        elif tail:
+            seen["cut tail"] += 1
+        seen["consistent" if want.consistent else "inconsistent"] += 1
+    assert min(seen.values()) > 20, seen
+
+
 def test_extend_matches_step_by_step_growth():
     outcomes = {True: 0, False: 0}
     for base, n_new, edges in _random_growths(32):
@@ -197,6 +253,8 @@ def test_probe_answers_without_growing_the_network():
                           [0.0, 4.5, math.inf, math.inf])
     # x0 >= a + 1 >= 3 cannot also sit at or before 1
     assert s.probe(1, [(2, 1, -1.0), (0, 2, 1.0)]) is None
+    # a self-loop below 0 is a negative cycle even at the tail of the edges
+    assert s.probe(1, [(0, 1, 3.0), (2, 2, -1.0)]) is None
     assert s.events == (ORIGIN, "a")
 
 
