@@ -26,7 +26,8 @@ from .harness import (
     run_benchmark,
 )
 from .kds import KdsInstance, solve_kds_dp
-from .planner import DispatchParams, Task, run_search, validate_plan
+from .planner import Task, run_search, validate_plan
+from .planner.engine import MODES
 
 ENV_PREFIX = "COPEPLAN_"
 
@@ -64,11 +65,30 @@ def _expect(obj, kinds, label):
 
 def _load_config(args) -> BenchmarkConfig:
     """The config named by --config or COPEPLAN_CONFIG; without one, the
-    built-in defaults for a single disp run at speed 10."""
+    built-in defaults for a single run of the first mode (disp) at speed 10."""
     path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if path is None:
-        return BenchmarkConfig(speeds=(10.0,), modes=("disp",))
+        return BenchmarkConfig(speeds=(10.0,), modes=tuple(MODES)[:1])
     return _expect(fileio.load(path), BenchmarkConfig, "benchmark config")
+
+
+def _usage(build) -> BenchmarkConfig:
+    """build(). A bad setting is a usage problem, not a model violation, so
+    ValueError and TypeError become FormatError."""
+    try:
+        return build()
+    except (ValueError, TypeError) as exc:
+        raise fileio.FormatError(str(exc)) from exc
+
+
+# the settings that `plan` and `bench` share, with the cast for raw strings
+_RUN_SETTINGS = {"dt": float, "sft": float, "t_wait": int, "frontier_min_1": _bool,
+                 "sft_1": _bool, "max_expansions": int}
+
+
+def _settings(args, cfg, casts) -> dict:
+    return {name: _setting(args, name, cast, getattr(cfg, name))
+            for name, cast in casts.items()}
 
 
 def _fmt_time(t: float) -> str:
@@ -123,29 +143,22 @@ def cmd_solve(args) -> int:
 
 # -- plan ----------------------------------------------------------------------
 
-def _dispatch_settings(args, cfg):
-    return DispatchParams.from_settings(
-        dt=_setting(args, "dt", float, cfg.dt),
-        sft=_setting(args, "sft", float, cfg.sft),
-        t_wait=_setting(args, "t_wait", int, cfg.t_wait),
-        frontier_min_1=_setting(args, "frontier_min_1", _bool, cfg.frontier_min_1),
-        sft_1=_setting(args, "sft_1", _bool, cfg.sft_1),
-    )
-
-
 def cmd_plan(args) -> int:
     task = _expect(fileio.load(args.task), Task, "task")
-    cfg = _load_config(args)
-    mode = _setting(args, "mode", str, cfg.modes[0])
-    speed = _setting(args, "speed", float, sorted(cfg.speeds)[0])
-    seed = _setting(args, "seed", int, cfg.seed)
-    max_exp = _setting(args, "max_expansions", int, cfg.max_expansions)
-    params = _dispatch_settings(args, cfg)
+    base = _load_config(args)
+    cfg = _usage(lambda: replace(
+        base,
+        speeds=(_setting(args, "speed", float, sorted(base.speeds)[0]),),
+        modes=(_setting(args, "mode", str, base.modes[0]),),
+        **_settings(args, base, _RUN_SETTINGS),
+    ))
+    (mode,), (speed,) = cfg.modes, cfg.speeds
+    params = cfg.dispatch_params()
     echo = {"mode": mode, "speed": speed, "dt": params.dt, "sft": params.sft,
-            "t_wait": params.t_wait, "seed": seed, "max_expansions": max_exp}
+            "t_wait": params.t_wait, "max_expansions": cfg.max_expansions}
     print("# config " + json.dumps(echo, sort_keys=True))
     result = run_search(task, mode=mode, speed=speed, dispatch_params=params,
-                        max_expansions=max_exp)
+                        max_expansions=cfg.max_expansions)
     for decided, action, scheduled in result.records:
         print(f"decide {decided:.6f} start {action} at {scheduled:.6f}")
     print(f"solved {str(result.solved).lower()}"
@@ -176,27 +189,17 @@ def _effective_bench_config(args) -> BenchmarkConfig:
                       cfg.speeds)
     modes = _setting(args, "modes",
                      lambda s: tuple(str(s).split(",")), cfg.modes)
-    return BenchmarkConfig(
+    return replace(
+        cfg,
         speeds=tuple(speeds),
         modes=tuple(modes),
-        instances=_setting(args, "instances", int, cfg.instances),
-        dt=_setting(args, "dt", float, cfg.dt),
-        sft=_setting(args, "sft", float, cfg.sft),
-        t_wait=_setting(args, "t_wait", int, cfg.t_wait),
-        frontier_min_1=_setting(args, "frontier_min_1", _bool, cfg.frontier_min_1),
-        sft_1=_setting(args, "sft_1", _bool, cfg.sft_1),
-        seed=_setting(args, "seed", int, cfg.seed),
-        max_expansions=_setting(args, "max_expansions", int, cfg.max_expansions),
         generator=gen,
+        **_settings(args, cfg, {"instances": int, "seed": int, **_RUN_SETTINGS}),
     )
 
 
 def cmd_bench(args) -> int:
-    try:
-        cfg = _effective_bench_config(args)
-    except (ValueError, TypeError) as exc:
-        # a bad config is a usage problem, not a model violation
-        raise fileio.FormatError(str(exc)) from exc
+    cfg = _usage(lambda: _effective_bench_config(args))
     rows = run_benchmark(cfg)
     echo = json.dumps(cfg.to_dict(), sort_keys=True)
     csv_text = "# config " + echo + "\n" + rows_to_csv(rows)
@@ -263,7 +266,6 @@ def _add_dispatch_flags(sub):
                      help="ablation: drop dispatch evidence minimums to 1")
     sub.add_argument("--sft-1", dest="sft_1", action="store_true", default=None,
                      help="ablation: force the focus threshold to 1")
-    sub.add_argument("--seed", type=int, help="master seed")
     sub.add_argument("--max-expansions", dest="max_expansions", type=int,
                      help="search budget per run")
 
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="run the planner on a task file")
     p.add_argument("task")
-    p.add_argument("--mode", choices=("disp", "nodisp"))
+    p.add_argument("--mode", choices=tuple(MODES))
     p.add_argument("--speed", type=float, help="expansions per second")
     p.add_argument("--config", help="benchmark document supplying defaults")
     p.add_argument("--plan-out", dest="plan_out",
@@ -301,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goals", type=int)
     p.add_argument("--width", type=int)
     p.add_argument("--tau", type=float)
+    p.add_argument("--seed", type=int, help="master seed")
     _add_dispatch_flags(p)
     p.set_defaults(func=cmd_bench)
 

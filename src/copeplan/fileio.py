@@ -11,7 +11,7 @@ import json
 from .cope import CopeInstance, CopeProcess, PrefixAction
 from .copem import CopemInstance
 from .dist import DiscreteDistribution
-from .harness import BenchmarkConfig
+from .harness import BenchmarkConfig, GeneratorParams
 from .kds import KdsInstance, KdsProcess
 from .planner.task import DurativeAction, Task, TimedLiteral
 
@@ -204,6 +204,29 @@ def _task_from_dict(doc) -> Task:
         raise FormatError(f"task: {exc}") from exc
 
 
+# -- benchmark configs -------------------------------------------------------
+
+def _bench_from_dict(doc) -> BenchmarkConfig:
+    gen = doc.get("generator", {})
+    if not isinstance(gen, dict):
+        raise FormatError("bench: generator is not a JSON object")
+    defaults = GeneratorParams()
+    generator = GeneratorParams(
+        goals=_integer(gen.get("goals", defaults.goals), "bench generator goals"),
+        duration_range=tuple(gen.get("duration_range", defaults.duration_range)),
+        tau=float(gen.get("tau", defaults.tau)),
+        width=_integer(gen.get("width", defaults.width), "bench generator width"),
+    )
+    kwargs = {key: doc[key] for key in ("dt", "sft", "frontier_min_1", "sft_1")
+              if key in doc}
+    kwargs.update((key, _integer(doc[key], f"bench {key}"))
+                  for key in ("instances", "t_wait", "seed", "max_expansions") if key in doc)
+    if "modes" in doc:
+        kwargs["modes"] = tuple(doc["modes"])
+    return BenchmarkConfig(speeds=tuple(_require(doc, "speeds", "bench")),
+                           generator=generator, **kwargs)
+
+
 # -- dispatch ----------------------------------------------------------------
 
 _WRITERS = {
@@ -219,7 +242,7 @@ _READERS = {
     "cope": _cope_from_dict,
     "copem": _copem_from_dict,
     "task": _task_from_dict,
-    "bench": BenchmarkConfig.from_dict,
+    "bench": _bench_from_dict,
 }
 
 

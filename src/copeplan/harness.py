@@ -16,7 +16,7 @@ import numpy as np
 from .cope import CopeInstance, InitiationFunction, reduce_to_kds
 from .copem import CopemInstance, MetaPolicy, _dispatch_f, _posterior, _with_profile
 from .kds import KdsInstance, KdsSolution, solve_kds_dp
-from .planner.engine import DispatchParams, run_search
+from .planner.engine import MODES, DispatchParams, run_search
 from .planner.task import DurativeAction, Task, TimedLiteral
 from .planner.validate import validate_plan
 from .stn import EPSILON_SEPARATION
@@ -203,7 +203,7 @@ def witness_plan(task: Task) -> list:
 @dataclass
 class BenchmarkConfig:
     speeds: tuple
-    modes: tuple = ("disp", "nodisp")
+    modes: tuple = tuple(MODES)
     instances: int = 20
     dt: float = 0.1
     sft: float = None  # None means dt/2
@@ -219,17 +219,22 @@ class BenchmarkConfig:
             raise ValueError("need at least one speed")
         if self.instances < 1:
             raise ValueError("need at least one instance")
-        if any(s <= 0 for s in self.speeds):
-            raise ValueError("speeds must be positive")
+        if not all(0 < s < math.inf for s in self.speeds):
+            raise ValueError("speeds must be positive and finite")
         for m in self.modes:
-            if m not in ("disp", "nodisp"):
+            if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}")
+        self.dispatch_params()
 
     def dispatch_params(self) -> DispatchParams:
-        return DispatchParams.from_settings(
-            dt=self.dt, sft=self.sft, t_wait=self.t_wait,
-            frontier_min_1=self.frontier_min_1, sft_1=self.sft_1,
-        )
+        """The planner's thresholds, including the two ablations:
+        frontier_min_1 drops both evidence minimums to 1 and sft_1 forces the
+        focus threshold to 1."""
+        minimums = {}
+        if self.frontier_min_1:
+            minimums = {"min_subtree_expansions": 1, "min_sim_open": 1}
+        return DispatchParams(dt=self.dt, sft=1.0 if self.sft_1 else self.sft,
+                              t_wait=self.t_wait, **minimums)
 
     def to_dict(self) -> dict:
         return {
@@ -252,29 +257,6 @@ class BenchmarkConfig:
                 "width": self.generator.width,
             },
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BenchmarkConfig":
-        if doc.get("format", "bench") != "bench":
-            raise ValueError("not a benchmark config document")
-        gen = doc.get("generator", {})
-        if not isinstance(gen, dict):
-            raise TypeError("generator is not a JSON object")
-        defaults = GeneratorParams()
-        gparams = GeneratorParams(
-            goals=int(gen.get("goals", defaults.goals)),
-            duration_range=tuple(gen.get("duration_range", defaults.duration_range)),
-            tau=float(gen.get("tau", defaults.tau)),
-            width=int(gen.get("width", defaults.width)),
-        )
-        kwargs = {}
-        for key in ("instances", "dt", "sft", "t_wait", "frontier_min_1",
-                    "sft_1", "seed", "max_expansions"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        if "modes" in doc:
-            kwargs["modes"] = tuple(doc["modes"])
-        return cls(speeds=tuple(doc["speeds"]), generator=gparams, **kwargs)
 
 
 def benchmark_tasks(config: BenchmarkConfig) -> list:
@@ -381,7 +363,7 @@ def plot_svg(rows, width=640, height=400, desc=None) -> str:
     modes = sorted({m for _, m in counts})
     top = max(counts.values(), default=1) or 1
     pad = 48
-    colors = {"disp": "#c0392b", "nodisp": "#2c3e50"}
+    colors = dict(zip(MODES, ("#c0392b", "#2c3e50")))
 
     def x(i):
         if len(speeds) == 1:

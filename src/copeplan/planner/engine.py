@@ -1,11 +1,14 @@
 """Planning loop that interleaves search with execution on a shared clock.
 
 Search effort is the clock: expanding one node costs 1/speed seconds of plan
-time. In dispatching mode the loop may commit the next pending start while
-search continues, comparing the estimated success probability of acting now
-against continuing to deliberate; committed steps pin their timestamps into
-every surviving node. In plain mode the plan is only scheduled after a goal
-node survives a feasibility check at the time the search actually finished.
+time. Each cycle runs a burst of expansions, tries to schedule a goal the
+burst reached, absorbs happenings that are no longer decisions, and asks the
+mode's decision rule (`MODES`) for ("dispatch" | "focus" | None, step). The
+"disp" rule, `_decide`, commits the next pending start mid-search when acting
+now beats deliberating in estimated success probability, and pins its time
+into every surviving node. The "nodisp" rule never commits, so the plan is
+scheduled only once a goal node survives a feasibility check at the time the
+search actually finished.
 """
 
 import math
@@ -40,22 +43,12 @@ class DispatchParams:
     def __post_init__(self):
         if self.sft is None:
             self.sft = self.dt / 2.0
-        if self.dt <= 0 or self.sft <= 0:
+        if not (self.dt > 0 and self.sft > 0):  # NaN fails too
             raise ValueError("thresholds must be positive")
         if self.min_subtree_expansions < 1 or self.min_sim_open < 1:
             raise ValueError("exploration minimums must be at least 1")
         if self.t_wait < 1:
             raise ValueError("t_wait must be at least 1")
-
-    @classmethod
-    def from_settings(cls, dt, sft, t_wait, frontier_min_1, sft_1):
-        """Parameters from user-facing settings, including the two ablations:
-        frontier_min_1 drops both evidence minimums to 1 and sft_1 forces the
-        focus threshold to 1."""
-        minimums = {}
-        if frontier_min_1:
-            minimums = {"min_subtree_expansions": 1, "min_sim_open": 1}
-        return cls(dt=dt, sft=1.0 if sft_1 else sft, t_wait=t_wait, **minimums)
 
 
 @dataclass
@@ -167,6 +160,16 @@ def _decide(open_list, m, t_now, speed, stats, dparams, counts, profiles):
     return None, None
 
 
+def _never_commit(*_):
+    """The nodisp rule: neither dispatch nor focus, and compute no chains."""
+    return None, None
+
+
+# each mode names its decision rule; run_search looks the rule up when it
+# starts, so a replaced `_decide` takes effect
+MODES = {"disp": "_decide", "nodisp": "_never_commit"}
+
+
 def _pin(task, node, pos, when):
     """Fix t(step pos) = when in the node's network; None if that breaks it."""
     origin, ev = node.stn.index[ORIGIN], node.stn.index[f"s{pos}"]
@@ -257,7 +260,7 @@ def _auto_advance(task, executed, open_list, t_now):
         open_list[:] = _commit(task, open_list, executed, step, when)
 
 
-def _try_finish(task, node, executed, records, stats, t_now, dispatches):
+def _try_finish(task, node, executed, records, stats, t_now):
     """Schedule the whole plan; starts not yet committed may not predate now."""
     index = node.stn.index
     m = len(executed)
@@ -282,7 +285,7 @@ def _try_finish(task, node, executed, records, stats, t_now, dispatches):
     return PlanResult(
         solved=True,
         expansions=stats.expansions,
-        dispatches=dispatches,
+        dispatches=len(records),
         first_dispatch_time=first,
         completion_time=completion,
         records=recs,
@@ -295,42 +298,38 @@ def run_search(task, mode="nodisp", speed=100.0, dispatch_params=None,
                dda_params=None, max_expansions=200000):
     """Plan for `task` at the given search speed (expansions per second).
 
-    mode "nodisp" schedules only after search ends; "disp" may commit starts
-    mid-search. Returns a PlanResult whose records hold one
-    (decision_time, action, start_time) triple per start, decision never
-    later than the start it schedules.
+    `mode` picks the decision rule from `MODES`: "nodisp" schedules only
+    after search ends; "disp" may commit starts mid-search. Returns a
+    PlanResult whose records hold one (decision_time, action, start_time)
+    triple per start, decision never later than the start it schedules.
     """
-    if mode not in ("disp", "nodisp"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    rule = globals()[MODES[mode]]
     dparams = dispatch_params if dispatch_params is not None else DispatchParams()
     dda = dda_params if dda_params is not None else DdaParams()
     stats = SearchStats()
-    root = make_root(task)
-    if root is None:
-        return PlanResult(False, 0, 0, INF, INF, [], [], "goal unreachable")
-
     executed = []
     records = []
+    root = make_root(task)
+    open_list = [] if root is None else [root]
     counts = {}
-    memo = {root.key(): root.prefix}
+    memo = {nd.key(): nd.prefix for nd in open_list}
     pruned_dups = {}
-    open_list = [root]
     # completion profiles by h; they depend only on `stats`, which changes
     # only inside _burst
     profiles = {}
     focus_step = None
-    dispatches = 0
 
     while True:
         t_now = stats.expansions / speed
         m = len(executed)
         open_list = [nd for nd in open_list if latest_start(nd, m) >= t_now - 1e-9]
-        if not open_list:
-            return PlanResult(False, stats.expansions, dispatches, INF, INF,
-                              records, [], "frontier exhausted")
-        if stats.expansions >= max_expansions:
-            return PlanResult(False, stats.expansions, dispatches, INF, INF,
-                              records, [], "expansion limit")
+        if not open_list or stats.expansions >= max_expansions:
+            reason = ("goal unreachable" if root is None else
+                      "expansion limit" if open_list else "frontier exhausted")
+            return PlanResult(False, stats.expansions, len(records), INF, INF,
+                              records, [], reason)
 
         pool = open_list
         if focus_step is not None:
@@ -348,25 +347,17 @@ def run_search(task, mode="nodisp", speed=100.0, dispatch_params=None,
         t_now = stats.expansions / speed
 
         if goal_node is not None:
-            done = _try_finish(task, goal_node, executed, records, stats,
-                               t_now, dispatches)
+            done = _try_finish(task, goal_node, executed, records, stats, t_now)
             if done is not None:
                 return done
             # reached the goal too late to schedule it; keep searching
 
-        if mode == "disp":
-            _auto_advance(task, executed, open_list, t_now)
-            if not open_list:
-                continue
-            m = len(executed)
-            kind, step = _decide(open_list, m, t_now, speed, stats, dparams, counts,
-                                 profiles)
-            if kind == "dispatch":
-                _apply_dispatch(task, step, executed, open_list, memo,
-                                pruned_dups, t_now, records)
-                dispatches += 1
-                focus_step = None
-            elif kind == "focus":
-                focus_step = step
-            else:
-                focus_step = None
+        _auto_advance(task, executed, open_list, t_now)
+        if not open_list:
+            continue
+        kind, step = rule(open_list, len(executed), t_now, speed, stats, dparams,
+                          counts, profiles)
+        if kind == "dispatch":
+            _apply_dispatch(task, step, executed, open_list, memo, pruned_dups,
+                            t_now, records)
+        focus_step = step if kind == "focus" else None

@@ -229,6 +229,52 @@ def test_bench_bad_config_exits_2(tmp_path, capsys):
     assert _one_error_line(capsys)
 
 
+_BENCH_DOC = ('{"format": "bench", "version": 1, "speeds": [100.0], '
+              '"modes": ["nodisp"], ')
+
+
+@pytest.mark.parametrize("argv,env,doc", [
+    (["plan", path("demo_task.json"), "--dt", "-1"], {}, None),
+    (["plan", path("demo_task.json"), "--dt", "nan"], {}, None),
+    (["plan", path("demo_task.json"), "--speed", "inf"], {}, None),
+    (["plan", path("demo_task.json")], {"COPEPLAN_MODE": "bogus"}, None),
+    (["bench"], {}, '"dt": -1, "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"seed": 1.5, "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"instances": true, "generator": {"goals": 1}}'),
+    (["bench"], {}, '"max_expansions": true, "generator": {"goals": 1}}'),
+    (["bench"], {}, '"t_wait": 2.5, "generator": {"goals": 1}}'),
+    (["bench"], {}, '"generator": {"goals": true, "width": 1}}'),
+    (["bench"], {}, '"generator": {"goals": 1, "width": 1.5}}'),
+], ids=["plan-dt", "plan-dt-nan", "plan-speed-inf", "plan-env-mode", "bench-dt",
+        "bench-seed", "bench-instances", "bench-budget", "bench-t-wait",
+        "bench-goals", "bench-width"])
+def test_bad_settings_exit_2(tmp_path, capsys, monkeypatch, argv, env, doc):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if doc is not None:
+        (tmp_path / "bench.json").write_text(_BENCH_DOC + doc)
+        argv = argv + [str(tmp_path / "bench.json")]
+    assert main(argv) == 2
+    assert _one_error_line(capsys)
+
+
+def test_bench_reads_whole_floats_as_integers(tmp_path, capsys):
+    doc = tmp_path / "bench.json"
+    doc.write_text(_BENCH_DOC + '"instances": 1.0, "seed": 2.0, '
+                   '"generator": {"goals": 1, "width": 1}}')
+    assert main(["bench", str(doc), "--csv", str(tmp_path / "out.csv")]) == 0
+    echo = json.loads((tmp_path / "out.csv").read_text().splitlines()[0][len("# config "):])
+    assert [echo["instances"], echo["seed"]] == [1, 2]
+    assert isinstance(echo["instances"], int) and isinstance(echo["seed"], int)
+
+
+def test_plan_has_no_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", path("demo_task.json"), "--seed", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_bench_invalid_plan_exits_3(capsys, monkeypatch):
     monkeypatch.setattr("copeplan.harness.validate_plan",
                         lambda task, happenings: (False, "x"))
@@ -260,7 +306,7 @@ def test_plan_built_in_defaults(capsys, monkeypatch):
     _clear_env(monkeypatch)
     assert main(["plan", path("demo_task.json")]) == 0
     echo = json.loads(capsys.readouterr().out.splitlines()[0][len("# config "):])
-    assert echo == {"dt": 0.1, "max_expansions": 8000, "mode": "disp", "seed": 0,
+    assert echo == {"dt": 0.1, "max_expansions": 8000, "mode": "disp",
                     "sft": 0.05, "speed": 10.0, "t_wait": 10}
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from copeplan import fileio
 from copeplan.cope import solve_kidcope
 from copeplan.copem import solve11
 from copeplan.dist import DiscreteDistribution
@@ -20,7 +21,7 @@ from copeplan.harness import (
     witness_plan,
 )
 from copeplan.kds import Block, KdsInstance, KdsProcess, solve_kds_dp
-from copeplan.planner import DispatchParams, validate_plan
+from copeplan.planner import validate_plan
 
 from helpers import random_cope_instance, random_copem_instance, random_kds_instance
 
@@ -125,10 +126,10 @@ def test_benchmark_config_round_trips():
                           frontier_min_1=True,
                           generator=GeneratorParams(goals=4, tau=1.1, width=3))
     doc = cfg.to_dict()
-    again = BenchmarkConfig.from_dict(doc)
+    again = fileio.from_dict(doc)
     assert again.to_dict() == doc
     assert len(benchmark_tasks(cfg)) == 5
-    bare = BenchmarkConfig.from_dict({"speeds": [4.0]})
+    bare = fileio.from_dict({"format": "bench", "version": 1, "speeds": [4.0]})
     assert bare.generator == GeneratorParams() and bare.modes == ("disp", "nodisp")
 
 
@@ -152,10 +153,9 @@ def test_plot_svg_has_one_series_per_mode():
 def test_ablation_flags_set_dispatch_params():
     cfg = BenchmarkConfig(speeds=(10.0,), dt=0.2, sft=0.05,
                           frontier_min_1=True, sft_1=True)
-    direct = DispatchParams.from_settings(0.2, 0.05, 10, True, True)
-    for params in (cfg.dispatch_params(), direct):
-        assert (params.min_subtree_expansions, params.min_sim_open) == (1, 1)
-        assert params.sft == 1.0
+    params = cfg.dispatch_params()
+    assert (params.min_subtree_expansions, params.min_sim_open) == (1, 1)
+    assert params.sft == 1.0
     plain = BenchmarkConfig(speeds=(10.0,)).dispatch_params()
     assert (plain.min_subtree_expansions, plain.min_sim_open) == (10, 10)
     assert plain.sft == pytest.approx(0.05)

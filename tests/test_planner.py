@@ -12,6 +12,7 @@ from copeplan.harness import benchmark_tasks
 from copeplan.planner import (
     DispatchParams,
     DurativeAction,
+    PlanResult,
     Task,
     TimedLiteral,
     deadline_steps,
@@ -70,6 +71,23 @@ def pair_task():
         ),
         init=fs("free"),
         goal=fs("pa", "pb"),
+    )
+
+
+def gated_task(goals=5):
+    # independent goals, but every start needs "open", which only the timed
+    # literal at 0.5 adds: every open node begins with that literal
+    done = [f"done{k}" for k in range(goals)]
+    return Task(
+        propositions=fs("free", "open", *done),
+        actions=tuple(
+            DurativeAction(name=f"g{k}", duration=1.0 + 0.5 * k,
+                           cond_start=fs("free", "open"), del_start=fs("free"),
+                           add_end=fs(done[k], "free"))
+            for k in range(goals)),
+        init=fs("free"),
+        goal=frozenset(done),
+        tils=(TimedLiteral(time=0.5, prop="open", add=True),),
     )
 
 
@@ -330,6 +348,16 @@ def test_nodisp_solves_micro_and_validates():
     assert res.dispatches == 0
 
 
+def test_unreachable_goal_ends_before_any_expansion():
+    task = micro_task()
+    task = Task(propositions=task.propositions | {"never"}, actions=task.actions,
+                init=task.init, goal=task.goal | {"never"}, tils=task.tils)
+    for mode in engine.MODES:
+        res = run_search(task, mode=mode, speed=10.0)
+        assert (res.solved, res.expansions, res.dispatches, res.records,
+                res.reason) == (False, 0, 0, [], "goal unreachable")
+
+
 def test_nodisp_is_deterministic():
     a = run_search(micro_task(), mode="nodisp", speed=100.0)
     b = run_search(micro_task(), mode="nodisp", speed=100.0)
@@ -368,7 +396,21 @@ def test_disp_records_decision_before_start():
     assert res.first_dispatch_time == min(t for t, k, _ in res.happenings if k == "start")
 
 
-def test_disp_that_cannot_commit_equals_nodisp():
+# what nodisp made of gated_task at speed 100 before it ran auto-advance
+GATED_NODISP_AT_100 = PlanResult(
+    solved=True, expansions=157, dispatches=0, first_dispatch_time=1.57,
+    completion_time=11.574,
+    records=[(1.57, "g3", 1.57), (1.57, "g0", 4.071), (1.57, "g1", 5.072),
+             (1.57, "g4", 6.573), (1.57, "g2", 9.574)],
+    happenings=[(1.57, "start", "g3"), (4.07, "end", "g3"),
+                (4.071, "start", "g0"), (5.071, "end", "g0"),
+                (5.072, "start", "g1"), (6.572, "end", "g1"),
+                (6.573, "start", "g4"), (9.573, "end", "g4"),
+                (9.574, "start", "g2"), (11.574, "end", "g2")],
+    reason="goal")
+
+
+def test_disp_that_cannot_commit_equals_nodisp(monkeypatch):
     # p_d <= 1 <= p_nd + 1, so with dt = sft = 1 disp never dispatches or
     # focuses and must reproduce nodisp run for run
     cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -377,15 +419,32 @@ def test_disp_that_cannot_commit_equals_nodisp():
     shipped = cfg.dispatch_params()
     fields = ("solved", "expansions", "dispatches", "first_dispatch_time",
               "completion_time", "happenings", "records")
-    for idx, task in enumerate(benchmark_tasks(cfg)[:10]):
+    absorbed = []
+    advance = engine._auto_advance
+
+    def counting_advance(task, executed, open_list, t_now):
+        before = len(executed)
+        advance(task, executed, open_list, t_now)
+        absorbed.append(len(executed) - before)
+
+    monkeypatch.setattr(engine, "_auto_advance", counting_advance)
+    gated = gated_task()
+    for idx, task in enumerate(benchmark_tasks(cfg)[:10] + [gated]):
         for speed in (6.0, 100.0):
             disp = run_search(task, mode="disp", speed=speed, dispatch_params=never,
                               max_expansions=cfg.max_expansions)
+            absorbed.clear()
             nodisp = run_search(task, mode="nodisp", speed=speed,
                                 dispatch_params=shipped,
                                 max_expansions=cfg.max_expansions)
             for name in fields:
                 assert getattr(disp, name) == getattr(nodisp, name), (idx, speed, name)
+            if task is gated:
+                # nodisp absorbs the literal and still plans as it did
+                # before it ran auto-advance
+                assert sum(absorbed) >= 1, speed
+                if speed == 100.0:
+                    assert nodisp == GATED_NODISP_AT_100
 
 
 def test_decision_cycle_builds_each_profile_once(monkeypatch):
