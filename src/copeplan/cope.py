@@ -201,13 +201,17 @@ def solve_kidcope(inst, candidate_times=None, cap: int = KIDCOPE_ENUMERATION_CAP
     """Optimal known-induced-deadline solution by enumerating f.
 
     Returns (probability, InitiationFunction, KdsSolution); ties keep the
-    earliest function in enumeration order (empty first).
+    earliest function in enumeration order (empty first). One layer memo
+    serves every reduction of the call: commitments that leave the deadlines
+    of a (deadline, index) suffix alone reuse its DP layers. It holds each
+    distinct layer once, 16 * (horizon + 1) bytes, until the call returns.
     """
     best_v = -1.0
     best_f = None
     best_sol: KdsSolution | None = None
+    memo: dict = {}
     for f in enumerate_initiation_functions(inst, candidate_times, cap):
-        sol = solve_kds_dp(reduce_to_kds(inst, f))
+        sol = solve_kds_dp(reduce_to_kds(inst, f), memo=memo)
         if sol.value > best_v + 1e-15:
             best_v, best_f, best_sol = sol.value, f, sol
     assert best_f is not None and best_sol is not None

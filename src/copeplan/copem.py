@@ -134,11 +134,13 @@ def _dispatch_f(inst, i: int | None, time: int) -> InitiationFunction:
     return InitiationFunction(chosen_process=i, start_times={action.action_id: time})
 
 
-def _solve00_branches(inst, start_time: int) -> list[tuple[int | None, float, KdsSolution]]:
+def _solve00_branches(
+    inst, start_time: int, memo: dict
+) -> list[tuple[int | None, float, KdsSolution]]:
     branches = []
     for i in [None] + [k for k, p in enumerate(inst.processes) if p.prefix]:
         f = _dispatch_f(inst, i, start_time)
-        sol = solve_kds_dp(reduce_to_kds(inst, f), start_time)
+        sol = solve_kds_dp(reduce_to_kds(inst, f), start_time, memo=memo)
         branches.append((i, sol.value, sol))
     return branches
 
@@ -150,7 +152,7 @@ def solve00(inst, start_time: int = 0) -> tuple[float, int | None]:
     prefix action (dispatched at start_time), each solved exactly, and keeps
     the argmax. Ties prefer not dispatching, then the lowest process index.
     """
-    best_i, best_v, _ = _best_branch(_solve00_branches(inst, start_time))
+    best_i, best_v, _ = _best_branch(_solve00_branches(inst, start_time, {}))
     return best_v, best_i
 
 
@@ -170,6 +172,10 @@ def solve01(inst, dispatched: int | None) -> tuple[float, int | None]:
     and the measured process (lowest index on ties). With no processes the
     value is 0 and no measurement is taken.
     """
+    return _solve01(inst, dispatched, {})
+
+
+def _solve01(inst, dispatched: int | None, memo: dict) -> tuple[float, int | None]:
     if not inst.processes:
         return 0.0, None
     f = _dispatch_f(inst, dispatched, 0)
@@ -179,7 +185,7 @@ def solve01(inst, dispatched: int | None) -> tuple[float, int | None]:
         total = 0.0
         for o, po in p.profile.pairs():
             succ = _with_profile(inst, j, _posterior(o))
-            total += po * solve_kds_dp(reduce_to_kds(succ, f), 1).value
+            total += po * solve_kds_dp(reduce_to_kds(succ, f), 1, memo=memo).value
         if total > best_v:
             best_v, best_j = total, j
     return best_v, best_j
@@ -194,9 +200,14 @@ def solve11(inst) -> MetaPolicy:
     Scans compute branches in index order, then dispatch branches; a later
     branch replaces the incumbent only on strict improvement, so ties prefer
     measuring first and lower indices.
+
+    One layer memo serves every DP solve of the call: the branches change
+    one profile or one deadline, so they share most DP layers, and each
+    dispatch-first table re-solves instances that `solve01` already solved.
     """
     if not inst.processes:
         raise ValueError("empty instance")
+    memo: dict = {}
     branch_values: dict[tuple, float] = {}
     best = None  # (value, first_step, compute_after, table)
 
@@ -205,7 +216,7 @@ def solve11(inst) -> MetaPolicy:
         table = {}
         for o, po in p.profile.pairs():
             succ = _with_profile(inst, j, _posterior(o))
-            bi, bv, bsol = _best_branch(_solve00_branches(succ, 1))
+            bi, bv, bsol = _best_branch(_solve00_branches(succ, 1, memo))
             total += po * bv
             table[o] = BranchOutcome(bv, bi, bsol)
         branch_values[("compute", j)] = total
@@ -216,11 +227,11 @@ def solve11(inst) -> MetaPolicy:
         if not p.prefix:
             continue
         f = _dispatch_f(inst, i, 0)
-        value, best_j = solve01(inst, i)
+        value, best_j = _solve01(inst, i, memo)
         table = {}
         for o, po in inst.processes[best_j].profile.pairs():
             succ = _with_profile(inst, best_j, _posterior(o))
-            sol = solve_kds_dp(reduce_to_kds(succ, f), 1)
+            sol = solve_kds_dp(reduce_to_kds(succ, f), 1, memo=memo)
             table[o] = BranchOutcome(sol.value, None, sol)
         branch_values[("dispatch", i)] = value
         if value > best[0]:

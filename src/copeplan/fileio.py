@@ -7,6 +7,7 @@ parse is the identity for every shipped file.
 """
 
 import json
+import math
 
 from .cope import CopeInstance, CopeProcess, PrefixAction
 from .copem import CopemInstance
@@ -36,6 +37,28 @@ def _integer(value, where):
             isinstance(value, float) and not value.is_integer()):
         raise FormatError(f"{where}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, where):
+    """value as a finite float. Booleans, non-numbers, NaN and infinities
+    (which Python's JSON reader accepts) and integers too large for a float
+    raise FormatError."""
+    finite = not isinstance(value, bool) and isinstance(value, (int, float))
+    if finite:
+        try:
+            value = float(value)
+        except OverflowError:
+            finite = False
+    if not (finite and math.isfinite(value)):
+        raise FormatError(f"{where}: expected a finite number, got {value!r}")
+    return value
+
+
+def _flag(value, where):
+    """value when it is a JSON boolean; anything else raises FormatError."""
+    if not isinstance(value, bool):
+        raise FormatError(f"{where}: expected true or false, got {value!r}")
+    return value
 
 
 def _pmf_to_json(dist):
@@ -211,14 +234,21 @@ def _bench_from_dict(doc) -> BenchmarkConfig:
     if not isinstance(gen, dict):
         raise FormatError("bench: generator is not a JSON object")
     defaults = GeneratorParams()
+    span = gen.get("duration_range", defaults.duration_range)
+    if not isinstance(span, (list, tuple)) or len(span) != 2:
+        raise FormatError(f"bench generator duration_range: expected two numbers, got {span!r}")
     generator = GeneratorParams(
         goals=_integer(gen.get("goals", defaults.goals), "bench generator goals"),
-        duration_range=tuple(gen.get("duration_range", defaults.duration_range)),
-        tau=float(gen.get("tau", defaults.tau)),
+        duration_range=tuple(_number(x, "bench generator duration_range") for x in span),
+        tau=_number(gen.get("tau", defaults.tau), "bench generator tau"),
         width=_integer(gen.get("width", defaults.width), "bench generator width"),
     )
-    kwargs = {key: doc[key] for key in ("dt", "sft", "frontier_min_1", "sft_1")
-              if key in doc}
+    kwargs = {key: _flag(doc[key], f"bench {key}")
+              for key in ("frontier_min_1", "sft_1") if key in doc}
+    if "dt" in doc:
+        kwargs["dt"] = _number(doc["dt"], "bench dt")
+    if doc.get("sft") is not None:  # null keeps the default, half of dt
+        kwargs["sft"] = _number(doc["sft"], "bench sft")
     kwargs.update((key, _integer(doc[key], f"bench {key}"))
                   for key in ("instances", "t_wait", "seed", "max_expansions") if key in doc)
     if "modes" in doc:

@@ -91,25 +91,30 @@ def eval_schedule(instance: KdsInstance, blocks: list[Block]) -> float:
     return 0.0 - math.expm1(logfail)
 
 
-def solve_kds_dp(instance: KdsInstance, start_time: int = 0) -> KdsSolution:
+def solve_kds_dp(
+    instance: KdsInstance, start_time: int = 0, *, memo: dict | None = None
+) -> KdsSolution:
     """Optimal allocation by dynamic programming.
 
     Processes are scheduled in contiguous blocks sorted by (deadline, index);
     the state is (next process, current time) and the choice is the block
     length t. Failure probabilities are accumulated in log space, and the
     value is 0.0 - expm1(log failure), so an optimum of 0 prints as +0.0.
+    `np.argmin` returns the first minimum, so ties between equal-value block
+    lengths prefer the shortest. `_solve_layer` says how one layer is solved.
 
-    Each process layer is solved with array operations. `lf[t]` is the log
-    failure of a block of length t, read once per layer from the profile's
-    running sum. At a time at or past the deadline only t = 0 is allowed, and
-    it adds log1p(-0.0) = -0.0. Before the deadline d, the candidate for
-    (time, t) is lf[t] + row[time + t], where row is the next layer; the
-    operand row[time + t] is a zero-copy sliding-window (Hankel) view, the last
-    allowed column t = d - time reads lf[d - 1 - time] instead (the block's
-    final unit would end at d), and longer blocks are masked to +inf. Times
-    are taken in row blocks of at most _CHUNK cells, so scratch memory stays
-    bounded at any horizon. `np.argmin` returns the first minimum, so ties
-    between equal-value block lengths prefer the shortest.
+    Layer k (the best log failure and block length of processes order[k:]
+    at every start time) is a function of T and of the running sums and
+    deadlines of those processes only. A caller that solves several
+    instances sharing such suffixes passes one `memo` dict to all of them.
+    Layer k is keyed by (profile.cum.tobytes(), deadline, key of layer
+    k + 1), starting from T, and the memo holds copies of its two rows. The
+    key names the exact bytes of every input the layer is computed from,
+    and the layer's arithmetic is deterministic, so a reused layer is bit
+    for bit the one this call would compute. `start_time` and the process
+    indices are read only when the block list is rebuilt, after the layers.
+    The key holds contents, not object ids: an equal profile built twice
+    still hits, and a reused id cannot alias.
     """
     n = len(instance.processes)
     T = instance.horizon
@@ -121,34 +126,18 @@ def solve_kds_dp(instance: KdsInstance, start_time: int = 0) -> KdsSolution:
     # when their first block may start at `time`.
     logfail = np.zeros((n + 1, T + 1))
     choice = np.zeros((n, T + 1), dtype=int)
+    key = T
     for k in range(n - 1, -1, -1):
         proc = instance.processes[order[k]]
-        d = proc.deadline
-        row = logfail[k + 1]
-        logfail[k][d:] = _log_failure(0.0) + row[d:]
-        if d == 0:
-            continue
-        cum = proc.profile.cum
-        lf = np.empty(d + 1)
-        m = min(d, len(cum) - 1) + 1
-        lf[:m] = [_log_failure(s) for s in cum[:m].tolist()]
-        lf[m:] = lf[m - 1]
-        # row[time + t] for time < d, t <= d; cells past row[d] are masked,
-        # so the pad only has to be finite (inf would meet -inf in lf)
-        padded = np.zeros(2 * d)
-        padded[: d + 1] = row[: d + 1]
-        window = np.lib.stride_tricks.sliding_window_view(padded, d + 1)
-        past = np.lib.stride_tricks.sliding_window_view(np.arange(2 * d) > d, d + 1)
-        rows = max(1, _CHUNK // (d + 1))
-        for lo in range(0, d, rows):
-            hi = min(lo + rows, d)
-            cand = lf + window[lo:hi]
-            times = np.arange(lo, hi)
-            cand[times - lo, d - times] = lf[d - 1 - times] + row[d]
-            np.copyto(cand, np.inf, where=past[lo:hi])
-            best = np.argmin(cand, axis=1)
-            choice[k][lo:hi] = best
-            logfail[k][lo:hi] = cand[times - lo, best]
+        if memo is not None:
+            key = (proc.profile.cum.tobytes(), proc.deadline, key)
+            layer = memo.get(key)
+            if layer is not None:
+                logfail[k], choice[k] = layer
+                continue
+        _solve_layer(proc.profile.cum, proc.deadline, logfail[k + 1], logfail[k], choice[k])
+        if memo is not None:
+            memo[key] = (logfail[k].copy(), choice[k].copy())
 
     blocks: list[Block] = []
     time = min(start_time, T)
@@ -160,6 +149,70 @@ def solve_kds_dp(instance: KdsInstance, start_time: int = 0) -> KdsSolution:
         time += t
     value = 0.0 - math.expm1(logfail[0][min(start_time, T)])
     return KdsSolution(value, blocks)
+
+
+def _solve_layer(cum: np.ndarray, d: int, row: np.ndarray, out: np.ndarray,
+                 best_t: np.ndarray) -> None:
+    """Fill out[time] and best_t[time] for a process with running sum `cum`
+    and deadline d, ahead of the next layer `row`.
+
+    `lf[t]` is the log failure of a block of length t, read once from the
+    running sum. At a time at or past the deadline only t = 0 is allowed, and
+    it adds log1p(-0.0) = -0.0. Before d, the candidate for (time, t) is
+    lf[t] + row[time + t]. The operand row[time + t] is a zero-copy Hankel
+    view of a padded copy of row, built with the ndarray constructor (a
+    fraction of `sliding_window_view`'s set-up cost). The last allowed column
+    t = d - time reads lf[d - 1 - time] instead (the block's final unit would
+    end at d), and longer blocks are masked to +inf through `_past_mask`.
+    Times are taken in row blocks of at most _CHUNK cells, so scratch memory
+    stays bounded at any horizon.
+    """
+    out[d:] = _log_failure(0.0) + row[d:]
+    if d == 0:
+        return
+    lf = np.empty(d + 1)
+    m = min(d, len(cum) - 1) + 1
+    lf[:m] = [_log_failure(s) for s in cum[:m].tolist()]
+    lf[m:] = lf[m - 1]
+    # row[time + t] for time < d, t <= d; cells past row[d] are masked, so
+    # the pad only has to be finite (inf would meet -inf in lf)
+    padded = np.zeros(2 * d)
+    padded[: d + 1] = row[: d + 1]
+    stride = padded.strides[0]
+    window = np.ndarray((d, d + 1), padded.dtype, padded, 0, (stride, stride))
+    past = _past_mask(d)
+    rows = max(1, _CHUNK // (d + 1))
+    for lo in range(0, d, rows):
+        hi = min(lo + rows, d)
+        cand = lf + window[lo:hi]
+        times = np.arange(lo, hi)
+        cand[times - lo, d - times] = lf[d - 1 - times] + row[d]
+        np.copyto(cand, np.inf, where=past[lo:hi])
+        best = np.argmin(cand, axis=1)
+        best_t[lo:hi] = best
+        out[lo:hi] = cand[times - lo, best]
+
+
+# _PAST_STEP[i] is i > len(_PAST_STEP) // 2; views of it serve every deadline
+_PAST_STEP = np.zeros(0, dtype=bool)
+
+
+def _past_mask(d: int) -> np.ndarray:
+    """Read-only (d, d + 1) view whose [time, t] is time + t > d.
+
+    All masks are views of the one step array, which grows (at least
+    doubling) when a larger d arrives, so it stays within 4 * (largest d)
+    bytes.
+    """
+    global _PAST_STEP
+    step = _PAST_STEP  # one read, so a concurrent growth cannot split it
+    half = len(step) // 2
+    if d > half:
+        half = max(d, 2 * half)
+        step = np.arange(2 * half) > half
+        step.flags.writeable = False
+        _PAST_STEP = step
+    return np.ndarray((d, d + 1), bool, step, half - d, (1, 1))
 
 
 def brute_force_kds(

@@ -47,6 +47,10 @@ from helpers import (
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 # sha256 of `copeplan bench configs/bench.json` output (config echo + CSV)
 GOLDEN_BENCH_SHA256 = "d1e2ab847b4be70c2a6d3503be46bcd4816f9c8c561b3c3291a54da00c7c65fd"
+# sha256 of repr(PlanResult) of every shipped bench run, one line each in
+# benchmark_runs order; it sees records, happenings, reasons and unrounded
+# times, which the CSV drops or rounds
+GOLDEN_RESULTS_SHA256 = "b2cfee0ce34792f68451188dc2d64574880877fa9c8224ef8163c4e57d5d8d02"
 
 
 def config_path(name):
@@ -196,6 +200,13 @@ def test_c08_shipped_bench_matches_golden_digest(shipped_bench):
             + rows_to_csv([row for row, _, _ in runs]))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_BENCH_SHA256
     print("PASS golden digest: shipped benchmark table unchanged")
+
+
+def test_c08_shipped_plan_results_match_golden_digest(shipped_bench):
+    _, runs = shipped_bench
+    text = "".join(repr(res) + "\n" for _, _, res in runs)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_RESULTS_SHA256
+    print(f"PASS golden digest: all {len(runs)} shipped plan results unchanged")
 
 
 def test_c09_dispatch_advantage_trend(shipped_bench):

@@ -2,6 +2,8 @@ import glob
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,7 @@ from copeplan.harness import GeneratorParams, generate_instance
 from copeplan.planner import Task
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def path(name):
@@ -22,6 +25,16 @@ def test_solve_kds_worked_instance(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "value 1.0000000"
     assert out[1].startswith("block process ")
+
+
+def test_module_runs_from_a_checkout():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "copeplan", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
+    assert "bench" in done.stdout
 
 
 def _kds_document(tmp_path, text):
@@ -245,9 +258,28 @@ _BENCH_DOC = ('{"format": "bench", "version": 1, "speeds": [100.0], '
     (["bench"], {}, '"t_wait": 2.5, "generator": {"goals": 1}}'),
     (["bench"], {}, '"generator": {"goals": true, "width": 1}}'),
     (["bench"], {}, '"generator": {"goals": 1, "width": 1.5}}'),
+    (["bench"], {}, '"dt": true, "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"dt": "0.2", "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"dt": NaN, "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"dt": null, "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"sft": true, "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"sft": Infinity, "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"generator": {"goals": 1, "width": 1, "tau": true}}'),
+    (["bench"], {}, '"generator": {"goals": 1, "width": 1, "tau": Infinity}}'),
+    (["bench"], {}, '"generator": {"goals": 1, "width": 1, "tau": 1e400}}'),
+    (["bench"], {}, '"generator": {"goals": 1, "width": 1, "duration_range": [true, 3]}}'),
+    (["bench"], {}, '"generator": {"goals": 1, "width": 1, "duration_range": [1, "3"]}}'),
+    (["bench"], {}, '"generator": {"goals": 1, "width": 1, "duration_range": [1]}}'),
+    (["bench"], {}, '"generator": {"goals": 1, "width": 1, "duration_range": "13"}}'),
+    (["bench"], {}, '"frontier_min_1": "yes", "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"sft_1": 1, "generator": {"goals": 1, "width": 1}}'),
 ], ids=["plan-dt", "plan-dt-nan", "plan-speed-inf", "plan-env-mode", "bench-dt",
         "bench-seed", "bench-instances", "bench-budget", "bench-t-wait",
-        "bench-goals", "bench-width"])
+        "bench-goals", "bench-width", "bench-dt-bool", "bench-dt-string",
+        "bench-dt-nan", "bench-dt-null", "bench-sft-bool", "bench-sft-inf",
+        "bench-tau-bool", "bench-tau-inf", "bench-tau-overflow",
+        "bench-duration-bool", "bench-duration-string", "bench-duration-short",
+        "bench-duration-text", "bench-frontier-string", "bench-sft1-number"])
 def test_bad_settings_exit_2(tmp_path, capsys, monkeypatch, argv, env, doc):
     for name, value in env.items():
         monkeypatch.setenv(name, value)

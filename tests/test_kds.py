@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from copeplan import kds
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import (
     Block,
@@ -151,3 +154,35 @@ def test_dp_with_start_time_matches_brute_force():
         assert solve_kds_dp(inst, start).value == pytest.approx(
             brute_force_kds(inst, start), abs=1e-9
         )
+
+
+def test_dp_memo_computes_each_shared_layer_once():
+    tail = [KdsProcess(DiscreteDistribution.uniform([2, 5]), 8),
+            KdsProcess(DiscreteDistribution.uniform([1, 9]), 10)]
+    a = KdsInstance([KdsProcess(DiscreteDistribution.uniform([1, 3]), 4)] + tail, 10)
+    # a measured first process: only its own layer differs
+    b = KdsInstance([KdsProcess(DiscreteDistribution.delta(2), 4)] + tail, 10)
+    memo = {}
+    with mock.patch.object(kds, "_solve_layer", wraps=kds._solve_layer) as layer:
+        first = solve_kds_dp(a, memo=memo)
+        assert layer.call_count == 3
+        solve_kds_dp(b, memo=memo)
+        assert layer.call_count == 4
+        again = solve_kds_dp(a, memo=memo)
+        assert layer.call_count == 4
+        later = solve_kds_dp(a, 2, memo=memo)
+        assert layer.call_count == 4
+    assert len(memo) == 4
+    assert (again.value, again.blocks) == (first.value, first.blocks)
+    assert (later.value, later.blocks) == (solve_kds_dp(a, 2).value, solve_kds_dp(a, 2).blocks)
+
+
+def test_past_masks_are_views_of_one_bounded_step_array():
+    with mock.patch.object(kds, "_PAST_STEP", np.zeros(0, dtype=bool)):
+        for d in (1, 3, 2, 40, 7, 41):
+            mask = kds._past_mask(d)
+            time, t = np.indices((d, d + 1))
+            assert mask.tolist() == (time + t > d).tolist()
+            assert not mask.flags.writeable
+            assert mask.base is kds._PAST_STEP
+            assert kds._PAST_STEP.nbytes <= 4 * 41

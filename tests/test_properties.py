@@ -3,11 +3,14 @@
 The unit suites sample these invariants with fixed seeds; here hypothesis
 searches for counterexamples: the KDS dynamic program against the
 brute-force oracle at its largest admitted sizes and against its loop form
-bit for bit, and the incremental temporal network (both its persistent
-growth and probe) against the from-scratch Floyd-Warshall recompute.
+bit for bit, also when families of instances share one layer memo, and the
+incremental temporal network (both its persistent growth and probe) against
+the from-scratch Floyd-Warshall recompute.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels
-from copeplan import kds
+from copeplan import cope, copem, kds
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import (
     BRUTE_FORCE_MAX_N,
@@ -103,6 +106,12 @@ SEAM_CASE = (
 )
 
 
+def _assert_same_solution(sol, ref):
+    assert sol.value == ref.value
+    assert math.copysign(1.0, sol.value) == math.copysign(1.0, ref.value)
+    assert sol.blocks == ref.blocks
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(dp_cases())
 @example(SEAM_CASE)
@@ -112,10 +121,80 @@ def test_dp_layers_match_the_loop_reference_bit_for_bit(case):
     inst, start, chunk = case
     with mock.patch.object(kds, "_CHUNK", chunk):
         sol = solve_kds_dp(inst, start)
-    ref = reference_kernels.solve_kds_dp(inst, start)
-    assert sol.value == ref.value
-    assert math.copysign(1.0, sol.value) == math.copysign(1.0, ref.value)
-    assert sol.blocks == ref.blocks
+    _assert_same_solution(sol, reference_kernels.solve_kds_dp(inst, start))
+
+
+@st.composite
+def dp_families(draw):
+    """([(instance, start_time)], row-block size): a first instance, then
+    variants of earlier members that keep most (deadline, index) suffixes.
+    A variant swaps one profile for a point mass, as a measurement does,
+    moves one deadline, as a commitment does, repeats a member, or widens
+    the horizon by one, which must share no layer."""
+    first, _, chunk = draw(dp_cases())
+    family = [first]
+    for _ in range(draw(st.integers(1, 5))):
+        base = draw(st.sampled_from(family))
+        procs = list(base.processes)
+        horizon = base.horizon
+        kind = draw(st.sampled_from(("delta", "deadline", "repeat", "horizon")))
+        if procs and kind in ("delta", "deadline"):
+            j = draw(st.integers(0, len(procs) - 1))
+            if kind == "delta":
+                procs[j] = KdsProcess(DiscreteDistribution.delta(draw(st.integers(0, horizon + 2))),
+                                      procs[j].deadline)
+            else:
+                procs[j] = KdsProcess(procs[j].profile,
+                                      draw(st.one_of(st.just(0), _up_to(horizon))))
+        elif kind == "horizon":
+            horizon += 1
+        family.append(KdsInstance(procs, horizon))
+    return [(inst, draw(st.integers(0, inst.horizon + 2))) for inst in family], chunk
+
+
+MEMO_SEAM_FAMILY = (
+    [(SEAM_CASE[0], 1),
+     (KdsInstance([KdsProcess(DiscreteDistribution.delta(2), 40)] + SEAM_CASE[0].processes[1:],
+                  DP_MAX_T), 0),
+     (SEAM_CASE[0], 3)],
+    SEAM_CASE[2],
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dp_families())
+@example(MEMO_SEAM_FAMILY)
+@pytest.mark.filterwarnings("error")
+def test_dp_layers_shared_through_one_memo_match_the_loop_reference(family):
+    cases, chunk = family
+    memo = {}
+    with mock.patch.object(kds, "_CHUNK", chunk):
+        for inst, start in cases:
+            sol = solve_kds_dp(inst, start, memo=memo)
+            _assert_same_solution(sol, reference_kernels.solve_kds_dp(inst, start))
+
+
+def _abstract_instances(seed):
+    """The benchmark's seeded solve_abstract instances, [(kind, index, instance)]."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "abstract.py"
+    spec = importlib.util.spec_from_file_location("perfbench_abstract", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_instances(seed)
+
+
+def test_abstract_solvers_print_the_same_with_and_without_the_memo():
+    def memoless(instance, start_time=0, *, memo=None):
+        return kds.solve_kds_dp(instance, start_time)
+
+    solvers = {"kidcope": cope.solve_kidcope, "copem": copem.solve11}
+    cases = [(kind, inst) for kind, _, inst in _abstract_instances(1) if kind in solvers]
+    assert len(cases) == 48
+    shared = [repr(solvers[kind](inst)) for kind, inst in cases]
+    with mock.patch.object(cope, "solve_kds_dp", memoless), \
+            mock.patch.object(copem, "solve_kds_dp", memoless):
+        alone = [repr(solvers[kind](inst)) for kind, inst in cases]
+    assert shared == alone
 
 
 @st.composite
