@@ -43,15 +43,12 @@ def _number(value, where):
     """value as a finite float. Booleans, non-numbers, NaN and infinities
     (which Python's JSON reader accepts) and integers too large for a float
     raise FormatError."""
-    finite = not isinstance(value, bool) and isinstance(value, (int, float))
-    if finite:
-        try:
-            value = float(value)
-        except OverflowError:
-            finite = False
-    if not (finite and math.isfinite(value)):
-        raise FormatError(f"{where}: expected a finite number, got {value!r}")
-    return value
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise FormatError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _flag(value, where):

@@ -173,8 +173,9 @@ def test_dp_memo_computes_each_shared_layer_once():
         later = solve_kds_dp(a, 2, memo=memo)
         assert layer.call_count == 4
     assert len(memo) == 4
+    alone = solve_kds_dp(a, 2)
     assert (again.value, again.blocks) == (first.value, first.blocks)
-    assert (later.value, later.blocks) == (solve_kds_dp(a, 2).value, solve_kds_dp(a, 2).blocks)
+    assert (later.value, later.blocks) == (alone.value, alone.blocks)
 
 
 def test_past_masks_are_views_of_one_bounded_step_array():
