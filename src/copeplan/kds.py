@@ -172,7 +172,11 @@ def _solve_layer(cum: np.ndarray, d: int, row: np.ndarray, out: np.ndarray,
         return
     lf = np.empty(d + 1)
     m = min(d, len(cum) - 1) + 1
-    lf[:m] = [_log_failure(s) for s in cum[:m].tolist()]
+    # cum never decreases, so the cells below 1.0 come first and the rest
+    # are sure successes: _log_failure of each cell, without a call per cell
+    j = int(np.searchsorted(cum[:m], 1.0))
+    lf[:j] = list(map(math.log1p, (-cum[:j]).tolist()))
+    lf[j:m] = -math.inf
     lf[m:] = lf[m - 1]
     # row[time + t] for time < d, t <= d; cells past row[d] are masked, so
     # the pad only has to be finite (inf would meet -inf in lf)

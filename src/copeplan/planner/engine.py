@@ -9,13 +9,20 @@ now beats deliberating in estimated success probability, and pins its time
 into every surviving node. The "nodisp" rule never commits, so the plan is
 scheduled only once a goal node survives a feasibility check at the time the
 search actually finished.
+
+Scoring reads what the loop already knows. Each node carries the suffix
+minima of its start tmaxes, so latest_start is a lookup. run_search keeps one
+memo per burst that maps h to a _Scores: the completion profile, its
+expected effort, q_known's whole-support tables and lpf's values by success
+index. Step pos is event pos + 1 of a node's network, which a node builds
+only when something reads it: an expansion, _pin, _try_finish or
+_apply_dispatch.
 """
 
 import math
 from dataclasses import dataclass
 
 from ..dda import DdaParams, lpf
-from ..stn import ORIGIN
 from .search import (
     INF,
     SearchStats,
@@ -26,6 +33,7 @@ from .search import (
     latest_start,
     make_root,
     q_known,
+    q_tables,
     tighten,
 )
 
@@ -63,13 +71,26 @@ class PlanResult:
     reason: str = ""
 
 
+class _Scores:
+    """The completion profile of nodes at one h, its expected effort e, and
+    what scoring reads of it: q_known's tables, built on first use, and
+    lpf's value by the clipped success index it reads."""
+
+    __slots__ = ("profile", "e", "tables", "lpf")
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.e = max(1, round(profile.mean()))
+        self.tables = None
+        self.lpf = {}
+
+
 def _profile(nd, stats, profiles):
-    """(completion profile, expected effort e) for nodes at nd.h, memoised in
-    `profiles` until the search statistics next change."""
+    """The _Scores for nodes at nd.h, memoised in `profiles` until the search
+    statistics next change."""
     entry = profiles.get(nd.h)
     if entry is None:
-        prof = estimate_completion(nd, stats)
-        entry = profiles[nd.h] = (prof, max(1, round(prof.mean())))
+        entry = profiles[nd.h] = _Scores(estimate_completion(nd, stats))
     return entry
 
 
@@ -81,8 +102,10 @@ def _argmax_q(pool, m, t_now, speed, stats, dda, profiles):
         d = deadline_steps(latest_start(nd, m), t_now, speed)
         q = q_cache.get((nd.h, d))
         if q is None:
-            q = q_known(_profile(nd, stats, profiles)[0], d, dda)
-            q_cache[(nd.h, d)] = q
+            entry = _profile(nd, stats, profiles)
+            if entry.tables is None:
+                entry.tables = q_tables(entry.profile)
+            q = q_cache[(nd.h, d)] = q_known(entry.profile, d, dda, entry.tables)
         if best is None or q > best_q or (q == best_q and nd.generation_tick < best.generation_tick):
             best = nd
             best_q = q
@@ -118,15 +141,23 @@ def _chain_log_failure(nodes, c, t_b, t_now, speed, stats, profiles):
     """Joint log failure of finishing every node's subtree before its window.
 
     Nodes are charged sequentially: each one waits for the expected effort of
-    those before it plus its own before its success is evaluated.
+    those before it plus its own before its success is evaluated. lpf reads
+    the running sum at min(e, d - 1 - offset), so its value is kept by that
+    index; below 0 it would add log(1.0) = 0.0.
     """
     total = 0.0
     offset = t_b
     for nd in nodes:
-        prof, e = _profile(nd, stats, profiles)
+        entry = _profile(nd, stats, profiles)
+        e = entry.e
         offset += e
         d = deadline_steps(latest_start(nd, c), t_now, speed)
-        total += lpf(prof, d, e, offset)
+        i = min(e, d - 1 - offset)
+        if i >= 0:
+            value = entry.lpf.get(i)
+            if value is None:
+                value = entry.lpf[i] = lpf(entry.profile, d, e, offset)
+            total += value
     return total
 
 
@@ -172,11 +203,11 @@ MODES = {"disp": "_decide", "nodisp": "_never_commit"}
 
 def _pin(task, node, pos, when):
     """Fix t(step pos) = when in the node's network; None if that breaks it."""
-    origin, ev = node.stn.index[ORIGIN], node.stn.index[f"s{pos}"]
-    stn = node.stn.extend((), [(origin, ev, when), (ev, origin, -when)])
+    ev = pos + 1
+    stn = node.stn.extend((), [(0, ev, when), (ev, 0, -when)])
     if not stn.consistent:
         return None
-    node.stn = stn
+    node.base = stn
     if not tighten(task, node):
         return None
     return node
@@ -200,7 +231,7 @@ def _apply_dispatch(task, step, executed, open_list, memo, pruned_dups, t_now, r
     """Commit `step` as the next executed happening and reconcile all state."""
     m = len(executed)
     matching = [nd for nd in open_list if len(nd.prefix) > m and nd.prefix[m] == step]
-    when = max(t_now, float(min(nd.stn.tmin(f"s{m}") for nd in matching)))
+    when = max(t_now, float(min(-nd.stn.dist[m + 1, 0] for nd in matching)))
     records.append((t_now, step[1], when))
     open_list[:] = _commit(task, matching, executed, step, when)
 
@@ -262,15 +293,14 @@ def _auto_advance(task, executed, open_list, t_now):
 
 def _try_finish(task, node, executed, records, stats, t_now):
     """Schedule the whole plan; starts not yet committed may not predate now."""
-    index = node.stn.index
     m = len(executed)
     stn = node.stn.extend((), [
-        (index[f"s{pos}"], index[ORIGIN], -t_now)
+        (pos + 1, 0, -t_now)
         for pos, step in enumerate(node.prefix) if pos >= m and step[0] == "start"
     ])
     if not stn.consistent:
         return None
-    times = {pos: float(stn.tmin(f"s{pos}")) for pos in range(len(node.prefix))}
+    times = {pos: float(-stn.dist[pos + 1, 0]) for pos in range(len(node.prefix))}
     recs = list(records)
     happenings = []
     for pos, step in enumerate(node.prefix):
@@ -316,8 +346,8 @@ def run_search(task, mode="nodisp", speed=100.0, dispatch_params=None,
     counts = {}
     memo = {nd.key(): nd.prefix for nd in open_list}
     pruned_dups = {}
-    # completion profiles by h; they depend only on `stats`, which changes
-    # only inside _burst
+    # _Scores by h; they depend only on `stats`, which changes only inside
+    # _burst
     profiles = {}
     focus_step = None
 

@@ -7,6 +7,12 @@ order always agree. Remaining work is estimated by a delete-relaxed pass
 whose extracted action chain is also probed against the node's network (as
 tentative events that Stn.probe never adds to it) to tighten the latest
 feasible start of each pending step.
+
+Events are positional: a network holds the origin, then one event per step
+in prefix order, so step pos is event pos + 1. A generated child keeps its
+parent's network and its own edges; tighten probes them together with the
+chain in one call, and the child builds its own network (SearchNode.stn)
+only when something reads it. Most children are never read.
 """
 
 import math
@@ -16,7 +22,7 @@ import numpy as np
 
 from ..dda import FAILURE_FLOOR, DdaParams
 from ..dist import DiscreteDistribution
-from ..stn import EPSILON_SEPARATION, ORIGIN, Stn
+from ..stn import EPSILON_SEPARATION, Stn
 from .task import apply_end, apply_start
 
 INF = math.inf
@@ -63,19 +69,33 @@ class SearchStats:
         return math.sqrt(self.err_m2 / self.err_count)
 
 
-# distinct nodes never share a network, so identity is node equality, and
-# list.remove on the open list and the frontier need not compare fields
+# distinct nodes are distinct search states, so identity is node equality,
+# and list.remove on the open list and the frontier need not compare fields
 @dataclass(eq=False)
 class SearchNode:
+    """`base` is the node's network, or its parent's while `edges` holds the
+    node's own (u, v, b) edges over it; `stn` builds the network on first
+    read. `start_tmaxes` holds (pos, tmax) per start step and `latest[c]`
+    the least of them at a position >= c."""
+
     prefix: tuple
     props: frozenset
     opens: tuple
     til_count: int
-    stn: Stn
+    base: Stn
     h: float
     chain: tuple
     generation_tick: int
+    edges: tuple = None
     start_tmaxes: tuple = ()
+    latest: list = ()
+
+    @property
+    def stn(self) -> Stn:
+        if self.edges is not None:
+            self.base = self.base.extend((f"s{len(self.prefix) - 1}",), self.edges)
+            self.edges = None
+        return self.base
 
     def key(self):
         return (self.props, self.opens, self.til_count)
@@ -87,8 +107,7 @@ def latest_start(node: SearchNode, c: int) -> float:
     Positions below c count as committed. Infinity when nothing at or past c
     needs a start decision.
     """
-    vals = [tm for pos, tm in node.start_tmaxes if pos >= c]
-    return min(vals) if vals else INF
+    return node.latest[c] if c < len(node.latest) else INF
 
 
 def relaxed_plan(task, props, opens, til_count):
@@ -155,19 +174,18 @@ def tighten(task, node: SearchNode):
 
     The chain actions are laid out sequentially after the last step, bounded
     by upcoming timed deletions of their conditions (and of goal facts); open
-    intervals bound the chain's finish from below. The chain is only probed
-    (Stn.probe), never added to the node's network; the probe's origin row
-    gives the prefix tmax values. Returns False when even the optimistic
-    chain cannot fit, which callers treat as a dead end.
+    intervals bound the chain's finish from below. One Stn.probe of the base
+    network takes the node's pending edges and then the chain, which is
+    never added to any network; the probe's origin row gives the prefix tmax
+    values. Returns False when the node's own edges, or even the optimistic
+    chain after them, cannot fit, which callers treat as a dead end.
     """
-    stn = node.stn
-    index = stn.index
+    base = node.base
+    edges = list(node.edges or ())
     eps = EPSILON_SEPARATION
     future = task.tils[node.til_count:]
-    origin = index[ORIGIN]
-    last = index[f"s{len(node.prefix) - 1}"] if node.prefix else origin
-    ev = len(stn.events)
-    edges = []
+    last = len(node.prefix)
+    ev = last + 1
     for a in node.chain:
         edges.append((ev, last, -eps))
         bound = INF
@@ -178,7 +196,7 @@ def tighten(task, node: SearchNode):
                     cut = lit.time - a.duration
                 bound = min(bound, cut)
         if bound < INF:
-            edges.append((origin, ev, bound))
+            edges.append((0, ev, bound))
         edges.append((ev + 1, ev, -a.duration))
         last = ev + 1
         ev += 2
@@ -189,26 +207,38 @@ def tighten(task, node: SearchNode):
     if node.opens or goal_cut < INF:
         edges.append((ev, last, 0.0))
         for name, pos in node.opens:
-            edges.append((ev, index[f"s{pos}"], -task.by_name[name].duration))
+            edges.append((ev, pos + 1, -task.by_name[name].duration))
         if goal_cut < INF:
-            edges.append((origin, ev, goal_cut))
+            edges.append((0, ev, goal_cut))
         ev += 1
-    tmax = stn.probe(ev - len(stn.events), edges)
+    tmax = base.probe(ev - len(base.events), edges)
     if tmax is None:
         return False
-    node.start_tmaxes = tuple(
-        (pos, tmax[index[f"s{pos}"]])
-        for pos, step in enumerate(node.prefix)
-        if step[0] == "start"
-    )
+    tmax = tmax.tolist()
+    # suffix minima of the start tmaxes; of equal values the earlier is
+    # kept, as min over the list in position order would
+    latest = [INF] * (len(node.prefix) + 1)
+    starts = []
+    low = INF
+    for pos in range(len(node.prefix) - 1, -1, -1):
+        if node.prefix[pos][0] == "start":
+            tm = tmax[pos + 1]
+            starts.append((pos, tm))
+            if tm <= low:
+                low = tm
+        latest[pos] = low
+    node.start_tmaxes = tuple(reversed(starts))
+    node.latest = latest
     return True
 
 
 def make_child(task, parent: SearchNode, step, tick: int):
-    """Apply one snap step; None when conditions or time make it impossible."""
+    """Apply one snap step; None when conditions or time make it impossible.
+
+    The child's event is k + 1 for a prefix of length k, and its edges wait
+    in `edges` until tighten probes them or the child's network is read."""
     eps = EPSILON_SEPARATION
     k = len(parent.prefix)
-    ev = f"s{k}"
     til_count = parent.til_count
     if step[0] == "start":
         a = task.by_name[step[1]]
@@ -231,22 +261,17 @@ def make_child(task, parent: SearchNode, step, tick: int):
         if not task.by_name[name].cond_over <= props:
             return None
 
-    index = parent.stn.index
-    origin = index[ORIGIN]
-    new = len(parent.stn.events)
-    edges = [(new, index[f"s{k - 1}"], -eps)] if k > 0 else []
+    new = k + 1
+    edges = [(new, k, -eps)] if k > 0 else []
     if step[0] == "end":
-        start = index[f"s{step[2]}"]
+        start = step[2] + 1
         a = task.by_name[step[1]]
         edges += [(start, new, a.duration), (new, start, -a.duration)]
     elif step[0] == "til":
         t = task.tils[step[1]].time
-        edges += [(origin, new, t), (new, origin, -t)]
+        edges += [(0, new, t), (new, 0, -t)]
     if step[0] != "til" and til_count < len(task.tils):
-        edges.append((origin, new, task.tils[til_count].time - eps))
-    stn = parent.stn.extend((ev,), edges)
-    if not stn.consistent:
-        return None
+        edges.append((0, new, task.tils[til_count].time - eps))
 
     chain = relaxed_plan(task, props, opens, til_count)
     if chain is None:
@@ -257,10 +282,11 @@ def make_child(task, parent: SearchNode, step, tick: int):
         props=props,
         opens=opens,
         til_count=til_count,
-        stn=stn,
+        base=parent.stn,
         h=float(h),
         chain=tuple(chain),
         generation_tick=tick,
+        edges=tuple(edges),
     )
     if not tighten(task, node):
         return None
@@ -298,7 +324,7 @@ def make_root(task):
         props=props,
         opens=(),
         til_count=0,
-        stn=Stn(),
+        base=Stn(),
         h=float(2 * len(chain)),
         chain=tuple(chain),
         generation_tick=0,
@@ -372,20 +398,28 @@ def deadline_steps(latest: float, t_now: float, speed: float) -> int:
     return int(math.floor(budget)) + 1
 
 
-def q_known(profile: DiscreteDistribution, d: int, params: DdaParams) -> float:
+def q_tables(profile: DiscreteDistribution):
+    """q_known's tables over the profile's whole support: the log-failure of
+    each running sum, and the running least rate log_fail[t] / t over
+    t = 1..k at index k - 1."""
+    log_fail = np.log(np.maximum(1.0 - profile.cum, FAILURE_FLOOR))
+    best_rate = np.minimum.accumulate(log_fail[1:] / np.arange(1, len(log_fail)))
+    return log_fail, best_rate
+
+
+def q_known(profile: DiscreteDistribution, d: int, params: DdaParams,
+            tables=None) -> float:
     """Urgency of a process against a fixed deadline d expansion-steps away.
 
-    Vectorized replica of the reference scoring (same floats): success after
-    t units starting at offset t_b is the profile's running sum at
-    min(t, d-1-t_b). Each term is the least log-failure rate over t; both
-    terms read one table of log-failures and its running minimum of rates.
+    Replica of the reference scoring (same floats): success after t units
+    starting at offset t_b is the profile's running sum at min(t, d-1-t_b).
+    Each term is the least log-failure rate over t, read from q_tables (pass
+    them as `tables` to reuse them across d). Every cell is elementwise or a
+    prefix minimum, so a term reads the same floats from the whole-support
+    tables as from tables cut at d.
     """
-    cum = profile.cum
-    support = len(cum) - 1
-    m = min(max(d - 1, 0), support)
-    log_fail = np.log(np.maximum(1.0 - cum[: m + 1], FAILURE_FLOOR))
-    # best_rate[k-1]: least log_fail[t] / t over t = 1..k
-    best_rate = np.minimum.accumulate(log_fail[1:] / np.arange(1, m + 1))
+    log_fail, best_rate = q_tables(profile) if tables is None else tables
+    support = len(log_fail) - 1
 
     def term(t_b: int) -> float:
         cap = d - t_b

@@ -1,7 +1,10 @@
 """Straightforward forms of vectorised kernels, kept as exact references:
 the temporal network's growth in copeplan.stn, the planner's per-node
 kernels in copeplan.planner.search (with the relaxed plan's set algebra
-rebuilt on every test) and the KDS dynamic program in copeplan.kds.
+rebuilt on every test, and child networks grown eagerly by event name), the
+decision cycle's scoring in copeplan.planner.engine (every quantity
+recomputed per node and per call) and the KDS dynamic program in
+copeplan.kds.
 
 Each returns the same floats as the kernel it mirrors, so tests compare them
 with ==, not with a tolerance.
@@ -11,10 +14,14 @@ import math
 
 import numpy as np
 
-from copeplan.dda import FAILURE_FLOOR
+from copeplan.dda import FAILURE_FLOOR, lpf
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import Block, KdsSolution, success_prob
-from copeplan.planner.search import ESTIMATE_SUPPORT_CAP
+from copeplan.planner.search import (
+    ESTIMATE_SUPPORT_CAP,
+    deadline_steps,
+    estimate_completion,
+)
 from copeplan.stn import EPSILON_SEPARATION, ORIGIN, Stn
 
 INF = math.inf
@@ -71,6 +78,34 @@ def grow(stn, names, edges):
         stn = add_event(stn, name)
     for u, v, b in edges:
         stn = add_constraint(stn, stn.events[u], stn.events[v], b)
+    return stn
+
+
+def extend_then_probe(parent, name, child_edges, n_chain, chain_edges):
+    """Grow the child's network with its event and edges, then probe it with
+    the chain: what tighten did before children kept their edges pending."""
+    return parent.extend((name,), child_edges).probe(n_chain, chain_edges)
+
+
+def child_network(task, parent_stn, k, step, til_count):
+    """The network of the child that appends `step` at position k, grown one
+    event or edge at a time with every event looked up by name."""
+    eps = EPSILON_SEPARATION
+    ev = f"s{k}"
+    stn = add_event(parent_stn, ev)
+    if k > 0:
+        stn = add_constraint(stn, ev, f"s{k - 1}", -eps)
+    if step[0] == "end":
+        start = f"s{step[2]}"
+        a = task.by_name[step[1]]
+        stn = add_constraint(stn, start, ev, a.duration)
+        stn = add_constraint(stn, ev, start, -a.duration)
+    elif step[0] == "til":
+        t = task.tils[step[1]].time
+        stn = add_constraint(stn, ORIGIN, ev, t)
+        stn = add_constraint(stn, ev, ORIGIN, -t)
+    if step[0] != "til" and til_count < len(task.tils):
+        stn = add_constraint(stn, ORIGIN, ev, task.tils[til_count].time - eps)
     return stn
 
 
@@ -217,6 +252,101 @@ def q_known(profile, d, params):
         return float(ratios[int(np.argmin(ratios))])
 
     return params.gamma * term(params.t_u) - term(0)
+
+
+def q_known_cut(profile, d, params):
+    """search.q_known building both of its tables, cut at d, on every call."""
+    cum = profile.cum
+    support = len(cum) - 1
+    m = min(max(d - 1, 0), support)
+    log_fail = np.log(np.maximum(1.0 - cum[: m + 1], FAILURE_FLOOR))
+    best_rate = np.minimum.accumulate(log_fail[1:] / np.arange(1, m + 1))
+
+    def term(t_b):
+        cap = d - t_b
+        if cap < 1:
+            return 0.0
+        if support == 0:
+            return float(log_fail[0])
+        k = min(support, cap - 1)
+        best = best_rate[k - 1] if k >= 1 else INF
+        if cap <= support:
+            best = min(best, log_fail[cap - 1] / cap)
+        return float(best)
+
+    return params.gamma * term(params.t_u) - term(0)
+
+
+def latest_start(node, c):
+    """The least start tmax at a position >= c, from a fresh list."""
+    vals = [tm for pos, tm in node.start_tmaxes if pos >= c]
+    return min(vals) if vals else INF
+
+
+def _scores(nd, stats, profiles):
+    if nd.h not in profiles:
+        prof = estimate_completion(nd, stats)
+        profiles[nd.h] = (prof, max(1, round(prof.mean())))
+    return profiles[nd.h]
+
+
+def chain_log_failure(nodes, c, t_b, t_now, speed, stats):
+    """engine._chain_log_failure with one lpf call per node."""
+    profiles = {}
+    total = 0.0
+    offset = t_b
+    for nd in nodes:
+        prof, e = _scores(nd, stats, profiles)
+        offset += e
+        d = deadline_steps(latest_start(nd, c), t_now, speed)
+        total += lpf(prof, d, e, offset)
+    return total
+
+
+def argmax_q(pool, m, t_now, speed, stats, dda):
+    """engine._argmax_q scoring each distinct (h, d) with q_known_cut."""
+    profiles = {}
+    q_cache = {}
+    best = None
+    best_q = -INF
+    for nd in pool:
+        d = deadline_steps(latest_start(nd, m), t_now, speed)
+        if (nd.h, d) not in q_cache:
+            q_cache[(nd.h, d)] = q_known_cut(_scores(nd, stats, profiles)[0], d, dda)
+        q = q_cache[(nd.h, d)]
+        if best is None or q > best_q or (q == best_q and nd.generation_tick < best.generation_tick):
+            best = nd
+            best_q = q
+    return best
+
+
+def decide(open_list, m, t_now, speed, stats, dparams, counts):
+    """engine._decide over chain_log_failure."""
+    p_nd = 1.0 - math.exp(chain_log_failure(open_list, m, dparams.t_wait, t_now,
+                                            speed, stats))
+    groups = {}
+    for nd in open_list:
+        if len(nd.prefix) > m and nd.prefix[m][0] == "start":
+            groups.setdefault(nd.prefix[m], []).append(nd)
+    best_disp = None
+    best_focus = None
+    for step in sorted(groups):
+        nodes = groups[step]
+        p_d = 1.0 - math.exp(chain_log_failure(nodes, m + 1, 0, t_now, speed, stats))
+        explored = (
+            counts.get((m, step), 0) >= dparams.min_subtree_expansions
+            and len(nodes) >= dparams.min_sim_open
+        )
+        if explored:
+            if best_disp is None or p_d > best_disp[1]:
+                best_disp = (step, p_d)
+        elif best_focus is None or p_d > best_focus[1]:
+            best_focus = (step, p_d)
+    if best_disp is not None and best_disp[1] > p_nd + dparams.dt:
+        return "dispatch", best_disp[0]
+    if best_focus is not None and best_focus[1] > p_nd + dparams.sft:
+        return "focus", best_focus[0]
+    return None, None
 
 
 def solve_kds_dp(instance, start_time=0):

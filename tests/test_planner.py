@@ -1,6 +1,7 @@
 import copy
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from copeplan.planner import (
 )
 from copeplan.planner import engine, search
 from copeplan.planner.engine import _apply_dispatch, _auto_advance
-from copeplan.planner.search import SearchStats, make_child
+from copeplan.planner.search import SearchStats, make_child, q_tables
 from copeplan.stn import Stn
 
 import reference_kernels
@@ -167,8 +168,11 @@ def test_q_known_matches_reference_scoring():
             q_value(profile, d, params), abs=1e-9)
 
 
-def test_q_known_matches_per_term_reference_exactly():
-    rng = np.random.default_rng(8)
+def _q_known_families(rng):
+    """(profile, sorted deadlines) for point masses, a two-atom mass,
+    lognormal estimates and sparse random masses, each with d <= 1, d around
+    and past the support, and 10**9; the deadlines are drawn lazily, so a
+    caller's own draws between profiles keep their place in rng's stream."""
     profiles = [DiscreteDistribution.delta(0), DiscreteDistribution.delta(1),
                 DiscreteDistribution.delta(7),
                 DiscreteDistribution.from_pairs([(0, 0.25), (3, 0.75)])]
@@ -179,20 +183,46 @@ def test_q_known_matches_per_term_reference_exactly():
         w = rng.random(size) * (rng.random(size) < 0.6)
         w[-1] += 1e-3
         profiles.append(DiscreteDistribution(w / w.sum()))
-    checked = 0
     for profile in profiles:
         support = profile.support_max
         ds = {-3, 0, 1, 2, support, support + 1, support + 5, 10**9}
         ds.update(int(x) for x in rng.integers(0, 2 * support + 12, size=6))
-        for d in sorted(ds):
-            for t_u in (1, 2, 4, 10, max(1, d), d + 3):
-                if t_u < 1:
-                    continue
-                params = DdaParams(t_u=t_u, gamma=float(rng.choice([1.0, 0.9, 0.37])))
+        yield profile, sorted(ds)
+
+
+def _q_params(rng, d):
+    for t_u in (1, 2, 4, 10, max(1, d), d + 3):
+        if t_u >= 1:
+            yield DdaParams(t_u=t_u, gamma=float(rng.choice([1.0, 0.9, 0.37])))
+
+
+def test_q_known_matches_per_term_reference_exactly():
+    rng = np.random.default_rng(8)
+    checked = 0
+    for profile, ds in _q_known_families(rng):
+        for d in ds:
+            for params in _q_params(rng, d):
                 assert q_known(profile, d, params) == reference_kernels.q_known(
                     profile, d, params), (profile, d, params)
                 checked += 1
     assert checked > 3000
+
+
+def test_q_known_reads_shared_tables_exactly():
+    """One profile's whole-support tables, reused for every d in ascending
+    and then descending order, give the floats of tables cut at each d and
+    of the per-term reference."""
+    rng = np.random.default_rng(8)
+    checked = 0
+    for profile, ds in _q_known_families(rng):
+        tables = q_tables(profile)
+        for d in ds + ds[::-1]:
+            for params in _q_params(rng, d):
+                got = q_known(profile, d, params, tables)
+                assert got == reference_kernels.q_known_cut(profile, d, params), (profile, d)
+                assert got == reference_kernels.q_known(profile, d, params), (profile, d)
+                checked += 1
+    assert checked > 6000
 
 
 def test_discretized_lognormal_matches_scalar_reference_exactly():
@@ -234,6 +264,13 @@ def _tighten_verdicts_against_reference(monkeypatch, tasks, dispatch_params,
         got = real(task, node)
         assert got == want
         assert node.start_tmaxes == ref.start_tmaxes
+        if got:
+            # suffix minima against the list form, also past the prefix
+            cs = range(len(node.prefix) + 3)
+            assert node.latest == [reference_kernels.latest_start(ref, c)
+                                   for c in cs[:len(node.latest)]]
+            assert [latest_start(node, c) for c in cs] == [
+                reference_kernels.latest_start(ref, c) for c in cs]
         verdicts.append(got)
         return got
 
@@ -285,6 +322,119 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
                            dispatch_params=cfg.dispatch_params(),
                            max_expansions=cfg.max_expansions)
     assert min(seen.values()) > 0
+
+
+def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
+    """On every make_child while planning shipped tasks in both modes,
+    tighten's one probe of the parent's network with the child's edges and
+    then the chain equals growing the child and probing it after, bit for
+    bit; and the network a child builds when first read equals the one grown
+    eagerly by event name, in events, dist, constraints and flag."""
+    real_make_child, real_tighten, real_probe = search.make_child, search.tighten, Stn.probe
+    pending = []
+    seen = {"probe": 0, "dead end": 0, "child": 0}
+
+    def checked_tighten(task, node):
+        if node.edges is not None:
+            pending.append(node)
+        try:
+            return real_tighten(task, node)
+        finally:
+            pending.clear()
+
+    def checked_probe(self, n_new, edges):
+        got = real_probe(self, n_new, edges)
+        if pending:
+            # popped first: the reference's own probe is not checked again
+            node = pending.pop()
+            k = len(node.edges)
+            want = reference_kernels.extend_then_probe(
+                self, f"s{len(node.prefix) - 1}", edges[:k], n_new - 1, edges[k:])
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+            seen["probe"] += 1
+            seen["dead end"] += got is None
+        return got
+
+    def checked_make_child(task, parent, step, tick):
+        parent_stn = parent.stn
+        child = real_make_child(task, parent, step, tick)
+        if child is not None:
+            want = reference_kernels.child_network(task, parent_stn, len(parent.prefix),
+                                                   step, child.til_count)
+            got = child.stn
+            assert (got.events, got.constraints, got.consistent) == (
+                want.events, want.constraints, want.consistent)
+            assert np.array_equal(got.dist, want.dist)
+            seen["child"] += 1
+        return child
+
+    monkeypatch.setattr(search, "make_child", checked_make_child)
+    monkeypatch.setattr(search, "tighten", checked_tighten)
+    monkeypatch.setattr(Stn, "probe", checked_probe)
+    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "bench.json"))
+    for task in benchmark_tasks(cfg)[:10]:
+        for mode in ("disp", "nodisp"):
+            run_search(task, mode=mode, speed=cfg.speeds[0],
+                       dispatch_params=cfg.dispatch_params(),
+                       max_expansions=cfg.max_expansions)
+    assert min(seen.values()) > 0
+
+
+def test_decisions_match_per_node_references(monkeypatch):
+    """Every _argmax_q, _chain_log_failure and _decide call while planning
+    shipped tasks in both modes at speeds 6 and 100 returns what the
+    references return, which rebuild every profile, table, suffix minimum
+    and lpf value per node and per call."""
+    argmax, chain, decide = engine._argmax_q, engine._chain_log_failure, engine._decide
+    seen = {"argmax": 0, "chain": 0, "dispatch": 0, "focus": 0, None: 0}
+
+    def checked_argmax(pool, m, t_now, speed, stats, dda, profiles):
+        got = argmax(pool, m, t_now, speed, stats, dda, profiles)
+        assert got is reference_kernels.argmax_q(pool, m, t_now, speed, stats, dda)
+        seen["argmax"] += 1
+        return got
+
+    def checked_chain(nodes, c, t_b, t_now, speed, stats, profiles):
+        got = chain(nodes, c, t_b, t_now, speed, stats, profiles)
+        assert got == reference_kernels.chain_log_failure(nodes, c, t_b, t_now, speed, stats)
+        seen["chain"] += 1
+        return got
+
+    def checked_decide(open_list, m, t_now, speed, stats, dparams, counts, profiles):
+        got = decide(open_list, m, t_now, speed, stats, dparams, counts, profiles)
+        assert got == reference_kernels.decide(open_list, m, t_now, speed, stats,
+                                               dparams, counts)
+        seen[got[0]] += 1
+        return got
+
+    monkeypatch.setattr(engine, "_argmax_q", checked_argmax)
+    monkeypatch.setattr(engine, "_chain_log_failure", checked_chain)
+    monkeypatch.setattr(engine, "_decide", checked_decide)
+    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "bench.json"))
+    for task in benchmark_tasks(cfg)[:10]:
+        for mode in ("disp", "nodisp"):
+            for speed in (6.0, 100.0):
+                run_search(task, mode=mode, speed=speed,
+                           dispatch_params=cfg.dispatch_params(),
+                           max_expansions=cfg.max_expansions)
+    assert min(seen.values()) > 0
+
+
+def test_planning_prints_nothing(capfd):
+    """Planning the demo task in either mode writes nothing to stdout or
+    stderr and raises no warning."""
+    task = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                    "configs", "demo_task.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in engine.MODES:
+            for speed in (6.0, 100.0):
+                run_search(task, mode=mode, speed=speed)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_relaxed_plan_matches_set_expression_reference(monkeypatch):

@@ -248,3 +248,33 @@ def test_probe_matches_recompute_of_the_grown_network(net, n_new, data):
     assert (row is not None) == consistent
     if consistent:
         assert row.tolist() == [tmax[e] for e in grown.events]
+
+
+@SETTINGS
+@given(networks(), st.integers(0, 4), st.data())
+def test_one_call_probe_matches_extend_then_probe(net, n_chain, data):
+    """Probing a network with a child's edges (over its events and the
+    child's) and then a chain's, in one call, equals growing the child's
+    network and probing that with the chain, bit for bit."""
+    names, edges = net
+    base = Stn()
+    for name in names:
+        base = base.add_event(name)
+    for u, v, b in edges:
+        base = base.add_constraint(u, v, b)
+    n = len(base.events)
+
+    def edge_lists(hi, max_size):
+        index = st.integers(0, hi)
+        return st.lists(
+            st.tuples(index, index, st.integers(-16, 64).map(lambda k: k / 8.0))
+            .filter(lambda e: e[0] != e[1]),
+            max_size=max_size)
+
+    child = data.draw(edge_lists(n, 4))
+    chain = data.draw(edge_lists(n + n_chain, 8))
+    got = base.probe(1 + n_chain, child + chain)
+    want = reference_kernels.extend_then_probe(base, "child", child, n_chain, chain)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
