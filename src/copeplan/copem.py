@@ -18,7 +18,6 @@ consistency checks. Instances whose profiles put no mass at 0 are unaffected.
 from dataclasses import dataclass, field
 
 from .cope import (
-    CopeProcess,
     InitiationFunction,
     reduce_to_kds,
     simulate_completion_cutoff,
@@ -120,11 +119,12 @@ def _posterior(o: int) -> DiscreteDistribution:
     return DiscreteDistribution.delta(max(o - 1, 0))
 
 
-def _with_profile(inst, j: int, profile: DiscreteDistribution) -> CopemInstance:
-    procs = list(inst.processes)
-    old = procs[j]
-    procs[j] = CopeProcess(profile, old.prefix, old.induced_deadline)
-    return CopemInstance(procs, horizon=inst.horizon)
+def _with_profile(kinst: KdsInstance, j: int, profile: DiscreteDistribution) -> KdsInstance:
+    """kinst with process j's profile swapped: its deadline stays, since
+    effective deadlines depend on the prefixes and the dispatch only."""
+    procs = list(kinst.processes)
+    procs[j] = KdsProcess(profile, procs[j].deadline)
+    return KdsInstance(procs, kinst.horizon)
 
 
 def _dispatch_f(inst, i: int | None, time: int) -> InitiationFunction:
@@ -134,15 +134,29 @@ def _dispatch_f(inst, i: int | None, time: int) -> InitiationFunction:
     return InitiationFunction(chosen_process=i, start_times={action.action_id: time})
 
 
-def _solve00_branches(
-    inst, start_time: int, memo: dict
-) -> list[tuple[int | None, float, KdsSolution]]:
-    branches = []
-    for i in [None] + [k for k, p in enumerate(inst.processes) if p.prefix]:
-        f = _dispatch_f(inst, i, start_time)
-        sol = solve_kds_dp(reduce_to_kds(inst, f), start_time, memo=memo)
-        branches.append((i, sol.value, sol))
-    return branches
+def _check_prefixes(inst) -> None:
+    """Refuse what CopemInstance refuses: the branches dispatch whole
+    one-action prefixes."""
+    CopemInstance(list(inst.processes), horizon=inst.horizon)
+
+
+def _dispatch_options(inst, time: int) -> list[tuple[int | None, KdsInstance]]:
+    """The KDS reduction of not dispatching (None), then of dispatching
+    each process with a prefix action at `time`."""
+    return [
+        (i, reduce_to_kds(inst, _dispatch_f(inst, i, time)))
+        for i in [None] + [k for k, p in enumerate(inst.processes) if p.prefix]
+    ]
+
+
+def _best_option(options, start_time: int, memo: dict):
+    """(i, value, solution) of the best option; ties keep the earliest."""
+    best = None
+    for i, kinst in options:
+        sol = solve_kds_dp(kinst, start_time, memo=memo)
+        if best is None or sol.value > best[1]:
+            best = (i, sol.value, sol)
+    return best
 
 
 def solve00(inst, start_time: int = 0) -> tuple[float, int | None]:
@@ -152,16 +166,8 @@ def solve00(inst, start_time: int = 0) -> tuple[float, int | None]:
     prefix action (dispatched at start_time), each solved exactly, and keeps
     the argmax. Ties prefer not dispatching, then the lowest process index.
     """
-    best_i, best_v, _ = _best_branch(_solve00_branches(inst, start_time, {}))
+    best_i, best_v, _ = _best_option(_dispatch_options(inst, start_time), start_time, {})
     return best_v, best_i
-
-
-def _best_branch(branches):
-    best = branches[0]
-    for b in branches[1:]:
-        if b[1] > best[1]:
-            best = b
-    return best
 
 
 def solve01(inst, dispatched: int | None) -> tuple[float, int | None]:
@@ -172,20 +178,23 @@ def solve01(inst, dispatched: int | None) -> tuple[float, int | None]:
     and the measured process (lowest index on ties). With no processes the
     value is 0 and no measurement is taken.
     """
-    return _solve01(inst, dispatched, {})
-
-
-def _solve01(inst, dispatched: int | None, memo: dict) -> tuple[float, int | None]:
     if not inst.processes:
         return 0.0, None
     f = _dispatch_f(inst, dispatched, 0)
+    _check_prefixes(inst)
+    return _best_measurement(reduce_to_kds(inst, f), {})
+
+
+def _best_measurement(kinst: KdsInstance, memo: dict) -> tuple[float, int]:
+    """(value, j) of measuring the best process j during kinst's first
+    slot; ties keep the lowest index."""
     best_j = None
     best_v = -1.0
-    for j, p in enumerate(inst.processes):
+    for j, p in enumerate(kinst.processes):
         total = 0.0
         for o, po in p.profile.pairs():
-            succ = _with_profile(inst, j, _posterior(o))
-            total += po * solve_kds_dp(reduce_to_kds(succ, f), 1, memo=memo).value
+            total += po * solve_kds_dp(_with_profile(kinst, j, _posterior(o)), 1,
+                                       memo=memo).value
         if total > best_v:
             best_v, best_j = total, j
     return best_v, best_j
@@ -201,37 +210,38 @@ def solve11(inst) -> MetaPolicy:
     branch replaces the incumbent only on strict improvement, so ties prefer
     measuring first and lower indices.
 
-    One layer memo serves every DP solve of the call: the branches change
-    one profile or one deadline, so they share most DP layers, and each
-    dispatch-first table re-solves instances that `solve01` already solved.
+    Each dispatch option is reduced to KDS once, and every observation
+    swaps its posterior into that reduction. One layer memo serves every DP
+    solve of the call: the branches change one profile or one deadline, so
+    they share most DP layers, and each dispatch-first table re-solves
+    instances that the dispatch-first measurement already solved.
     """
     if not inst.processes:
         raise ValueError("empty instance")
+    _check_prefixes(inst)
     memo: dict = {}
     branch_values: dict[tuple, float] = {}
     best = None  # (value, first_step, compute_after, table)
 
+    later = _dispatch_options(inst, 1)
     for j, p in enumerate(inst.processes):
         total = 0.0
         table = {}
         for o, po in p.profile.pairs():
-            succ = _with_profile(inst, j, _posterior(o))
-            bi, bv, bsol = _best_branch(_solve00_branches(succ, 1, memo))
+            post = _posterior(o)
+            measured = [(i, _with_profile(kinst, j, post)) for i, kinst in later]
+            bi, bv, bsol = _best_option(measured, 1, memo)
             total += po * bv
             table[o] = BranchOutcome(bv, bi, bsol)
         branch_values[("compute", j)] = total
         if best is None or total > best[0]:
             best = (total, ("compute", j), None, table)
 
-    for i, p in enumerate(inst.processes):
-        if not p.prefix:
-            continue
-        f = _dispatch_f(inst, i, 0)
-        value, best_j = _solve01(inst, i, memo)
+    for i, kinst in _dispatch_options(inst, 0)[1:]:
+        value, best_j = _best_measurement(kinst, memo)
         table = {}
-        for o, po in inst.processes[best_j].profile.pairs():
-            succ = _with_profile(inst, best_j, _posterior(o))
-            sol = solve_kds_dp(reduce_to_kds(succ, f), 1, memo=memo)
+        for o, _ in kinst.processes[best_j].profile.pairs():
+            sol = solve_kds_dp(_with_profile(kinst, best_j, _posterior(o)), 1, memo=memo)
             table[o] = BranchOutcome(sol.value, None, sol)
         branch_values[("dispatch", i)] = value
         if value > best[0]:

@@ -79,10 +79,8 @@ def _simulate_meta(inst, policy, samples, rng):
         if not mask.any():
             continue
         disp = branch.dispatch if first[0] == "compute" else dispatched
-        reduced = reduce_to_kds(
-            _with_profile(inst, measured, _posterior(o)),
-            _dispatch_f(inst, disp, disp_time),
-        )
+        reduced = _with_profile(reduce_to_kds(inst, _dispatch_f(inst, disp, disp_time)),
+                                measured, _posterior(o))
         # measurement pins the measured process's remaining time exactly
         branch_draws = list(draws)
         branch_draws[measured] = np.full(samples, max(o - 1, 0))

@@ -24,6 +24,10 @@ from .dist import DiscreteDistribution
 BRUTE_FORCE_MAX_N = 4
 BRUTE_FORCE_MAX_T = 12
 _CHUNK = 1 << 17
+# runs of fewer change points are scanned a column at a time: a block's
+# fixed cost is about that of four one-column scans at the benchmark's
+# deadlines (up to 300)
+_BLOCK_RUN = 4
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,11 @@ def solve_kds_dp(
     the state is (next process, current time) and the choice is the block
     length t. Failure probabilities are accumulated in log space, and the
     value is 0.0 - expm1(log failure), so an optimum of 0 prints as +0.0.
-    `np.argmin` returns the first minimum, so ties between equal-value block
-    lengths prefer the shortest. `_solve_layer` says how one layer is solved.
+    Ties between equal-value block lengths prefer the shortest, as
+    `np.argmin` over every length would. A layer reads only the lengths
+    where the profile's running sum changes, so it costs about d times
+    their number rather than d squared; `_solve_layer` says why that is
+    exact.
 
     Layer k (the best log failure and block length of processes order[k:]
     at every start time) is a function of T and of the running sums and
@@ -156,67 +163,107 @@ def _solve_layer(cum: np.ndarray, d: int, row: np.ndarray, out: np.ndarray,
     """Fill out[time] and best_t[time] for a process with running sum `cum`
     and deadline d, ahead of the next layer `row`.
 
-    `lf[t]` is the log failure of a block of length t, read once from the
-    running sum. At a time at or past the deadline only t = 0 is allowed, and
-    it adds log1p(-0.0) = -0.0. Before d, the candidate for (time, t) is
-    lf[t] + row[time + t]. The operand row[time + t] is a zero-copy Hankel
-    view of a padded copy of row, built with the ndarray constructor (a
-    fraction of `sliding_window_view`'s set-up cost). The last allowed column
-    t = d - time reads lf[d - 1 - time] instead (the block's final unit would
-    end at d), and longer blocks are masked to +inf through `_past_mask`.
-    Times are taken in row blocks of at most _CHUNK cells, so scratch memory
-    stays bounded at any horizon.
+    At a time at or past the deadline only t = 0 is allowed, and it adds
+    log1p(-0.0) = -0.0. Before d, the candidate for (time, t) is
+    lf[t] + row[time + t], lf[t] being the log failure of a block of length
+    t, except the last allowed column t = d - time, which reads
+    lf[d - 1 - time] + row[d] (the block's final unit would end at d). The
+    result is the first minimum over t, as `np.argmin` would take it.
+
+    The cost is about d times the number of change points, not d squared.
+    lf only changes where the running sum does, and every layer row is
+    non-decreasing in time (the base row is zeros; lf never increases).
+    Across a run of equal lf the candidate then never decreases in t, and
+    the last column is never below column d - 1 - time, which reads the same
+    lf and row[d - 1]. So only the change points, t = 0 and the t with
+    cum[t] != cum[t - 1], can be a first minimum. Columns after the first
+    sure success (lf = -inf) never beat it. The change points are scanned
+    in ascending t, each replacing the incumbent only where it is strictly
+    smaller, which gives the first minimum's value (sign of zero included)
+    and t. The row's order rests on log1p being monotone, so it is checked,
+    not assumed: where it fails, every column is scanned.
+
+    Isolated change points, and runs shorter than _BLOCK_RUN, are scanned
+    one slice each. A longer run of consecutive change points is one
+    strided (time, t) block over a copy of the row padded with +inf past
+    d - 1, reduced with `argmin` in row blocks of at most _CHUNK cells, so
+    that scratch memory stays bounded at any horizon.
     """
     out[d:] = _log_failure(0.0) + row[d:]
     if d == 0:
         return
-    lf = np.empty(d + 1)
-    m = min(d, len(cum) - 1) + 1
-    # cum never decreases, so the cells below 1.0 come first and the rest
-    # are sure successes: _log_failure of each cell, without a call per cell
-    j = int(np.searchsorted(cum[:m], 1.0))
-    lf[:j] = list(map(math.log1p, (-cum[:j]).tolist()))
-    lf[j:m] = -math.inf
-    lf[m:] = lf[m - 1]
-    # row[time + t] for time < d, t <= d; cells past row[d] are masked, so
-    # the pad only has to be finite (inf would meet -inf in lf)
-    padded = np.zeros(2 * d)
-    padded[: d + 1] = row[: d + 1]
-    stride = padded.strides[0]
-    window = np.ndarray((d, d + 1), padded.dtype, padded, 0, (stride, stride))
-    past = _past_mask(d)
-    rows = max(1, _CHUNK // (d + 1))
-    for lo in range(0, d, rows):
-        hi = min(lo + rows, d)
-        cand = lf + window[lo:hi]
-        times = np.arange(lo, hi)
-        cand[times - lo, d - times] = lf[d - 1 - times] + row[d]
-        np.copyto(cand, np.inf, where=past[lo:hi])
-        best = np.argmin(cand, axis=1)
-        best_t[lo:hi] = best
-        out[lo:hi] = cand[times - lo, best]
+    # cum never decreases: cells [0, j) of the window are below 1.0 and
+    # cell j, if j < m, is the first sure success
+    m = min(d, len(cum))
+    j = m if cum[m - 1] < 1.0 else int(np.searchsorted(cum[:m], 1.0))
+    monotone = bool((row[1 : d + 1] >= row[:d]).all())
+    np.add(_log_failure(float(cum[0])), row[:d], out=out[:d])
+    best_t[:d] = 0
+    # the finite columns after 0 lie in [1, stop)
+    stop = j if j < m else d
+    if monotone:
+        # cum is constant past its end, so it changes below len(cum) only
+        top = min(stop, len(cum))
+        cols = (np.flatnonzero(cum[1:top] != cum[: top - 1]) + 1).tolist() if top > 1 else []
+    else:
+        cols = list(range(1, stop))
+        # past its end the running sum holds its last value
+        cum = np.pad(cum, (0, max(0, d - len(cum))), mode="edge")
+    padded = None
+    for a, b in _runs(cols):
+        lf = _log_failures(cum, a, b)
+        if b - a < _BLOCK_RUN:
+            for t, lf_t in zip(range(a, b), lf):
+                best_t[: d - t][_take_smaller(out, lf_t + row[t:d])] = t
+            continue
+        if padded is None:
+            padded = np.full(2 * d, math.inf)
+            padded[:d] = row[:d]
+        stride = padded.strides[0]
+        window = np.ndarray((d - a, b - a), padded.dtype, padded, a * stride, (stride, stride))
+        lf = np.array(lf)
+        rows = min(max(1, _CHUNK // (b - a)), d - a)
+        block = np.empty((rows, b - a))
+        for lo in range(0, d - a, rows):
+            hi = min(lo + rows, d - a)
+            cand = np.add(lf, window[lo:hi], out=block[: hi - lo])
+            k = cand.argmin(axis=1)
+            better = _take_smaller(out[lo:hi], cand[np.arange(hi - lo), k])
+            best_t[lo:hi][better] = k[better] + a
+    if 0 < j < m:
+        best_t[: d - j][_take_smaller(out, -math.inf + row[j:d])] = j
+    if not monotone:
+        lf = np.full(d, -math.inf)
+        lf[:stop] = _log_failures(cum, 0, stop)
+        better = _take_smaller(out, lf[::-1] + row[d])
+        best_t[:d][better] = d - np.flatnonzero(better)
 
 
-# _PAST_STEP[i] is i > len(_PAST_STEP) // 2; views of it serve every deadline
-_PAST_STEP = np.zeros(0, dtype=bool)
+def _log_failures(cum: np.ndarray, a: int, b: int) -> list:
+    """lf[a:b] as floats, for columns below the first sure success."""
+    return list(map(math.log1p, (-cum[a:b]).tolist()))
 
 
-def _past_mask(d: int) -> np.ndarray:
-    """Read-only (d, d + 1) view whose [time, t] is time + t > d.
+def _runs(cols: list) -> list:
+    """[(a, b)]: the maximal runs a, a + 1, ..., b - 1 in ascending `cols`."""
+    if cols and cols[-1] - cols[0] == len(cols) - 1:
+        return [(cols[0], cols[-1] + 1)]
+    runs = []
+    for t in cols:
+        if runs and runs[-1][1] == t:
+            runs[-1][1] = t + 1
+        else:
+            runs.append([t, t + 1])
+    return runs
 
-    All masks are views of the one step array, which grows (at least
-    doubling) when a larger d arrives, so it stays within 4 * (largest d)
-    bytes.
-    """
-    global _PAST_STEP
-    step = _PAST_STEP  # one read, so a concurrent growth cannot split it
-    half = len(step) // 2
-    if d > half:
-        half = max(d, 2 * half)
-        step = np.arange(2 * half) > half
-        step.flags.writeable = False
-        _PAST_STEP = step
-    return np.ndarray((d, d + 1), bool, step, half - d, (1, 1))
+
+def _take_smaller(out: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Copy cand into out[:len(cand)] where it is strictly smaller; return
+    where it was."""
+    head = out[: len(cand)]
+    better = cand < head
+    head[better] = cand[better]
+    return better
 
 
 def brute_force_kds(

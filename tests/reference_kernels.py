@@ -3,8 +3,9 @@ the temporal network's growth in copeplan.stn, the planner's per-node
 kernels in copeplan.planner.search (with the relaxed plan's set algebra
 rebuilt on every test, and child networks grown eagerly by event name), the
 decision cycle's scoring in copeplan.planner.engine (every quantity
-recomputed per node and per call) and the KDS dynamic program in
-copeplan.kds.
+recomputed per node and per call), and the KDS dynamic program in
+copeplan.kds, both as a loop and as one layer over every (time, block
+length) cell.
 
 Each returns the same floats as the kernel it mirrors, so tests compare them
 with ==, not with a tolerance.
@@ -384,3 +385,28 @@ def solve_kds_dp(instance, start_time=0):
         time += t
     value = 0.0 - math.expm1(logfail[0][min(start_time, T)])
     return KdsSolution(value, blocks)
+
+
+def solve_layer_dense(cum, d, row, out, best_t):
+    """kds._solve_layer over every (time, t) cell of the layer: one lf table
+    up to d, a (d, d + 1) Hankel view of the row padded with zeros, the last
+    allowed column overwritten, the cells past it masked to +inf, and one
+    np.argmin per time."""
+    out[d:] = math.log1p(-0.0) + row[d:]
+    if d == 0:
+        return
+    lf = np.empty(d + 1)
+    m = min(d, len(cum) - 1) + 1
+    j = int(np.searchsorted(cum[:m], 1.0))
+    lf[:j] = list(map(math.log1p, (-cum[:j]).tolist()))
+    lf[j:m] = -INF
+    lf[m:] = lf[m - 1]
+    padded = np.zeros(2 * d)
+    padded[: d + 1] = row[: d + 1]
+    cand = lf + np.lib.stride_tricks.sliding_window_view(padded, d + 1)[:d]
+    times = np.arange(d)
+    cand[times, d - times] = lf[d - 1 - times] + row[d]
+    cand[np.add.outer(times, np.arange(d + 1)) > d] = INF
+    best = np.argmin(cand, axis=1)
+    best_t[:d] = best
+    out[:d] = cand[times, best]

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -178,12 +179,30 @@ def test_dp_memo_computes_each_shared_layer_once():
     assert (later.value, later.blocks) == (alone.value, alone.blocks)
 
 
-def test_past_masks_are_views_of_one_bounded_step_array():
-    with mock.patch.object(kds, "_PAST_STEP", np.zeros(0, dtype=bool)):
-        for d in (1, 3, 2, 40, 7, 41):
-            mask = kds._past_mask(d)
-            time, t = np.indices((d, d + 1))
-            assert mask.tolist() == (time + t > d).tolist()
-            assert not mask.flags.writeable
-            assert mask.base is kds._PAST_STEP
-            assert kds._PAST_STEP.nbytes <= 4 * 41
+def _scratch_bytes(inst):
+    """Peak bytes a solve allocates beyond its (n + 1) x (T + 1) tables."""
+    n, T = len(inst.processes), inst.horizon
+    tracemalloc.start()
+    try:
+        solve_kds_dp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - (2 * n + 1) * (T + 1) * 8
+
+
+def test_dp_scratch_stays_within_one_row_block():
+    """A layer holds at most one row block of _CHUNK cells and a few
+    vectors of the horizon's length: sparse profiles at T = 20,000 are
+    scanned by slices, dense ones at T = 2,000 by blocks of many rows."""
+    T = 20_000
+    sparse = KdsInstance([
+        KdsProcess(DiscreteDistribution.from_pairs([(3, 0.5), (9_000, 0.3), (T, 0.2)]), T // 2),
+        KdsProcess(DiscreteDistribution.from_pairs([(1, 0.2), (15_000, 0.3), (T, 0.5)]), T),
+    ], T)
+    T = 2_000
+    weights = np.random.default_rng(1).random(T + 1) + 0.1
+    dense = KdsInstance([KdsProcess(DiscreteDistribution(weights / weights.sum()), d)
+                         for d in (T // 2, T)], T)
+    for inst in (sparse, dense):
+        assert _scratch_bytes(inst) <= 8 * kds._CHUNK + 32 * 8 * (inst.horizon + 1)

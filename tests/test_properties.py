@@ -3,9 +3,11 @@
 The unit suites sample these invariants with fixed seeds; here hypothesis
 searches for counterexamples: the KDS dynamic program against the
 brute-force oracle at its largest admitted sizes and against its loop form
-bit for bit, also when families of instances share one layer memo, and the
-incremental temporal network (both its persistent growth and probe) against
-the from-scratch Floyd-Warshall recompute.
+bit for bit, also when families of instances share one layer memo; one DP
+layer against its dense form on any next row, and the order of the rows
+that lets a layer scan only change points; and the incremental temporal
+network (both its persistent growth and probe) against the from-scratch
+Floyd-Warshall recompute.
 """
 
 import importlib.util
@@ -13,6 +15,7 @@ import math
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -71,13 +74,28 @@ DP_MAX_T = 60
 
 @st.composite
 def dp_profiles(draw, horizon):
-    """Point masses at 0, the above-one sum, or up to five atoms with
-    integer weights, some of them past the horizon (and so the deadline)."""
-    kind = draw(st.sampled_from(("atoms", "atoms", "atoms", "zero", "above_one")))
+    """Point masses at 0 or anywhere up to past the horizon, the above-one
+    sum, dense profiles (every cell positive), sums that reach exactly 1.0
+    before the support ends, or up to five atoms with integer weights, some
+    of them past the horizon (and so the deadline)."""
+    kind = draw(st.sampled_from(("atoms", "atoms", "atoms", "zero", "above_one", "delta",
+                                 "dense", "early_one")))
     if kind == "zero":
         return DiscreteDistribution.delta(0)
     if kind == "above_one":
         return ABOVE_ONE
+    if kind == "delta":
+        return DiscreteDistribution.delta(draw(st.integers(0, horizon + 5)))
+    if kind == "dense":
+        weights = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=horizon + 6))
+        return DiscreteDistribution([w / sum(weights) for w in weights])
+    if kind == "early_one":
+        # dyadic masses sum to 1.0 exactly at b; zero cells follow up to c
+        a = draw(st.integers(0, horizon + 3))
+        b = draw(st.integers(a + 1, horizon + 4))
+        c = draw(st.integers(b + 1, horizon + 5))
+        k = draw(st.integers(1, 7))
+        return DiscreteDistribution.from_pairs([(a, k / 8), (b, 1 - k / 8), (c, 0.0)])
     atoms = draw(st.dictionaries(st.integers(0, horizon + 5), st.integers(1, 1000),
                                  min_size=1, max_size=5))
     total = sum(atoms.values())
@@ -122,6 +140,67 @@ def test_dp_layers_match_the_loop_reference_bit_for_bit(case):
     with mock.patch.object(kds, "_CHUNK", chunk):
         sol = solve_kds_dp(inst, start)
     _assert_same_solution(sol, reference_kernels.solve_kds_dp(inst, start))
+
+
+@SETTINGS
+@given(dp_cases())
+def test_every_dp_layer_row_is_non_decreasing(case):
+    """What lets a layer scan only the change points: each row the DP
+    computes never decreases in time."""
+    inst, start, chunk = case
+    with mock.patch.object(kds, "_CHUNK", chunk), \
+            mock.patch.object(kds, "_solve_layer", wraps=kds._solve_layer) as layer:
+        solve_kds_dp(inst, start)
+    for call in layer.call_args_list:
+        out = call.args[3]
+        assert (out[1:] >= out[:-1]).all()
+
+
+@st.composite
+def layer_cases(draw):
+    """(cum, d, row, row-block size): a profile and deadline, and a next
+    row that is sorted, as a layer's is, or arbitrary, so that every column
+    is scanned. Rows hold -inf, both zeros and negative floats."""
+    horizon = draw(_up_to(40))
+    d = draw(_up_to(horizon))
+    profile = draw(dp_profiles(horizon))
+    cell = st.sampled_from((-math.inf, -0.0, 0.0)) | st.floats(-50.0, 0.0)
+    row = np.array(draw(st.lists(cell, min_size=horizon + 1, max_size=horizon + 1)))
+    if draw(st.booleans()):
+        row = np.sort(row)
+    chunk = draw(st.one_of(st.just(kds._CHUNK), st.integers(1, 4 * (horizon + 1))))
+    return profile.cum, d, row, chunk
+
+
+def _layer_case(profile, d, row):
+    return profile.cum, d, np.array(row, dtype=float), kds._CHUNK
+
+
+DENSE_30 = DiscreteDistribution([1 / 30] * 30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(layer_cases())
+@example(_layer_case(DENSE_30, 0, [0.0, -1.0, -0.0]))
+@example(_layer_case(DiscreteDistribution.delta(0), 1, [-1.0, -2.0, 0.0]))
+@example(_layer_case(DiscreteDistribution.uniform([1, 2]), 1, [-0.0, -3.0, -1.0]))
+# support shorter than d; the last column wins on this falling row
+@example(_layer_case(DiscreteDistribution.delta(2), 6, [0.0, -0.0, -1.0, 0.0, -0.0, -2.0, -9.0, 0.0]))
+# support longer than d, on a sorted row and on a falling one
+@example(_layer_case(DENSE_30, 5, [-4.0, -3.0, -3.0, -1.0, -0.0, 0.0, 0.0]))
+@example(_layer_case(DENSE_30, 5, [0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]))
+@example(_layer_case(ABOVE_ONE, 6, [-1.0, -math.inf, 0.0, -2.0, -0.0, -1.0, -math.inf, 0.0]))
+@pytest.mark.filterwarnings("error")
+def test_layer_matches_the_dense_reference_on_any_row(case):
+    cum, d, row, chunk = case
+    got = np.zeros(len(row)), np.zeros(len(row), dtype=int)
+    want = np.zeros(len(row)), np.zeros(len(row), dtype=int)
+    with mock.patch.object(kds, "_CHUNK", chunk):
+        kds._solve_layer(cum, d, row, *got)
+    reference_kernels.solve_layer_dense(cum, d, row, *want)
+    assert got[0].tolist() == want[0].tolist()
+    assert np.signbit(got[0]).tolist() == np.signbit(want[0]).tolist()
+    assert got[1].tolist() == want[1].tolist()
 
 
 @st.composite
