@@ -3,7 +3,8 @@
 Settings resolve in priority order: explicit flag, then a COPEPLAN_<FLAG>
 environment variable, then the config file named by --config (a benchmark
 document), then the built-in default. Exit codes: 0 success, 2 parse or
-config error, 3 model violation (wrong document kind, invalid plan).
+config error (a file that cannot be read or written included), 3 model
+violation (wrong document kind, invalid plan).
 """
 
 import argparse
@@ -333,7 +334,7 @@ def main(argv=None) -> int:
     except fileio.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, TypeError, RuntimeError) as exc:

@@ -204,7 +204,8 @@ def solve_kidcope(inst, candidate_times=None, cap: int = KIDCOPE_ENUMERATION_CAP
     earliest function in enumeration order (empty first). One layer memo
     serves every reduction of the call: commitments that leave the deadlines
     of a (deadline, index) suffix alone reuse its DP layers. It holds each
-    distinct layer once, 16 * (horizon + 1) bytes, until the call returns.
+    distinct layer once, with the values read from it and, where the layer
+    solved its whole row, 16 * (horizon + 1) bytes, until the call returns.
     """
     best_v = -1.0
     best_f = None

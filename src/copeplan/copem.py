@@ -119,6 +119,12 @@ def _posterior(o: int) -> DiscreteDistribution:
     return DiscreteDistribution.delta(max(o - 1, 0))
 
 
+def _posteriors(processes) -> dict[int, DiscreteDistribution]:
+    """_posterior(o) for every o that a measurement of a process can
+    observe, each built once."""
+    return {o: _posterior(o) for p in processes for o, _ in p.profile.pairs()}
+
+
 def _with_profile(kinst: KdsInstance, j: int, profile: DiscreteDistribution) -> KdsInstance:
     """kinst with process j's profile swapped: its deadline stays, since
     effective deadlines depend on the prefixes and the dispatch only."""
@@ -182,22 +188,26 @@ def solve01(inst, dispatched: int | None) -> tuple[float, int | None]:
         return 0.0, None
     f = _dispatch_f(inst, dispatched, 0)
     _check_prefixes(inst)
-    return _best_measurement(reduce_to_kds(inst, f), {})
+    kinst = reduce_to_kds(inst, f)
+    value, j, _ = _best_measurement(kinst, {}, _posteriors(kinst.processes))
+    return value, j
 
 
-def _best_measurement(kinst: KdsInstance, memo: dict) -> tuple[float, int]:
-    """(value, j) of measuring the best process j during kinst's first
-    slot; ties keep the lowest index."""
-    best_j = None
-    best_v = -1.0
+def _best_measurement(kinst: KdsInstance, memo: dict, posteriors: dict):
+    """(value, j, {o: solution}) of measuring the best process j during
+    kinst's first slot, with the solution after each observation o of j;
+    ties keep the lowest index. `posteriors` maps o to _posterior(o)."""
+    best = (-1.0, None, None)
     for j, p in enumerate(kinst.processes):
         total = 0.0
+        sols = {}
         for o, po in p.profile.pairs():
-            total += po * solve_kds_dp(_with_profile(kinst, j, _posterior(o)), 1,
-                                       memo=memo).value
-        if total > best_v:
-            best_v, best_j = total, j
-    return best_v, best_j
+            sol = solve_kds_dp(_with_profile(kinst, j, posteriors[o]), 1, memo=memo)
+            sols[o] = sol
+            total += po * sol.value
+        if total > best[0]:
+            best = (total, j, sols)
+    return best
 
 
 def solve11(inst) -> MetaPolicy:
@@ -211,15 +221,16 @@ def solve11(inst) -> MetaPolicy:
     measuring first and lower indices.
 
     Each dispatch option is reduced to KDS once, and every observation
-    swaps its posterior into that reduction. One layer memo serves every DP
-    solve of the call: the branches change one profile or one deadline, so
-    they share most DP layers, and each dispatch-first table re-solves
-    instances that the dispatch-first measurement already solved.
+    swaps its posterior into that reduction, built once per call. One layer
+    memo serves every DP solve of the call: the branches change one profile
+    or one deadline, so they share most DP layers. Each dispatch-first
+    table keeps the solutions its measurement choice already computed.
     """
     if not inst.processes:
         raise ValueError("empty instance")
     _check_prefixes(inst)
     memo: dict = {}
+    posteriors = _posteriors(inst.processes)
     branch_values: dict[tuple, float] = {}
     best = None  # (value, first_step, compute_after, table)
 
@@ -228,8 +239,7 @@ def solve11(inst) -> MetaPolicy:
         total = 0.0
         table = {}
         for o, po in p.profile.pairs():
-            post = _posterior(o)
-            measured = [(i, _with_profile(kinst, j, post)) for i, kinst in later]
+            measured = [(i, _with_profile(kinst, j, posteriors[o])) for i, kinst in later]
             bi, bv, bsol = _best_option(measured, 1, memo)
             total += po * bv
             table[o] = BranchOutcome(bv, bi, bsol)
@@ -238,11 +248,8 @@ def solve11(inst) -> MetaPolicy:
             best = (total, ("compute", j), None, table)
 
     for i, kinst in _dispatch_options(inst, 0)[1:]:
-        value, best_j = _best_measurement(kinst, memo)
-        table = {}
-        for o, _ in kinst.processes[best_j].profile.pairs():
-            sol = solve_kds_dp(_with_profile(kinst, best_j, _posterior(o)), 1, memo=memo)
-            table[o] = BranchOutcome(sol.value, None, sol)
+        value, best_j, sols = _best_measurement(kinst, memo, posteriors)
+        table = {o: BranchOutcome(sol.value, None, sol) for o, sol in sols.items()}
         branch_values[("dispatch", i)] = value
         if value > best[0]:
             best = (value, ("dispatch", i), best_j, table)

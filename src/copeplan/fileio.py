@@ -196,13 +196,21 @@ _ACTION_SETS = ("cond_start", "cond_over", "cond_end",
                 "add_start", "del_start", "add_end", "del_end")
 
 
+def _propositions(value, where):
+    """value as a frozenset when it is a JSON list of strings; anything
+    else, a bare string included, raises FormatError."""
+    if not isinstance(value, list) or not all(isinstance(p, str) for p in value):
+        raise FormatError(f"{where}: expected a list of proposition names, got {value!r}")
+    return frozenset(value)
+
+
 def _task_from_dict(doc) -> Task:
     actions = []
     for k, a in enumerate(_require(doc, "actions", "task")):
         where = f"task action {k}"
         if not isinstance(a, dict):
             raise FormatError(f"{where}: not a JSON object")
-        kwargs = {key: frozenset(a.get(key, ())) for key in _ACTION_SETS}
+        kwargs = {key: _propositions(a.get(key, []), f"{where} {key}") for key in _ACTION_SETS}
         actions.append(DurativeAction(
             name=str(_require(a, "name", where)),
             duration=float(_require(a, "duration", where)),
@@ -212,14 +220,12 @@ def _task_from_dict(doc) -> Task:
         TimedLiteral(time=float(t), prop=str(p), add=bool(add))
         for t, p, add in doc.get("tils", ())
     )
+    propositions = _propositions(_require(doc, "propositions", "task"), "task propositions")
+    init = _propositions(_require(doc, "init", "task"), "task init")
+    goal = _propositions(doc.get("goal", []), "task goal")
     try:
-        return Task(
-            propositions=frozenset(_require(doc, "propositions", "task")),
-            actions=tuple(actions),
-            init=frozenset(_require(doc, "init", "task")),
-            goal=frozenset(doc.get("goal", ())),
-            tils=tils,
-        )
+        return Task(propositions=propositions, actions=tuple(actions), init=init,
+                    goal=goal, tils=tils)
     except ValueError as exc:
         raise FormatError(f"task: {exc}") from exc
 
@@ -307,6 +313,8 @@ def loads(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("invalid JSON: nested too deeply") from exc
     return from_dict(doc)
 
 

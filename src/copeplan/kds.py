@@ -10,11 +10,22 @@ completes in time.
 deadline order); `brute_force_kds` is the independent oracle that enumerates
 every per-slot assignment, interleavings included, and makes no structural
 assumption about optimal schedules.
+
+The DP's layers are lazy. A layer is computed at a start time only when the
+layer above reads it there, by scanning the block lengths where its
+profile's running sum changes; that shortcut is licensed up front by
+checking that every log failure sequence below it is non-increasing. A
+layer whose reads pass a small cell budget solves its whole row with numpy
+instead, so dense profiles and long horizons cost what an eager DP does.
+Every value, sign of zero and block list equals the dense layer's.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
+from itertools import compress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +39,20 @@ _CHUNK = 1 << 17
 # fixed cost is about that of four one-column scans at the benchmark's
 # deadlines (up to 300)
 _BLOCK_RUN = 4
+# a layer scans its columns one time at a time until that has cost this
+# many cells, then solves its whole row. A read of a few columns takes
+# about 2 us in the interpreter, and a row of a few change points about
+# 15-20 us at T = 200 (2-vCPU Xeon), so 16 cells cost about one row: a
+# layer that turns out to need its row loses at most about that much, and
+# a deep chain of such layers stays within a few percent of solving every
+# row at once
+_POINT_BUDGET = 16
+# a layer's running sums are scanned in the interpreter up to this length
+# and with numpy past it; both take about 7 us at 64 cells
+_SHORT_WINDOW = 64
+# a chain of more layers solves its rows before the first read, which
+# recurses one frame a layer
+_POINT_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -80,6 +105,11 @@ def _log_failure(s: float) -> float:
     return math.log1p(-s) if s < 1.0 else -math.inf
 
 
+# at or past its deadline a layer's only column is t = 0, and it adds
+# log1p(-0.0) = -0.0
+_PAST_COLS, _PAST_LFS = [0], [_log_failure(0.0)]
+
+
 def eval_schedule(instance: KdsInstance, blocks: list[Block]) -> float:
     """Success probability of a block schedule, by process independence."""
     seen = set()
@@ -105,23 +135,27 @@ def solve_kds_dp(
     length t. Failure probabilities are accumulated in log space, and the
     value is 0.0 - expm1(log failure), so an optimum of 0 prints as +0.0.
     Ties between equal-value block lengths prefer the shortest, as
-    `np.argmin` over every length would. A layer reads only the lengths
-    where the profile's running sum changes, so it costs about d times
-    their number rather than d squared; `_solve_layer` says why that is
-    exact.
+    `np.argmin` over every length would.
 
     Layer k (the best log failure and block length of processes order[k:]
-    at every start time) is a function of T and of the running sums and
-    deadlines of those processes only. A caller that solves several
-    instances sharing such suffixes passes one `memo` dict to all of them.
-    Layer k is keyed by (profile.cum.tobytes(), deadline, key of layer
-    k + 1), starting from T, and the memo holds copies of its two rows. The
-    key names the exact bytes of every input the layer is computed from,
-    and the layer's arithmetic is deterministic, so a reused layer is bit
-    for bit the one this call would compute. `start_time` and the process
-    indices are read only when the block list is rebuilt, after the layers.
-    The key holds contents, not object ids: an equal profile built twice
-    still hits, and a reused id cannot alias.
+    at every start time) is a `_Layer` evaluated lazily: a solve reads
+    layer 0 at one time, and each deeper layer only at the times that the
+    block lengths scanned above it reach. A layer scans only the lengths
+    where the profile's running sum changes, once the layers below it are
+    known to hold non-decreasing rows; past `_POINT_BUDGET` cells of such
+    reads it solves its whole row at once. `_Layer` says why both are exact.
+
+    Layer k is a function of T and of the running sums and deadlines of
+    processes order[k:] only. A caller that solves several instances
+    sharing such suffixes passes one `memo` dict to all of them. Layer k is
+    keyed by (profile.cum.tobytes(), deadline, key of layer k + 1), starting
+    from T, and the memo holds the layer with every value it has computed
+    so far. The key names the exact bytes of every input the layer is
+    computed from, and the layer's arithmetic is deterministic, so a reused
+    layer answers bit for bit as this call's own would. `start_time` and
+    the process indices are read only when the block list is rebuilt. The
+    key holds contents, not object ids: an equal profile built twice still
+    hits, and a reused id cannot alias.
     """
     n = len(instance.processes)
     T = instance.horizon
@@ -129,89 +163,238 @@ def solve_kds_dp(
         raise ValueError("start_time must be >= 0")
     order = sorted(range(n), key=lambda i: (instance.processes[i].deadline, i))
 
-    # logfail[k][time]: best log failure product over processes order[k:]
-    # when their first block may start at `time`.
-    logfail = np.zeros((n + 1, T + 1))
-    choice = np.zeros((n, T + 1), dtype=int)
+    layer = _Row(np.zeros(T + 1), True)
+    layers = []
     key = T
-    for k in range(n - 1, -1, -1):
-        proc = instance.processes[order[k]]
-        if memo is not None:
+    for k in reversed(order):
+        proc = instance.processes[k]
+        if memo is None:
+            layer = _Layer(proc.profile.cum, proc.deadline, layer)
+        else:
             key = (proc.profile.cum.tobytes(), proc.deadline, key)
-            layer = memo.get(key)
-            if layer is not None:
-                logfail[k], choice[k] = layer
-                continue
-        _solve_layer(proc.profile.cum, proc.deadline, logfail[k + 1], logfail[k], choice[k])
-        if memo is not None:
-            memo[key] = (logfail[k].copy(), choice[k].copy())
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = _Layer(proc.profile.cum, proc.deadline, layer)
+            layer = found
+        layers.append(layer)
+    layers.reverse()
+    if n > _POINT_DEPTH:
+        layer.row()
 
-    blocks: list[Block] = []
     time = min(start_time, T)
-    for k in range(n):
-        t = int(choice[k][time])
-        proc = instance.processes[order[k]]
+    value = 0.0 - math.expm1(layer.at(time))
+    blocks: list[Block] = []
+    for k, layer in zip(order, layers):
+        t = layer.choice(time)
+        proc = instance.processes[k]
         if t > 0 or success_prob(proc.profile, proc.deadline, 0, time) > 0.0:
-            blocks.append(Block(order[k], time, t))
+            blocks.append(Block(k, time, t))
         time += t
-    value = 0.0 - math.expm1(logfail[0][min(start_time, T)])
     return KdsSolution(value, blocks)
 
 
-def _solve_layer(cum: np.ndarray, d: int, row: np.ndarray, out: np.ndarray,
-                 best_t: np.ndarray) -> None:
-    """Fill out[time] and best_t[time] for a process with running sum `cum`
-    and deadline d, ahead of the next layer `row`.
+class _Row:
+    """A given row read as a layer, `ordered` if it never decreases: the
+    DP's base row of zeros."""
+
+    def __init__(self, row: np.ndarray, ordered: bool) -> None:
+        self._values: dict = {}
+        self._out = row
+        self.at = row.item
+        self.ordered = ordered
+
+    def row(self) -> np.ndarray:
+        return self._out
+
+
+class _Layer:
+    """The DP layer of a process with running sum `cum` and deadline d,
+    ahead of the layer `next`: at(time) is the best log failure from
+    `time` on, and choice(time) its block length.
 
     At a time at or past the deadline only t = 0 is allowed, and it adds
     log1p(-0.0) = -0.0. Before d, the candidate for (time, t) is
-    lf[t] + row[time + t], lf[t] being the log failure of a block of length
-    t, except the last allowed column t = d - time, which reads
-    lf[d - 1 - time] + row[d] (the block's final unit would end at d). The
-    result is the first minimum over t, as `np.argmin` would take it.
+    lf[t] + next.at(time + t), lf[t] being the log failure of a block of
+    length t, except the last allowed column t = d - time, which reads
+    lf[d - 1 - time] + next.at(d) (the block's final unit would end at d).
+    The result is the first minimum over t, as `np.argmin` would take it.
 
-    The cost is about d times the number of change points, not d squared.
-    lf only changes where the running sum does, and every layer row is
-    non-decreasing in time (the base row is zeros; lf never increases).
-    Across a run of equal lf the candidate then never decreases in t, and
-    the last column is never below column d - 1 - time, which reads the same
-    lf and row[d - 1]. So only the change points, t = 0 and the t with
-    cum[t] != cum[t - 1], can be a first minimum. Columns after the first
-    sure success (lf = -inf) never beat it. The change points are scanned
-    in ascending t, each replacing the incumbent only where it is strictly
-    smaller, which gives the first minimum's value (sign of zero included)
-    and t. The row's order rests on log1p being monotone, so it is checked,
-    not assumed: where it fails, every column is scanned.
+    Only the change points, t = 0 and the t with cum[t] != cum[t - 1], can
+    be a first minimum when the next row never decreases in time. lf only
+    changes at them, so across a run of equal lf the candidate never
+    decreases in t, and the last column is never below column
+    d - 1 - time, which reads the same lf and next.at(d - 1). Columns after
+    the first sure success (lf = -inf) never beat it. The columns are
+    scanned in ascending t, each replacing the incumbent only where it is
+    strictly smaller, which gives the first minimum's value (sign of zero
+    included) and t.
 
-    Isolated change points, and runs shorter than _BLOCK_RUN, are scanned
-    one slice each. A longer run of consecutive change points is one
-    strided (time, t) block over a copy of the row padded with +inf past
-    d - 1, reduced with `argmin` in row blocks of at most _CHUNK cells, so
-    that scratch memory stays bounded at any horizon.
+    The next row's order is licensed up front, not read off the row, which
+    a lazy layer never holds. If every lf sequence below a layer is
+    non-increasing, every row below it is non-decreasing, by induction
+    from the base row of zeros: fl(c + x) is monotone in c and in x, and
+    each candidate at time + 1 is no smaller than the candidate one column
+    longer at `time`, which reads the same cell of the next row with an lf
+    no larger (last column against last column, and at d - 1 the last
+    column lf[0] + next.at(d) against -0.0 + next.at(d) at d). So
+    `ordered` checks each profile's few lf values, after log1p(-0.0), once;
+    where the check fails, the layer above scans every column and the last
+    column, which is exact on any row.
+
+    A read at a time not yet known scans the columns at that one time,
+    reading `next` at each, and the layer keeps value and length per time.
+    Once those scans would pass _POINT_BUDGET cells, the layer solves its
+    whole row, and the rows below it, with `_solve_layer`, and reads the
+    row from then on.
     """
+
+    __slots__ = ("d", "next", "full", "cols", "lfs", "sure", "ordered",
+                 "_values", "_choices", "_work", "_out", "_best")
+
+    def __init__(self, cum: np.ndarray, d: int, next) -> None:
+        self.d = d
+        self.next = next
+        self.full = not next.ordered
+        # the columns scanned, 0 first and ascending, and their lf; the
+        # first sure success, scanned apart
+        self.cols: list = []
+        self.lfs: list = []
+        self.sure = None
+        self.ordered = next.ordered
+        self._values: dict = {}
+        self._choices: dict = {}
+        self._work = 0
+        self._out = self._best = None
+        if d == 0:
+            return
+        # cum never decreases: cells [0, j) of the window are below 1.0 and
+        # cell j, if j < m, is the first sure success
+        m = min(d, len(cum))
+        # the interpreter scans a short window faster than numpy starts
+        window = cum[:m].tolist() if m <= _SHORT_WINDOW else cum[:m]
+        j = m if window[-1] < 1.0 else bisect.bisect_left(window, 1.0)
+        if 0 < j < m:
+            self.sure = j
+        # the finite columns after 0 lie in [1, stop)
+        stop = j if j < m else d
+        if self.full:
+            cols = list(range(1, stop))
+            # past its end the running sum holds its last value
+            losses = [-s for s in window[1:stop]] + [-window[-1]] * (stop - m)
+        else:
+            # cum is constant past its end, so it changes below m only
+            cols, losses = _steps(window, min(stop, m))
+        self.cols = [0, *cols]
+        self.lfs = [_log_failure(float(window[0])), *map(math.log1p, losses)]
+        self.ordered = next.ordered and _non_increasing([_log_failure(0.0), *self.lfs])
+
+    def at(self, time: int) -> float:
+        """The best log failure from `time` on: kept, read off the row, or
+        scanned now."""
+        value = self._values.get(time)
+        if value is not None:
+            return value
+        if self._out is not None:
+            return self._out.item(time)
+        span = self.d - time
+        if span > 0:
+            cols, lfs = self.cols, self.lfs
+            count = bisect.bisect_left(cols, span)
+        else:
+            cols, lfs, count = _PAST_COLS, _PAST_LFS, 1
+        self._work += count
+        if self._work > _POINT_BUDGET:
+            return self.row().item(time)
+        nxt = self.next
+        get = nxt._values.get
+        best = math.inf
+        best_t = 0
+        for i in range(count):
+            t = cols[i]
+            value = get(time + t)
+            if value is None:
+                value = nxt.at(time + t)
+            cand = lfs[i] + value
+            if cand < best:
+                best, best_t = cand, t
+        if span > 0:
+            j = self.sure
+            if j is not None and j < span:
+                cand = -math.inf + nxt.at(time + j)
+                if cand < best:
+                    best, best_t = cand, j
+            if self.full:
+                # lf[span - 1], -inf from the sure success on
+                cand = (lfs[span - 1] if span <= len(lfs) else -math.inf) + nxt.at(self.d)
+                if cand < best:
+                    best, best_t = cand, span
+        self._values[time] = best
+        self._choices[time] = best_t
+        return best
+
+    def choice(self, time: int) -> int:
+        """The block length of at(time), once at(time) has been read."""
+        t = self._choices.get(time)
+        return int(self._best[time]) if t is None else t
+
+    def row(self) -> np.ndarray:
+        """The whole row, solved on the first call together with every row
+        below it that is not yet solved, deepest first."""
+        pending = []
+        layer = self
+        while layer._out is None:
+            pending.append(layer)
+            layer = layer.next
+        for layer in reversed(pending):
+            below = layer.next._out
+            out = np.empty_like(below)
+            best_t = np.zeros(len(below), dtype=int)
+            _solve_layer(layer, below, out, best_t)
+            layer._out, layer._best = out, best_t
+        return self._out
+
+
+def _steps(window, top: int) -> tuple[list, list]:
+    """The t in [1, top) where the running sums `window`, a list or an
+    array, change, and the negated sums there."""
+    if top < 2:
+        return [], []
+    if isinstance(window, list):
+        cols = list(compress(range(1, top), map(operator.ne, window[1:top], window)))
+        return cols, [-window[t] for t in cols]
+    cols = np.flatnonzero(window[1:top] != window[: top - 1]) + 1
+    return cols.tolist(), (-window[cols]).tolist()
+
+
+def _non_increasing(values: list) -> bool:
+    """values[0] >= values[1] >= ..., the order that licenses scanning
+    change points only."""
+    return values == sorted(values, reverse=True)
+
+
+def _solve_layer(layer: _Layer, row: np.ndarray, out: np.ndarray,
+                 best_t: np.ndarray) -> None:
+    """Fill out[time] and best_t[time] for every time: the whole row of
+    `layer` over the next layer's row `row`, scanning the columns that
+    `_Layer.at` scans, in the same order.
+
+    Isolated columns, and runs shorter than _BLOCK_RUN, are scanned one
+    slice each. A longer run of consecutive columns is one strided
+    (time, t) block over a copy of the row padded with +inf past d - 1,
+    reduced with `argmin` in row blocks of at most _CHUNK cells, so that
+    scratch memory stays bounded at any horizon.
+    """
+    d = layer.d
     out[d:] = _log_failure(0.0) + row[d:]
     if d == 0:
         return
-    # cum never decreases: cells [0, j) of the window are below 1.0 and
-    # cell j, if j < m, is the first sure success
-    m = min(d, len(cum))
-    j = m if cum[m - 1] < 1.0 else int(np.searchsorted(cum[:m], 1.0))
-    monotone = bool((row[1 : d + 1] >= row[:d]).all())
-    np.add(_log_failure(float(cum[0])), row[:d], out=out[:d])
+    np.add(layer.lfs[0], row[:d], out=out[:d])
     best_t[:d] = 0
-    # the finite columns after 0 lie in [1, stop)
-    stop = j if j < m else d
-    if monotone:
-        # cum is constant past its end, so it changes below len(cum) only
-        top = min(stop, len(cum))
-        cols = (np.flatnonzero(cum[1:top] != cum[: top - 1]) + 1).tolist() if top > 1 else []
-    else:
-        cols = list(range(1, stop))
-        # past its end the running sum holds its last value
-        cum = np.pad(cum, (0, max(0, d - len(cum))), mode="edge")
     padded = None
-    for a, b in _runs(cols):
-        lf = _log_failures(cum, a, b)
+    done = 1
+    for a, b in _runs(layer.cols[1:]):
+        lf = layer.lfs[done : done + b - a]
+        done += b - a
         if b - a < _BLOCK_RUN:
             for t, lf_t in zip(range(a, b), lf):
                 best_t[: d - t][_take_smaller(out, lf_t + row[t:d])] = t
@@ -230,18 +413,14 @@ def _solve_layer(cum: np.ndarray, d: int, row: np.ndarray, out: np.ndarray,
             k = cand.argmin(axis=1)
             better = _take_smaller(out[lo:hi], cand[np.arange(hi - lo), k])
             best_t[lo:hi][better] = k[better] + a
-    if 0 < j < m:
+    j = layer.sure
+    if j is not None:
         best_t[: d - j][_take_smaller(out, -math.inf + row[j:d])] = j
-    if not monotone:
+    if layer.full:
         lf = np.full(d, -math.inf)
-        lf[:stop] = _log_failures(cum, 0, stop)
+        lf[: len(layer.lfs)] = layer.lfs
         better = _take_smaller(out, lf[::-1] + row[d])
         best_t[:d][better] = d - np.flatnonzero(better)
-
-
-def _log_failures(cum: np.ndarray, a: int, b: int) -> list:
-    """lf[a:b] as floats, for columns below the first sure success."""
-    return list(map(math.log1p, (-cum[a:b]).tolist()))
 
 
 def _runs(cols: list) -> list:

@@ -9,6 +9,7 @@ import pytest
 
 from copeplan import fileio
 from copeplan.cli import main
+from copeplan.copem import expectimax_oracle, solve11
 from copeplan.harness import GeneratorParams, generate_instance
 from copeplan.planner import Task
 
@@ -74,6 +75,38 @@ def test_solve_copem11_reports_policy(capsys):
     out = capsys.readouterr().out
     assert out.startswith("value 1.0000000\nfirst ")
     assert "observe " in out
+
+
+def test_solve_kidcope_worked_instance(capsys):
+    assert main(["solve", "kidcope", path("copem_worked.json")]) == 0
+    assert capsys.readouterr().out == ("value 1.0000000\n"
+                                       "initiate process 1: a at 0\n"
+                                       "block process 1 start 0 length 2\n")
+
+
+# dispatching process 1's action first, and measuring it in the same slot,
+# is the only policy that can succeed
+DISPATCH_FIRST = {
+    "format": "copem", "version": 1, "horizon": 3,
+    "dispatch_budget": 1, "observation_budget": 1, "measurement_model": "perfect",
+    "processes": [
+        {"pmf": [[1, 0.5], [3, 0.5]], "prefix": [["a", 2]], "induced_deadline": 2},
+        {"pmf": [[2, 1.0]], "prefix": [["b", 1]], "induced_deadline": 2},
+    ],
+}
+
+
+def test_solve_copem11_prints_the_measurement_after_a_dispatch(tmp_path, capsys):
+    doc = tmp_path / "copem.json"
+    doc.write_text(json.dumps(DISPATCH_FIRST))
+    assert main(["solve", "copem11", str(doc)]) == 0
+    assert capsys.readouterr().out == ("value 0.5000000\n"
+                                       "first dispatch process 1\n"
+                                       "measure process 1\n"
+                                       "observe 1: value 1.0000000, no dispatch\n"
+                                       "observe 3: value 0.0000000, no dispatch\n")
+    inst = fileio.load(doc)
+    assert solve11(inst).value == pytest.approx(expectimax_oracle(inst), abs=1e-12)
 
 
 def test_malformed_file_exits_2(tmp_path, capsys):
@@ -176,6 +209,32 @@ def test_undecodable_file_exits_2(tmp_path, capsys, command):
     }[command]
     assert main(argv) == 2
     assert _one_error_line(capsys)
+
+
+def test_directory_as_document_exits_2(tmp_path, capsys):
+    assert main(["solve", "kds", str(tmp_path)]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["solve", "kds", str(deep)]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("value", ["free", ["free", 3]])
+@pytest.mark.parametrize("field", fileio._ACTION_SETS + ("propositions", "init", "goal"))
+def test_plan_rejects_proposition_fields_that_are_not_lists_of_strings(
+        tmp_path, capsys, field, value):
+    def edit(doc):
+        (doc["actions"][0] if field in fileio._ACTION_SETS else doc)[field] = value
+
+    assert main(["plan", _demo_task_with(tmp_path, edit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error:") and f"{field}: expected a list" in captured.err
 
 
 def test_wrong_document_kind_exits_3(capsys):

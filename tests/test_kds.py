@@ -17,6 +17,7 @@ from copeplan.kds import (
 )
 from copeplan.planner import discretized_lognormal
 
+import reference_kernels
 from helpers import random_kds_instance, random_pmf
 
 
@@ -164,7 +165,7 @@ def test_dp_memo_computes_each_shared_layer_once():
     # a measured first process: only its own layer differs
     b = KdsInstance([KdsProcess(DiscreteDistribution.delta(2), 4)] + tail, 10)
     memo = {}
-    with mock.patch.object(kds, "_solve_layer", wraps=kds._solve_layer) as layer:
+    with mock.patch.object(kds, "_Layer", wraps=kds._Layer) as layer:
         first = solve_kds_dp(a, memo=memo)
         assert layer.call_count == 3
         solve_kds_dp(b, memo=memo)
@@ -177,6 +178,17 @@ def test_dp_memo_computes_each_shared_layer_once():
     alone = solve_kds_dp(a, 2)
     assert (again.value, again.blocks) == (first.value, first.blocks)
     assert (later.value, later.blocks) == (alone.value, alone.blocks)
+
+
+def test_dp_solves_chains_deeper_than_the_interpreter_stack():
+    """A read recurses one frame a layer, so a chain of 1,200 layers solves
+    its rows before the first read, and still equals the loop reference."""
+    inst = KdsInstance([KdsProcess(DiscreteDistribution.uniform([1, 30]), 2 + k % 9)
+                        for k in range(1200)], 12)
+    sol = solve_kds_dp(inst, 1)
+    ref = reference_kernels.solve_kds_dp(inst, 1)
+    assert 0.0 < sol.value < 1.0
+    assert (sol.value, sol.blocks) == (ref.value, ref.blocks)
 
 
 def _scratch_bytes(inst):

@@ -4,12 +4,14 @@ The unit suites sample these invariants with fixed seeds; here hypothesis
 searches for counterexamples: the KDS dynamic program against the
 brute-force oracle at its largest admitted sizes and against its loop form
 bit for bit, also when families of instances share one layer memo; one DP
-layer against its dense form on any next row, and the order of the rows
+layer against its dense form on any next row, lazy layers against it at
+every time on either side of their cell budget, and the order of the rows
 that lets a layer scan only change points; and the incremental temporal
 network (both its persistent growth and probe) against the from-scratch
 Floyd-Warshall recompute.
 """
 
+import contextlib
 import importlib.util
 import math
 from pathlib import Path
@@ -146,13 +148,15 @@ def test_dp_layers_match_the_loop_reference_bit_for_bit(case):
 @given(dp_cases())
 def test_every_dp_layer_row_is_non_decreasing(case):
     """What lets a layer scan only the change points: each row the DP
-    computes never decreases in time."""
+    computes never decreases in time. With no budget for reads at single
+    times, every layer solves its whole row."""
     inst, start, chunk = case
-    with mock.patch.object(kds, "_CHUNK", chunk), \
+    with mock.patch.object(kds, "_CHUNK", chunk), mock.patch.object(kds, "_POINT_BUDGET", 0), \
             mock.patch.object(kds, "_solve_layer", wraps=kds._solve_layer) as layer:
         solve_kds_dp(inst, start)
+    assert layer.call_count == len(inst.processes)
     for call in layer.call_args_list:
-        out = call.args[3]
+        out = call.args[2]
         assert (out[1:] >= out[:-1]).all()
 
 
@@ -179,28 +183,133 @@ def _layer_case(profile, d, row):
 DENSE_30 = DiscreteDistribution([1 / 30] * 30)
 
 
+LAYER_EXAMPLES = (
+    _layer_case(DENSE_30, 0, [0.0, -1.0, -0.0]),
+    _layer_case(DiscreteDistribution.delta(0), 1, [-1.0, -2.0, 0.0]),
+    _layer_case(DiscreteDistribution.uniform([1, 2]), 1, [-0.0, -3.0, -1.0]),
+    # support shorter than d; the last column wins on this falling row
+    _layer_case(DiscreteDistribution.delta(2), 6, [0.0, -0.0, -1.0, 0.0, -0.0, -2.0, -9.0, 0.0]),
+    # support longer than d, on a sorted row and on a falling one
+    _layer_case(DENSE_30, 5, [-4.0, -3.0, -3.0, -1.0, -0.0, 0.0, 0.0]),
+    _layer_case(DENSE_30, 5, [0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]),
+    _layer_case(ABOVE_ONE, 6, [-1.0, -math.inf, 0.0, -2.0, -0.0, -1.0, -math.inf, 0.0]),
+    # mass short of 1 and support shorter than d: past its end the running
+    # sum holds its last value, which the last column reads on this row
+    _layer_case(DiscreteDistribution([0.1, 0.2, 0.7 - 1e-12]), 6,
+                [0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -9.0]),
+)
+
+
+def _with_layer_examples(test):
+    for case in LAYER_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+def _layer_over(cum, d, row):
+    """A layer over the fixed row `row`, licensed when the row is sorted."""
+    return kds._Layer(cum, d, kds._Row(row, bool((row[1:] >= row[:-1]).all())))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(layer_cases())
-@example(_layer_case(DENSE_30, 0, [0.0, -1.0, -0.0]))
-@example(_layer_case(DiscreteDistribution.delta(0), 1, [-1.0, -2.0, 0.0]))
-@example(_layer_case(DiscreteDistribution.uniform([1, 2]), 1, [-0.0, -3.0, -1.0]))
-# support shorter than d; the last column wins on this falling row
-@example(_layer_case(DiscreteDistribution.delta(2), 6, [0.0, -0.0, -1.0, 0.0, -0.0, -2.0, -9.0, 0.0]))
-# support longer than d, on a sorted row and on a falling one
-@example(_layer_case(DENSE_30, 5, [-4.0, -3.0, -3.0, -1.0, -0.0, 0.0, 0.0]))
-@example(_layer_case(DENSE_30, 5, [0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]))
-@example(_layer_case(ABOVE_ONE, 6, [-1.0, -math.inf, 0.0, -2.0, -0.0, -1.0, -math.inf, 0.0]))
+@_with_layer_examples
 @pytest.mark.filterwarnings("error")
 def test_layer_matches_the_dense_reference_on_any_row(case):
     cum, d, row, chunk = case
     got = np.zeros(len(row)), np.zeros(len(row), dtype=int)
     want = np.zeros(len(row)), np.zeros(len(row), dtype=int)
     with mock.patch.object(kds, "_CHUNK", chunk):
-        kds._solve_layer(cum, d, row, *got)
+        kds._solve_layer(_layer_over(cum, d, row), row, *got)
     reference_kernels.solve_layer_dense(cum, d, row, *want)
     assert got[0].tolist() == want[0].tolist()
     assert np.signbit(got[0]).tolist() == np.signbit(want[0]).tolist()
     assert got[1].tolist() == want[1].tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(layer_cases())
+@_with_layer_examples
+@pytest.mark.filterwarnings("error")
+def test_layer_reads_match_the_dense_reference_on_any_row(case):
+    """A layer read one time at a time, never past its budget, over any
+    fixed row: every column and the last one where the row is unsorted."""
+    cum, d, row, _ = case
+    want = np.zeros(len(row)), np.zeros(len(row), dtype=int)
+    reference_kernels.solve_layer_dense(cum, d, row, *want)
+    layer = _layer_over(cum, d, row)
+    with mock.patch.object(kds, "_POINT_BUDGET", 1 << 20):
+        got = [layer.at(time) for time in range(len(row))]
+    assert layer._out is None
+    assert got == want[0].tolist()
+    assert np.signbit(got).tolist() == np.signbit(want[0]).tolist()
+    assert [layer.choice(time) for time in range(len(row))] == want[1].tolist()
+
+
+LAZY_EXAMPLES = (
+    (KdsInstance([], 5), 0, kds._CHUNK),
+    # start_time past the horizon
+    (KdsInstance([KdsProcess(DiscreteDistribution.uniform([1, 3]), 4)], 6), 9, kds._CHUNK),
+    # a deadline of 0 under and over other layers
+    (KdsInstance([KdsProcess(DiscreteDistribution.delta(0), 0),
+                  KdsProcess(DiscreteDistribution.uniform([2, 5]), 7),
+                  KdsProcess(DENSE_30, 0)], 8), 0, kds._CHUNK),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dp_cases(), st.sampled_from((0, 1, 1 << 20)), st.booleans(), st.booleans(),
+       st.sampled_from((0, 1 << 20)))
+@example(LAZY_EXAMPLES[0], 1, True, True, 0)
+@example(LAZY_EXAMPLES[1], 1, False, False, 1 << 20)
+@example(LAZY_EXAMPLES[2], 1 << 20, False, True, 0)
+@example(LAZY_EXAMPLES[2], 1, True, False, 1 << 20)
+@pytest.mark.filterwarnings("error")
+def test_lazy_layers_match_the_dense_layer_at_every_time(case, budget, licensed, descending,
+                                                         short):
+    """Each layer a solve leaves in its memo answers at(time) and
+    choice(time) as the dense layer does at every time, read after the
+    solve in ascending or descending time, top layer first. A budget of 0
+    solves every row, 1 switches each layer to its row after about one
+    read, and a large one never does. Unlicensed, the lf-order check fails
+    on the deepest layer that makes it, and every layer above that one
+    scans all its columns. Running sums are read with numpy or, every
+    window being short, in the interpreter."""
+    inst, start, chunk = case
+    n, T = len(inst.processes), inst.horizon
+    memo = {}
+    check = (contextlib.nullcontext() if licensed else
+             mock.patch.object(kds, "_non_increasing", side_effect=[False] + [True] * n))
+    with mock.patch.object(kds, "_POINT_BUDGET", budget), mock.patch.object(kds, "_CHUNK", chunk), \
+            mock.patch.object(kds, "_SHORT_WINDOW", short), check, \
+            mock.patch.object(kds, "_solve_layer", wraps=kds._solve_layer) as rows:
+        sol = solve_kds_dp(inst, start, memo=memo)
+        assert rows.call_count == {0: n, 1 << 20: 0}.get(budget, rows.call_count)
+        _assert_same_solution(sol, reference_kernels.solve_kds_dp(inst, start))
+        # the solve adds the layers deepest first
+        order = sorted(range(n), key=lambda i: (inst.processes[i].deadline, i))
+        layers = list(memo.values())
+        assert len(layers) == n
+        # a failed check marks every layer above one that checked lf
+        checked = False
+        for layer in layers:
+            assert layer.full == (checked and not licensed)
+            checked = checked or layer.d > 0
+        wanted = []
+        row = np.zeros(T + 1)
+        for k, layer in zip(reversed(order), layers):
+            proc = inst.processes[k]
+            out, best = np.zeros(T + 1), np.zeros(T + 1, dtype=int)
+            reference_kernels.solve_layer_dense(proc.profile.cum, proc.deadline, row, out, best)
+            wanted.append((layer, out, best))
+            row = out
+        times = range(T, -1, -1) if descending else range(T + 1)
+        for layer, out, best in reversed(wanted):
+            for time in times:
+                got = layer.at(time)
+                assert got == out[time]
+                assert math.copysign(1.0, got) == math.copysign(1.0, out[time])
+                assert layer.choice(time) == best[time]
 
 
 @st.composite
