@@ -13,6 +13,24 @@ as success only if the effective deadline exceeds 1. This charges the
 measured unit against any mass a profile puts at 0; solvers and the
 exhaustive oracle share the convention, so equivalence checks are internal
 consistency checks. Instances whose profiles put no mass at 0 are unaffected.
+
+A perfect measurement leaves the measured process j a point mass delta(r),
+r = max(o - 1, 0), so each observation branch is settled without a DP of
+its own (`kds.point_mass_values` gives the proof). From s = min(1, T), with
+d j's deadline in the branch's reduction:
+
+- if s + r < d, j surely completes in time, and the branch's value is
+  exactly 1.0;
+- otherwise j can no longer complete in time, and the branch's value is
+  that of the reduction without j, bit for bit. One DP per (dispatch
+  option, measured process) serves all of that process's observations.
+
+The second case is licensed by the DP layer below j being `ordered` (every
+log failure sequence below it non-increasing, which the layer checks once);
+where that fails, the branch is solved with j in it. Only values are
+computed this way. `solve11` builds schedules last, for the winning first
+step's table only: one DP per observation of its measured process.
+`solve01` returns no schedules and builds none.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +47,7 @@ from .kds import (
     KdsProcess,
     KdsSolution,
     brute_force_kds,
+    point_mass_values,
     solve_kds_dp,
 )
 
@@ -119,12 +138,6 @@ def _posterior(o: int) -> DiscreteDistribution:
     return DiscreteDistribution.delta(max(o - 1, 0))
 
 
-def _posteriors(processes) -> dict[int, DiscreteDistribution]:
-    """_posterior(o) for every o that a measurement of a process can
-    observe, each built once."""
-    return {o: _posterior(o) for p in processes for o, _ in p.profile.pairs()}
-
-
 def _with_profile(kinst: KdsInstance, j: int, profile: DiscreteDistribution) -> KdsInstance:
     """kinst with process j's profile swapped: its deadline stays, since
     effective deadlines depend on the prefixes and the dispatch only."""
@@ -183,30 +196,45 @@ def solve01(inst, dispatched: int | None) -> tuple[float, int | None]:
     support with the measured unit consumed; returns the best expected value
     and the measured process (lowest index on ties). With no processes the
     value is 0 and no measurement is taken.
+
+    Each observation's value comes from `point_mass_values`: 1.0 or the
+    value without j, solved once per j (see the module docstring). No
+    schedule is returned, so none is built.
     """
     if not inst.processes:
         return 0.0, None
     f = _dispatch_f(inst, dispatched, 0)
     _check_prefixes(inst)
     kinst = reduce_to_kds(inst, f)
-    value, j, _ = _best_measurement(kinst, {}, _posteriors(kinst.processes))
+    value, j, _ = _best_measurement(kinst, {}, _supports(inst))
     return value, j
 
 
-def _best_measurement(kinst: KdsInstance, memo: dict, posteriors: dict):
-    """(value, j, {o: solution}) of measuring the best process j during
-    kinst's first slot, with the solution after each observation o of j;
-    ties keep the lowest index. `posteriors` maps o to _posterior(o)."""
+def _supports(inst) -> list[list[tuple[int, float]]]:
+    """profile.pairs() of each process: the observations (o, probability)
+    a measurement of it may return."""
+    return [p.profile.pairs() for p in inst.processes]
+
+
+def _observed(kinst: KdsInstance, j: int, pairs: list, memo: dict) -> list[float]:
+    """The value from time 1 after each observation o in `pairs` of process
+    j, whose profile becomes _posterior(o)."""
+    return point_mass_values(kinst, j, [max(o - 1, 0) for o, _ in pairs], 1,
+                             memo=memo, solve=solve_kds_dp)
+
+
+def _best_measurement(kinst: KdsInstance, memo: dict, supports: list):
+    """(value, j, values) of measuring the best process j during kinst's
+    first slot, with the value after each observation in supports[j];
+    ties keep the lowest index."""
     best = (-1.0, None, None)
-    for j, p in enumerate(kinst.processes):
+    for j, pairs in enumerate(supports):
+        values = _observed(kinst, j, pairs, memo)
         total = 0.0
-        sols = {}
-        for o, po in p.profile.pairs():
-            sol = solve_kds_dp(_with_profile(kinst, j, posteriors[o]), 1, memo=memo)
-            sols[o] = sol
-            total += po * sol.value
+        for (_, po), v in zip(pairs, values):
+            total += po * v
         if total > best[0]:
-            best = (total, j, sols)
+            best = (total, j, values)
     return best
 
 
@@ -220,41 +248,54 @@ def solve11(inst) -> MetaPolicy:
     branch replaces the incumbent only on strict improvement, so ties prefer
     measuring first and lower indices.
 
-    Each dispatch option is reduced to KDS once, and every observation
-    swaps its posterior into that reduction, built once per call. One layer
-    memo serves every DP solve of the call: the branches change one profile
-    or one deadline, so they share most DP layers. Each dispatch-first
-    table keeps the solutions its measurement choice already computed.
+    Each dispatch option is reduced to KDS once. Every observation's value
+    comes from `point_mass_values`: 1.0, or the value of the option without
+    the measured process, which one DP per (option, measured process)
+    serves for all of its observations (see the module docstring). The
+    schedules are built last, for the winning first step's table only: one
+    DP per observation of its measured process, each under the dispatch
+    that observation chose. One layer memo serves every DP of the call.
     """
     if not inst.processes:
         raise ValueError("empty instance")
     _check_prefixes(inst)
     memo: dict = {}
-    posteriors = _posteriors(inst.processes)
     branch_values: dict[tuple, float] = {}
-    best = None  # (value, first_step, compute_after, table)
+    supports = _supports(inst)
+    # (value, first_step, measured, [(o, dispatch, value, reduction)])
+    best = None
 
     later = _dispatch_options(inst, 1)
-    for j, p in enumerate(inst.processes):
+    for j, pairs in enumerate(supports):
+        by_option = [(i, kinst, _observed(kinst, j, pairs, memo)) for i, kinst in later]
         total = 0.0
-        table = {}
-        for o, po in p.profile.pairs():
-            measured = [(i, _with_profile(kinst, j, posteriors[o])) for i, kinst in later]
-            bi, bv, bsol = _best_option(measured, 1, memo)
+        choices = []
+        for m, (o, po) in enumerate(pairs):
+            bv = None
+            # ties keep the earliest option
+            for i, kinst, values in by_option:
+                if bv is None or values[m] > bv:
+                    bi, bv, bk = i, values[m], kinst
             total += po * bv
-            table[o] = BranchOutcome(bv, bi, bsol)
+            choices.append((o, bi, bv, bk))
         branch_values[("compute", j)] = total
         if best is None or total > best[0]:
-            best = (total, ("compute", j), None, table)
+            best = (total, ("compute", j), j, choices)
 
     for i, kinst in _dispatch_options(inst, 0)[1:]:
-        value, best_j, sols = _best_measurement(kinst, memo, posteriors)
-        table = {o: BranchOutcome(sol.value, None, sol) for o, sol in sols.items()}
+        value, best_j, values = _best_measurement(kinst, memo, supports)
         branch_values[("dispatch", i)] = value
         if value > best[0]:
-            best = (value, ("dispatch", i), best_j, table)
+            choices = [(o, None, v, kinst) for (o, _), v in zip(supports[best_j], values)]
+            best = (value, ("dispatch", i), best_j, choices)
 
-    value, first, after, table = best
+    value, first, measured, choices = best
+    table = {
+        o: BranchOutcome(v, i, solve_kds_dp(_with_profile(kinst, measured, _posterior(o)), 1,
+                                            memo=memo))
+        for o, i, v, kinst in choices
+    }
+    after = measured if first[0] == "dispatch" else None
     return MetaPolicy(value, first, after, table, branch_values)
 
 

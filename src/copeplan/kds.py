@@ -18,6 +18,11 @@ checking that every log failure sequence below it is non-increasing. A
 layer whose reads pass a small cell budget solves its whole row with numpy
 instead, so dense profiles and long horizons cost what an eager DP does.
 Every value, sign of zero and block list equals the dense layer's.
+
+`point_mass_values` gives the value of an instance with one process's
+profile swapped for a point mass, as a perfect measurement leaves it:
+exactly 1.0 when the process surely completes in time, otherwise, under the
+same licence, the value of the instance without that process.
 """
 
 from __future__ import annotations
@@ -161,13 +166,89 @@ def solve_kds_dp(
     T = instance.horizon
     if start_time < 0:
         raise ValueError("start_time must be >= 0")
-    order = sorted(range(n), key=lambda i: (instance.processes[i].deadline, i))
+    order = _order(instance.processes)
+    layers = _layers([instance.processes[k] for k in order], T, memo)
+    if n > _POINT_DEPTH:
+        layers[0].row()
 
-    layer = _Row(np.zeros(T + 1), True)
-    layers = []
-    key = T
-    for k in reversed(order):
+    time = min(start_time, T)
+    value = 0.0 - math.expm1(layers[0].at(time))
+    blocks: list[Block] = []
+    for k, layer in zip(order, layers):
+        t = layer.choice(time)
         proc = instance.processes[k]
+        if t > 0 or success_prob(proc.profile, proc.deadline, 0, time) > 0.0:
+            blocks.append(Block(k, time, t))
+        time += t
+    return KdsSolution(value, blocks)
+
+
+def point_mass_values(
+    instance: KdsInstance, j: int, remainings, start_time: int, *, memo: dict, solve,
+) -> list[float]:
+    """For each r in `remainings`, the DP value from `start_time` of
+    `instance` with process j's profile replaced by the point mass delta(r),
+    equal bit for bit to `solve_kds_dp`'s on that instance.
+
+    Let s = min(start_time, T) and d be j's deadline.
+
+    - If s + r < d, the value is exactly 1.0: j's layer reaches -inf at s
+      through its sure column (column 0 when r = 0), every layer above
+      reaches that -inf at s through column 0, and 0.0 - expm1(-inf) is 1.0.
+    - Otherwise, at every time tau >= s that a solve reads it, j's layer has
+      only column 0 to scan, with lf -0.0: below d - tau <= r, delta(r)'s
+      running sum stays 0.0, and at or past d column 0 is the only one. So
+      it returns -0.0 + next.at(tau), which equals next.at(tau) bit for
+      bit, and the value is that of the instance without j, solved once
+      for every such r. That needs the layer below j to be `ordered`, the
+      licence to scan change points only; where it fails, j's layer scans
+      every column, and each such r is solved with j in it.
+
+    `solve` is the DP those solves call: `solve_kds_dp`, as the caller
+    looks it up, so that a wrapper around the caller's reference sees every
+    call. `memo` is the layer memo they share with the caller's other
+    solves.
+    """
+    if start_time < 0:
+        raise ValueError("start_time must be >= 0")
+    procs = instance.processes
+    T = instance.horizon
+    s = min(start_time, T)
+    d = procs[j].deadline
+    licensed = rest = None
+    values = []
+    for r in remainings:
+        if s + r < d:
+            values.append(1.0)
+            continue
+        if licensed is None:
+            order = _order(procs)
+            below = order[order.index(j) + 1 :]
+            licensed = _layers([procs[i] for i in below], T, memo)[0].ordered
+        if not licensed:
+            point = KdsProcess(DiscreteDistribution.delta(r), d)
+            swapped = KdsInstance([point if i == j else p for i, p in enumerate(procs)], T)
+            values.append(solve(swapped, start_time, memo=memo).value)
+            continue
+        if rest is None:
+            others = KdsInstance([p for i, p in enumerate(procs) if i != j], T)
+            rest = solve(others, start_time, memo=memo).value
+        values.append(rest)
+    return values
+
+
+def _order(processes: list) -> list:
+    """Process indices in the DP's (deadline, index) order."""
+    return sorted(range(len(processes)), key=lambda i: (processes[i].deadline, i))
+
+
+def _layers(processes: list, T: int, memo: dict | None) -> list:
+    """The DP layers of `processes`, given in (deadline, index) order, top
+    first, then the base row of zeros; through `memo` when one is given."""
+    layer = _Row(np.zeros(T + 1), True)
+    layers = [layer]
+    key = T
+    for proc in reversed(processes):
         if memo is None:
             layer = _Layer(proc.profile.cum, proc.deadline, layer)
         else:
@@ -178,19 +259,7 @@ def solve_kds_dp(
             layer = found
         layers.append(layer)
     layers.reverse()
-    if n > _POINT_DEPTH:
-        layer.row()
-
-    time = min(start_time, T)
-    value = 0.0 - math.expm1(layer.at(time))
-    blocks: list[Block] = []
-    for k, layer in zip(order, layers):
-        t = layer.choice(time)
-        proc = instance.processes[k]
-        if t > 0 or success_prob(proc.profile, proc.deadline, 0, time) > 0.0:
-            blocks.append(Block(k, time, t))
-        time += t
-    return KdsSolution(value, blocks)
+    return layers
 
 
 class _Row:

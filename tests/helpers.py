@@ -6,6 +6,9 @@ from a single seed.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from copeplan.cope import CopeInstance, CopeProcess, PrefixAction
@@ -106,3 +109,12 @@ def random_copem_instance(
         observation_budget=observation_budget,
         horizon=base.horizon,
     )
+
+
+def abstract_instances(seed: int) -> list:
+    """The benchmark's seeded solve_abstract instances, [(kind, index, instance)]."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "abstract.py"
+    spec = importlib.util.spec_from_file_location("perfbench_abstract", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_instances(seed)

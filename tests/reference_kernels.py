@@ -3,9 +3,10 @@ the temporal network's growth in copeplan.stn, the planner's per-node
 kernels in copeplan.planner.search (with the relaxed plan's set algebra
 rebuilt on every test, and child networks grown eagerly by event name), the
 decision cycle's scoring in copeplan.planner.engine (every quantity
-recomputed per node and per call), and the KDS dynamic program in
+recomputed per node and per call), the KDS dynamic program in
 copeplan.kds, both as a loop and as one layer over every (time, block
-length) cell.
+length) cell, and copeplan.copem's measurement solvers with one DP per
+(measured process, observation, dispatch option).
 
 Each returns the same floats as the kernel it mirrors, so tests compare them
 with ==, not with a tolerance.
@@ -15,9 +16,11 @@ import math
 
 import numpy as np
 
+from copeplan import copem
+from copeplan.cope import reduce_to_kds
 from copeplan.dda import FAILURE_FLOOR, lpf
 from copeplan.dist import DiscreteDistribution
-from copeplan.kds import Block, KdsSolution, success_prob
+from copeplan.kds import Block, KdsSolution, solve_kds_dp as _solve_kds_dp, success_prob
 from copeplan.planner.search import (
     ESTIMATE_SUPPORT_CAP,
     deadline_steps,
@@ -410,3 +413,81 @@ def solve_layer_dense(cum, d, row, out, best_t):
     best = np.argmin(cand, axis=1)
     best_t[:d] = best
     out[:d] = cand[times, best]
+
+
+def solve00(inst, start_time=0):
+    """copem.solve00 with one DP per dispatch option and no layer memo."""
+    best = None
+    for i in [None] + [k for k, p in enumerate(inst.processes) if p.prefix]:
+        kinst = reduce_to_kds(inst, copem._dispatch_f(inst, i, start_time))
+        value = _solve_kds_dp(kinst, start_time).value
+        if best is None or value > best[0]:
+            best = (value, i)
+    return best
+
+
+def _best_option(options, start_time, memo):
+    best = None
+    for i, kinst in options:
+        sol = _solve_kds_dp(kinst, start_time, memo=memo)
+        if best is None or sol.value > best[1]:
+            best = (i, sol.value, sol)
+    return best
+
+
+def _best_measurement(kinst, memo):
+    """(value, j, {o: solution}): one DP per observation o of each j."""
+    best = (-1.0, None, None)
+    for j, p in enumerate(kinst.processes):
+        total = 0.0
+        sols = {}
+        for o, po in p.profile.pairs():
+            sol = _solve_kds_dp(copem._with_profile(kinst, j, copem._posterior(o)), 1, memo=memo)
+            sols[o] = sol
+            total += po * sol.value
+        if total > best[0]:
+            best = (total, j, sols)
+    return best
+
+
+def solve01(inst, dispatched):
+    """copem.solve01 with one DP per (measured process, observation)."""
+    if not inst.processes:
+        return 0.0, None
+    f = copem._dispatch_f(inst, dispatched, 0)
+    copem._check_prefixes(inst)
+    value, j, _ = _best_measurement(reduce_to_kds(inst, f), {})
+    return value, j
+
+
+def solve11(inst):
+    """copem.solve11 with one DP per (measured process, observation,
+    dispatch option), each table built from the solutions its branch
+    solved."""
+    if not inst.processes:
+        raise ValueError("empty instance")
+    copem._check_prefixes(inst)
+    memo = {}
+    branch_values = {}
+    best = None
+    later = copem._dispatch_options(inst, 1)
+    for j, p in enumerate(inst.processes):
+        total = 0.0
+        table = {}
+        for o, po in p.profile.pairs():
+            measured = [(i, copem._with_profile(kinst, j, copem._posterior(o)))
+                        for i, kinst in later]
+            bi, bv, bsol = _best_option(measured, 1, memo)
+            total += po * bv
+            table[o] = copem.BranchOutcome(bv, bi, bsol)
+        branch_values[("compute", j)] = total
+        if best is None or total > best[0]:
+            best = (total, ("compute", j), None, table)
+    for i, kinst in copem._dispatch_options(inst, 0)[1:]:
+        value, best_j, sols = _best_measurement(kinst, memo)
+        table = {o: copem.BranchOutcome(sol.value, None, sol) for o, sol in sols.items()}
+        branch_values[("dispatch", i)] = value
+        if value > best[0]:
+            best = (value, ("dispatch", i), best_j, table)
+    value, first, after, table = best
+    return copem.MetaPolicy(value, first, after, table, branch_values)

@@ -72,9 +72,9 @@ def test_solve_copem00_worked_instance(capsys):
 
 def test_solve_copem11_reports_policy(capsys):
     assert main(["solve", "copem11", path("copem_worked.json")]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("value 1.0000000\nfirst ")
-    assert "observe " in out
+    assert capsys.readouterr().out == ("value 1.0000000\n"
+                                       "first compute process 1\n"
+                                       "observe 2: value 1.0000000, dispatch process 1\n")
 
 
 def test_solve_kidcope_worked_instance(capsys):

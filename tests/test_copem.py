@@ -1,10 +1,13 @@
 """Dispatch-and-measure solvers against the exhaustive policy-tree oracle."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from copeplan import copem
-from copeplan.cope import CopeInstance, CopeProcess, PrefixAction, solve_kidcope
+import reference_kernels
+from copeplan import copem, fileio
+from copeplan.cope import CopeInstance, CopeProcess, PrefixAction, reduce_to_kds, solve_kidcope
 from copeplan.copem import (
     CopemInstance,
     MetaPolicy,
@@ -17,9 +20,10 @@ from copeplan.copem import (
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import KdsInstance, KdsProcess, solve_kds_dp
 
-from helpers import random_copem_instance, random_pmf
+from helpers import abstract_instances, random_cope_instance, random_copem_instance, random_pmf
 
 delta = DiscreteDistribution.delta
+WORKED = Path(__file__).resolve().parent.parent / "configs" / "copem_worked.json"
 
 
 def two_process_relaxation_instance(dispatch_budget=0, observation_budget=0):
@@ -226,6 +230,10 @@ def test_branch_values_are_expectation_consistent():
 
 
 def test_decision_count_scales_quadratically():
+    """solve11 values its branches with one DP per (dispatch option,
+    measured process), however many observations the measured profile has,
+    then makes one DP per observation of the winner's measured process for
+    its schedules."""
     calls = {"n": 0}
     real = copem.solve_kds_dp
 
@@ -233,22 +241,33 @@ def test_decision_count_scales_quadratically():
         calls["n"] += 1
         return real(*args, **kwargs)
 
+    def instance(n, support, deadline):
+        return CopemInstance([
+            CopeProcess(
+                DiscreteDistribution.uniform(range(1, support + 1)),
+                (PrefixAction("abc"[k], 1),),
+                deadline,
+            )
+            for k in range(n)
+        ], 1, 1)
+
     copem.solve_kds_dp = counting
     try:
         for n in (1, 2, 3):
-            support = 4
-            procs = [
-                CopeProcess(
-                    DiscreteDistribution.uniform(range(1, support + 1)),
-                    (PrefixAction("abc"[k], 1),),
-                    6,
-                )
-                for k in range(n)
-            ]
-            inst = CopemInstance(procs, 1, 1)
             calls["n"] = 0
-            solve11(inst)
-            assert calls["n"] <= 3 * (n + 1) ** 2 * support
+            solve11(instance(n, 4, 6))
+            assert calls["n"] <= 3 * (n + 1) ** 2 * 4
+            # at deadline 4 the longest observation of every process leaves
+            # it no time, so every (option, measured process) needs its DP
+            valued = {}
+            for support in (4, 8):
+                calls["n"] = 0
+                policy = solve11(instance(n, support, 4))
+                assert len(policy.second_step) == support
+                valued[support] = calls["n"] - support
+            # n + 1 options after a first-slot measurement, n dispatches
+            # before one, n processes to measure in each
+            assert valued[4] == valued[8] == n * (2 * n + 1)
     finally:
         copem.solve_kds_dp = real
 
@@ -264,3 +283,49 @@ def test_oracle_size_guards():
     ok = CopemInstance([CopeProcess(delta(1), (), 2)], 1, 1)
     with pytest.raises(ValueError):
         expectimax_oracle(ok, max_depth=1)
+
+
+def _outcome(solver, *args):
+    """repr of what solver(*args) returns or raises."""
+    try:
+        return repr(solver(*args))
+    except Exception as exc:  # any error: the reference must raise the same
+        return "raised " + repr(exc)
+
+
+def test_copem_solvers_match_the_per_observation_references():
+    """solve11, solve01 (every dispatch, valid or not) and solve00 (start
+    times 0, 1 and 2) print exactly what the references print, which solve
+    one DP per observation: on the benchmark's seed-1 kidcope and copem
+    instances (two-action prefixes raise) and on random instances, with
+    and without mass at time 0."""
+    cases = [inst for kind, _, inst in abstract_instances(1) if kind in ("kidcope", "copem")]
+    assert len(cases) == 48
+    rng = np.random.default_rng(17)
+    cases += [random_copem_instance(rng, 1, 1) for _ in range(30)]
+    cases += [random_cope_instance(rng, max_prefix=1) for _ in range(30)]
+    raised = 0
+    for inst in cases:
+        got = _outcome(solve11, inst)
+        assert got == _outcome(reference_kernels.solve11, inst)
+        raised += got.startswith("raised ")
+        for dispatched in [None, *range(len(inst.processes))]:
+            assert (_outcome(solve01, inst, dispatched)
+                    == _outcome(reference_kernels.solve01, inst, dispatched))
+        for start in (0, 1, 2):
+            assert _outcome(solve00, inst, start) == _outcome(reference_kernels.solve00, inst, start)
+    assert 0 < raised < len(cases) // 2
+
+
+def test_abstract_solvers_print_nothing(capfd):
+    """The benchmark's last stdout line is its result: no solver writes to
+    stdout or stderr."""
+    inst = fileio.load(WORKED)
+    kinst = reduce_to_kds(inst, copem._dispatch_f(inst, None, 0))
+    solve_kds_dp(kinst)
+    solve_kidcope(CopeInstance(inst.processes, inst.horizon))
+    solve00(inst)
+    solve01(inst, None)
+    solve01(inst, 0)
+    solve11(inst)
+    assert capfd.readouterr() == ("", "")

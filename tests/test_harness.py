@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from copeplan import fileio
-from copeplan.cope import solve_kidcope
-from copeplan.copem import solve11
+from copeplan.cope import CopeProcess, PrefixAction, solve_kidcope
+from copeplan.copem import CopemInstance, MetaPolicy, solve00, solve11
 from copeplan.dist import DiscreteDistribution
 from copeplan.harness import (
     BenchmarkConfig,
@@ -23,7 +23,12 @@ from copeplan.harness import (
 from copeplan.kds import Block, KdsInstance, KdsProcess, solve_kds_dp
 from copeplan.planner import validate_plan
 
-from helpers import random_cope_instance, random_copem_instance, random_kds_instance
+from helpers import (
+    abstract_instances,
+    random_cope_instance,
+    random_copem_instance,
+    random_kds_instance,
+)
 
 
 def test_simulate_worked_instance_is_certain():
@@ -76,6 +81,44 @@ def test_simulate_meta_policy_within_3_sigma():
         rate = simulate_policy(inst, policy, n, seed=300 + k)
         sigma = math.sqrt(max(policy.value * (1 - policy.value), 1e-12) / n)
         assert abs(rate - policy.value) <= max(3 * sigma, 1e-9)
+
+
+def test_solve11_policies_name_their_measured_process():
+    """Every solve11 policy measures a process, compute-first or after its
+    dispatch, so only a hand-built policy reaches _simulate_meta's branch
+    for a policy that measures nothing."""
+    rng = np.random.default_rng(56)
+    forced = CopemInstance([CopeProcess(DiscreteDistribution.delta(1), (PrefixAction("a", 2),), 2)],
+                           1, 1)
+    instances = [forced] + [random_copem_instance(rng, 1, 1) for _ in range(40)]
+    instances += [inst for kind, _, inst in abstract_instances(1) if kind == "copem"]
+    kinds = set()
+    for inst in instances:
+        policy = solve11(inst)
+        kind, idx = policy.first_step
+        measured = idx if kind == "compute" else policy.compute_after_dispatch
+        assert measured is not None
+        assert sorted(policy.second_step) == [o for o, _ in inst.processes[measured].profile.pairs()]
+        kinds.add(kind)
+    assert kinds == {"compute", "dispatch"}
+
+
+def test_simulate_meta_policy_without_a_measurement_within_3_sigma():
+    """A dispatch-first policy that measures nothing replays the dispatched
+    reduction's schedule: its rate matches solve00's value."""
+    rng = np.random.default_rng(57)
+    n = 20000
+    checked = 0
+    while checked < 6:
+        inst = random_copem_instance(rng, 1, 1)
+        value, dispatched = solve00(inst)
+        if dispatched is None or not 0.0 < value < 1.0:
+            continue
+        policy = MetaPolicy(value, ("dispatch", dispatched), None, {})
+        rate = simulate_policy(inst, policy, n, seed=400 + checked)
+        sigma = math.sqrt(value * (1 - value) / n)
+        assert abs(rate - value) <= 3 * sigma
+        checked += 1
 
 
 def test_simulate_rejects_mismatched_policy():

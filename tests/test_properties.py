@@ -6,15 +6,14 @@ brute-force oracle at its largest admitted sizes and against its loop form
 bit for bit, also when families of instances share one layer memo; one DP
 layer against its dense form on any next row, lazy layers against it at
 every time on either side of their cell budget, and the order of the rows
-that lets a layer scan only change points; and the incremental temporal
-network (both its persistent growth and probe) against the from-scratch
-Floyd-Warshall recompute.
+that lets a layer scan only change points; the point-mass shortcut for a
+measured process against the DP with that process swapped in; and the
+incremental temporal network (both its persistent growth and probe)
+against the from-scratch Floyd-Warshall recompute.
 """
 
 import contextlib
-import importlib.util
 import math
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels
+from helpers import abstract_instances
 from copeplan import cope, copem, kds
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import (
@@ -362,27 +362,96 @@ def test_dp_layers_shared_through_one_memo_match_the_loop_reference(family):
             _assert_same_solution(sol, reference_kernels.solve_kds_dp(inst, start))
 
 
-def _abstract_instances(seed):
-    """The benchmark's seeded solve_abstract instances, [(kind, index, instance)]."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "abstract.py"
-    spec = importlib.util.spec_from_file_location("perfbench_abstract", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.make_instances(seed)
-
-
 def test_abstract_solvers_print_the_same_with_and_without_the_memo():
     def memoless(instance, start_time=0, *, memo=None):
         return kds.solve_kds_dp(instance, start_time)
 
     solvers = {"kidcope": cope.solve_kidcope, "copem": copem.solve11}
-    cases = [(kind, inst) for kind, _, inst in _abstract_instances(1) if kind in solvers]
+    cases = [(kind, inst) for kind, _, inst in abstract_instances(1) if kind in solvers]
     assert len(cases) == 48
     shared = [repr(solvers[kind](inst)) for kind, inst in cases]
     with mock.patch.object(cope, "solve_kds_dp", memoless), \
             mock.patch.object(copem, "solve_kds_dp", memoless):
         alone = [repr(solvers[kind](inst)) for kind, inst in cases]
     assert shared == alone
+
+
+@st.composite
+def point_mass_cases(draw):
+    """(instance, j, remainings, start_time): process j anywhere in the
+    deadline order, deadlines from a small pool so that they tie, start
+    times up to past the horizon, and remaining times that include 0 and
+    d - s, where j's success turns from sure to impossible."""
+    horizon = draw(_up_to(DP_MAX_T))
+    pool = sorted({d for d in (0, 1, 2, horizon) if d <= horizon}
+                  | set(draw(st.lists(st.integers(0, horizon), max_size=2))))
+    processes = [KdsProcess(draw(dp_profiles(horizon)), draw(st.sampled_from(pool)))
+                 for _ in range(draw(st.integers(1, BRUTE_FORCE_MAX_N)))]
+    j = draw(st.integers(0, len(processes) - 1))
+    start = draw(st.integers(0, horizon + 2))
+    edge = max(processes[j].deadline - min(start, horizon), 0)
+    remainings = draw(st.lists(st.one_of(st.just(0), st.just(edge), st.integers(0, horizon + 3)),
+                               min_size=1, max_size=4))
+    return KdsInstance(processes, horizon), j, remainings, start
+
+
+def _point_mass_case(deadlines, j, remainings, start, horizon):
+    profiles = [DiscreteDistribution.uniform([1, 2 + k]) for k in range(len(deadlines))]
+    return (KdsInstance([KdsProcess(p, d) for p, d in zip(profiles, deadlines)], horizon),
+            j, remainings, start)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(point_mass_cases(), st.booleans())
+# n = 1 with d = 0: every remaining time leaves j out
+@example(_point_mass_case([0], 0, [0, 3], 0, 4), True)
+# j between equal deadlines, licence off: s + r == d and past it fall back
+@example(_point_mass_case([5, 5, 5], 1, [0, 4, 5], 1, 6), False)
+@example(_point_mass_case([5, 5, 5], 1, [0, 4, 5], 1, 6), True)
+# d in {1, 2}, j last in the order, start past the horizon
+@example(_point_mass_case([1, 2], 1, [0, 1, 2], 9, 6), False)
+@example(_point_mass_case([2, 1], 0, [0, 1, 2], 1, 3), True)
+@pytest.mark.filterwarnings("error")
+def test_point_mass_values_match_the_dp(case, licensed):
+    """kds.point_mass_values equals solve_kds_dp on the instance with j's
+    profile swapped for delta(r), bit for bit: 1.0 while s + r < d, else
+    one solve without j for every such r, or, where the lf-order check is
+    forced to fail below j, one solve with j per such r."""
+    inst, j, remainings, start = case
+    n, T = len(inst.processes), inst.horizon
+    solved = []
+
+    def solve(instance, start_time, *, memo):
+        solved.append(len(instance.processes))
+        return solve_kds_dp(instance, start_time, memo=memo)
+
+    check = (contextlib.nullcontext() if licensed else
+             mock.patch.object(kds, "_non_increasing", return_value=False))
+    with check:
+        got = kds.point_mass_values(inst, j, remainings, start, memo={}, solve=solve)
+    s = min(start, T)
+    d = inst.processes[j].deadline
+    for r, value in zip(remainings, got, strict=True):
+        procs = list(inst.processes)
+        procs[j] = KdsProcess(DiscreteDistribution.delta(r), d)
+        want = solve_kds_dp(KdsInstance(procs, T), start).value
+        assert value == want
+        assert math.copysign(1.0, value) == math.copysign(1.0, want)
+        if s + r < d:
+            assert value == 1.0
+    late = sum(s + r >= d for r in remainings)
+    # only a layer with a deadline checks its lf order
+    below = [p for i, p in enumerate(inst.processes) if (p.deadline, i) > (d, j)]
+    if not licensed and any(p.deadline > 0 for p in below):
+        assert solved == [n] * late
+    else:
+        assert solved == [n - 1] * min(late, 1)
+
+
+def test_point_mass_values_refuse_a_negative_start():
+    inst = KdsInstance([KdsProcess(DiscreteDistribution.delta(1), 2)], 3)
+    with pytest.raises(ValueError):
+        kds.point_mass_values(inst, 0, [0], -1, memo={}, solve=solve_kds_dp)
 
 
 @st.composite
