@@ -6,10 +6,10 @@ the config seed, and benchmark rows are emitted in sorted key order so two
 runs of the same config produce byte-identical tables.
 """
 
+import html
 import json
 import math
 from dataclasses import dataclass, field, replace
-from xml.sax import saxutils
 
 import numpy as np
 
@@ -375,7 +375,7 @@ def plot_svg(rows, width=640, height=400, desc=None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
     ]
     if desc is not None:
-        body = saxutils.escape(str(desc))
+        body = html.escape(str(desc), quote=False)
         parts.append(f"<desc>{body}</desc>")
     parts += [
         f'<rect width="{width}" height="{height}" fill="white"/>',

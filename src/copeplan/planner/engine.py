@@ -14,9 +14,10 @@ Scoring reads what the loop already knows. Each node carries the suffix
 minima of its start tmaxes, so latest_start is a lookup. run_search keeps one
 memo per burst that maps h to a _Scores: the completion profile, its
 expected effort, q_known's whole-support tables and lpf's values by success
-index. Step pos is event pos + 1 of a node's network, which a node builds
-only when something reads it: an expansion, _pin, _try_finish or
-_apply_dispatch.
+index. Step pos is event pos + 1 of a node's network, which a node wraps
+from its last probe's matrix only when something reads it: an expansion,
+_try_finish or _apply_dispatch. A pin is two pending edges on that network,
+probed by the tighten that checks the node's chain against it.
 """
 
 import math
@@ -202,13 +203,15 @@ MODES = {"disp": "_decide", "nodisp": "_never_commit"}
 
 
 def _pin(task, node, pos, when):
-    """Fix t(step pos) = when in the node's network; None if that breaks it."""
+    """Fix t(step pos) = when in the node's network; None if that breaks it
+    or the node's chain no longer fits. The pin's two edges join the node's
+    pending edges, so tighten's one probe checks both and keeps the pinned
+    network; a refused pin leaves the node as it was."""
     ev = pos + 1
-    stn = node.stn.extend((), [(0, ev, when), (ev, 0, -when)])
-    if not stn.consistent:
-        return None
-    node.base = stn
+    edges = node.edges
+    node.edges = edges + ((0, ev, when), (ev, 0, -when))
     if not tighten(task, node):
+        node.edges = edges
         return None
     return node
 

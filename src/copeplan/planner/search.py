@@ -8,11 +8,17 @@ whose extracted action chain is also probed against the node's network (as
 tentative events that Stn.probe never adds to it) to tighten the latest
 feasible start of each pending step.
 
+A node's state is a bitmask over the task's numbered propositions
+(Task.bit), so applying a step, testing a condition and the relaxed pass are
+integer & and | on the masks Task compiles once.
+
 Events are positional: a network holds the origin, then one event per step
 in prefix order, so step pos is event pos + 1. A generated child keeps its
-parent's network and its own edges; tighten probes them together with the
-chain in one call, and the child builds its own network (SearchNode.stn)
-only when something reads it. Most children are never read.
+parent's network and its own pending event and edges; tighten probes them
+together with the chain in one call, and the probe keeps the child's matrix
+on the way. The child's own network (SearchNode.stn) wraps that matrix when
+something first reads it; no network is grown twice. Most children are
+never read.
 """
 
 import math
@@ -23,7 +29,6 @@ import numpy as np
 from ..dda import FAILURE_FLOOR, DdaParams
 from ..dist import DiscreteDistribution
 from ..stn import EPSILON_SEPARATION, Stn
-from .task import apply_end, apply_start
 
 INF = math.inf
 
@@ -73,28 +78,33 @@ class SearchStats:
 # and list.remove on the open list and the frontier need not compare fields
 @dataclass(eq=False)
 class SearchNode:
-    """`base` is the node's network, or its parent's while `edges` holds the
-    node's own (u, v, b) edges over it; `stn` builds the network on first
-    read. `start_tmaxes` holds (pos, tmax) per start step and `latest[c]`
-    the least of them at a position >= c."""
+    """`props` is the node's state as a proposition bitmask. `base` is the
+    node's network, or one that the pending event `names` and (u, v, b)
+    `edges` extend to it (a child's own, then any pins); `dist` is then the
+    matrix tighten's last probe kept for that extension, which `stn` wraps
+    on first read. `start_tmaxes` holds (pos, tmax) per start step and
+    `latest[c]` the least of them at a position >= c."""
 
     prefix: tuple
-    props: frozenset
+    props: int
     opens: tuple
     til_count: int
     base: Stn
     h: float
     chain: tuple
     generation_tick: int
-    edges: tuple = None
+    names: tuple = ()
+    edges: tuple = ()
+    dist: np.ndarray = None
     start_tmaxes: tuple = ()
     latest: list = ()
 
     @property
     def stn(self) -> Stn:
-        if self.edges is not None:
-            self.base = self.base.extend((f"s{len(self.prefix) - 1}",), self.edges)
-            self.edges = None
+        if self.names or self.edges:
+            self.base = self.base.wrap(self.names, self.edges, self.dist)
+            self.names = self.edges = ()
+            self.dist = None
         return self.base
 
     def key(self):
@@ -115,58 +125,54 @@ def relaxed_plan(task, props, opens, til_count):
 
     Future timed additions are treated as already available and deletions are
     ignored, so reachability here is optimistic; a None is a true dead end.
-    Extraction backchains through the earliest achiever of every needed fact,
-    which keeps the chain minimal when several actions add the same goal.
+    Each round first lets the open actions end, then applies each action in
+    task order whose relaxed precondition holds and that adds something new,
+    with facts visible within the round. The first achiever of a fact is
+    the one that made it new, and extraction backchains through those
+    achievers, which keeps the chain minimal when several actions add the
+    same goal. Every set is a bitmask; an achiever's conditions are achieved
+    at or before it, so one backward scan over the applied actions finds
+    every achiever the goal needs.
     """
-    facts = set(props)
-    adder = {}
-    for lit in task.tils[til_count:]:
-        if lit.add:
-            facts.add(lit.prop)
-    pending = [task.by_name[name] for name, _ in opens]
+    facts = props | task.til_adds[til_count]
+    masks = task.masks
+    pending = [masks[name] for name, _ in opens]
+    # actions not yet applied; one whose precondition holds but that adds
+    # nothing new never will, as facts only grow
+    waiting = list(zip(task.actions, masks.values()))
     applied = []
-    applied_names = set()
     progress = True
     while progress:
         progress = False
         still = []
-        for a in pending:
-            if a.cond_end <= facts:
-                for p in a.add_end - facts:
-                    adder.setdefault(p, None)
-                if not a.add_end <= facts:
-                    facts |= a.add_end
-                    progress = True
-            else:
-                still.append(a)
+        for m in pending:
+            if m.cond_end & ~facts:
+                still.append(m)
+            elif m.add_end & ~facts:
+                facts |= m.add_end
+                progress = True
         pending = still
-        for a in task.actions:
-            if a.name in applied_names:
+        left = []
+        for a, m in waiting:
+            if m.relaxed_pre & ~facts:
+                left.append((a, m))
                 continue
-            if a.relaxed_pre <= facts:
-                new = a.adds - facts
-                if new:
-                    applied_names.add(a.name)
-                    applied.append(a)
-                    for p in new:
-                        adder.setdefault(p, a.name)
-                    facts |= new
-                    progress = True
-    if pending or not task.goal <= facts:
+            new = m.adds & ~facts
+            if new:
+                applied.append((a, m.conds, new))
+                facts |= new
+                progress = True
+        waiting = left
+    if pending or task.goal_mask & ~facts:
         return None
-    selected = set()
-    queue = [p for p in sorted(task.goal) if p not in props]
-    while queue:
-        prop = queue.pop()
-        name = adder.get(prop)
-        if name is None or name in selected:
-            continue
-        selected.add(name)
-        a = task.by_name[name]
-        for p in sorted(a.conds):
-            if p not in props:
-                queue.append(p)
-    return [a for a in applied if a.name in selected]
+    need = task.goal_mask & ~props
+    chain = []
+    for a, conds, new in reversed(applied):
+        if new & need:
+            chain.append(a)
+            need |= conds & ~props
+    chain.reverse()
+    return chain
 
 
 def tighten(task, node: SearchNode):
@@ -177,11 +183,13 @@ def tighten(task, node: SearchNode):
     intervals bound the chain's finish from below. One Stn.probe of the base
     network takes the node's pending edges and then the chain, which is
     never added to any network; the probe's origin row gives the prefix tmax
-    values. Returns False when the node's own edges, or even the optimistic
-    chain after them, cannot fit, which callers treat as a dead end.
+    values, and the probe keeps the matrix of the node's own network in
+    node.dist. Returns False when the node's own edges, or even the
+    optimistic chain after them, cannot fit, which callers treat as a dead
+    end; the node is then left as it was.
     """
     base = node.base
-    edges = list(node.edges or ())
+    edges = list(node.edges)
     eps = EPSILON_SEPARATION
     future = task.tils[node.til_count:]
     last = len(node.prefix)
@@ -211,9 +219,10 @@ def tighten(task, node: SearchNode):
         if goal_cut < INF:
             edges.append((0, ev, goal_cut))
         ev += 1
-    tmax = base.probe(ev - len(base.events), edges)
-    if tmax is None:
+    probed = base.probe(ev - len(base.events), edges, len(node.names), len(node.edges))
+    if probed is None:
         return False
+    tmax, node.dist = probed
     tmax = tmax.tolist()
     # suffix minima of the start tmaxes; of equal values the earlier is
     # kept, as min over the list in position order would
@@ -235,30 +244,34 @@ def tighten(task, node: SearchNode):
 def make_child(task, parent: SearchNode, step, tick: int):
     """Apply one snap step; None when conditions or time make it impossible.
 
-    The child's event is k + 1 for a prefix of length k, and its edges wait
-    in `edges` until tighten probes them or the child's network is read."""
+    The child's event is k + 1 for a prefix of length k; it and the child's
+    edges stay pending over the parent's network, and tighten's probe keeps
+    the child's matrix."""
     eps = EPSILON_SEPARATION
     k = len(parent.prefix)
     til_count = parent.til_count
+    props = parent.props
+    masks = task.masks
     if step[0] == "start":
-        a = task.by_name[step[1]]
-        if not a.cond_start <= parent.props:
+        m = masks[step[1]]
+        if m.cond_start & ~props:
             return None
-        props = apply_start(a, parent.props)
-        opens = parent.opens + ((a.name, k),)
+        props = (props & ~m.del_start) | m.add_start
+        opens = parent.opens + ((step[1], k),)
     elif step[0] == "end":
-        a = task.by_name[step[1]]
-        if not a.cond_end <= parent.props:
+        m = masks[step[1]]
+        if m.cond_end & ~props:
             return None
-        props = apply_end(a, parent.props)
-        opens = tuple(o for o in parent.opens if o != (a.name, step[2]))
+        props = (props & ~m.del_end) | m.add_end
+        opens = tuple(o for o in parent.opens if o != (step[1], step[2]))
     else:
         lit = task.tils[step[1]]
-        props = (parent.props | {lit.prop}) if lit.add else (parent.props - {lit.prop})
+        bit = task.bit[lit.prop]
+        props = (props | bit) if lit.add else (props & ~bit)
         opens = parent.opens
         til_count = step[1] + 1
     for name, _ in opens:
-        if not task.by_name[name].cond_over <= props:
+        if masks[name].cond_over & ~props:
             return None
 
     new = k + 1
@@ -286,6 +299,7 @@ def make_child(task, parent: SearchNode, step, tick: int):
         h=float(h),
         chain=tuple(chain),
         generation_tick=tick,
+        names=(f"s{k}",),
         edges=tuple(edges),
     )
     if not tighten(task, node):
@@ -299,9 +313,9 @@ def candidate_steps(task, node: SearchNode):
         steps.append(("til", node.til_count))
     for name, pos in node.opens:
         steps.append(("end", name, pos))
-    for a in task.actions:
-        if a.cond_start <= node.props:
-            steps.append(("start", a.name))
+    for name, m in task.masks.items():
+        if not m.cond_start & ~node.props:
+            steps.append(("start", name))
     return steps
 
 
@@ -315,7 +329,7 @@ def expand(task, node: SearchNode, tick: int):
 
 
 def make_root(task):
-    props = frozenset(task.init)
+    props = task.mask(task.init)
     chain = relaxed_plan(task, props, (), 0)
     if chain is None:
         return None
@@ -335,7 +349,7 @@ def make_root(task):
 
 
 def is_goal(task, node: SearchNode) -> bool:
-    return task.goal <= node.props and not node.opens
+    return not task.goal_mask & ~node.props and not node.opens
 
 
 # -- completion estimates and urgency ---------------------------------------

@@ -11,10 +11,12 @@ A network grows in one body: it copies the matrix into one scratch matrix of
 the final size, gives each new event the origin row and relaxes the new
 edges in place, each through the same formula. extend keeps the result as a
 new network; add_event and add_constraint are extend with one event or one
-edge. probe only reads the origin row and the diagonal, so tentative events
-never enter the network, and it stops after the last edge that relaxes the
-whole matrix: every edge past it writes only the row of a new event, which
-nothing reads.
+edge. probe reads the origin row and the diagonal, so tentative events never
+enter the network, and it stops after the last edge that relaxes the whole
+matrix: every edge past it writes only the row of a new event, which nothing
+reads. probe also keeps the matrix of a leading part of its events and
+edges, which is what extend would build from that part; wrap turns it into
+a network without relaxing anything again.
 """
 
 import math
@@ -51,6 +53,16 @@ class Stn:
         """A new network with the events `names` appended, then the sequence
         of (u, v, b) index edges added in order; new events are numbered from
         len(self.events). Nothing changes in this network."""
+        dist = self._grow(len(names))
+        consistent = self.consistent
+        if consistent:
+            _relax(dist, edges, _row_only(len(self.events), edges))
+            consistent = _consistent(dist)
+        return self.wrap(names, edges, dist, consistent)
+
+    def wrap(self, names, edges, dist, consistent=True) -> "Stn":
+        """The network extend(names, edges) builds, around a matrix already
+        computed for it (probe's kept block); no edge is relaxed again."""
         index = dict(self.index)
         for name in names:
             if name in index:
@@ -59,8 +71,8 @@ class Stn:
         s = Stn.__new__(Stn)
         s.events = self.events + tuple(names)
         s.index = index
-        s.dist, s.consistent = self._grow(
-            len(names), edges, _row_only(len(self.events), edges))
+        s.dist = dist
+        s.consistent = consistent
         s.constraints = (
             self.constraints
             + tuple((name, ORIGIN, 0.0) for name in names)
@@ -68,70 +80,64 @@ class Stn:
         )
         return s
 
-    def probe(self, n_new: int, edges):
-        """Origin row after adding n_new events and then the edges, or None
-        when the result is inconsistent. Nothing is added to this network.
+    def probe(self, n_new, edges, kept_new=0, kept_edges=0):
+        """(origin row, kept block) after adding n_new events and then the
+        edges, or None when the result is inconsistent. Nothing is added to
+        this network.
 
-        Only the edges up to the last one that relaxes the whole matrix are
-        relaxed. Each edge after it is row-only (see _row_only): it writes
-        the row of a new event, never the origin row, and leaves that row's
-        diagonal at 0, since its column holds nothing else. So neither the
-        origin row nor the consistency check can see it. With no such edge
-        at all, the answer is the origin row with an unbounded entry for
-        each new event, and no matrix is built.
+        The kept block is the matrix of extend(the first kept_new new
+        events, edges[:kept_edges]), bit for bit. Those edges may name only
+        this network's events and the kept ones, the first k events of the
+        matrix; an edge among the first k events reads and writes only the
+        top-left k x k block, and every later event keeps the origin row and
+        an empty column until an edge enters it. So the block is copied out
+        of the one matrix once the kept edges are relaxed. It is consistent
+        whenever the whole is, since relaxation never raises a diagonal
+        entry.
+
+        Past the kept edges, only the edges up to the last one that relaxes
+        the whole matrix are relaxed. Each edge after it is row-only (see
+        _row_only): it writes the row of a new event, never the origin row,
+        and leaves that row's diagonal at 0, since its column holds nothing
+        else. So neither the origin row nor the consistency check can see
+        it. Kept edges are relaxed all the same, as the block needs them.
+        With no edge to relax and nothing kept, the answer is the origin row
+        with an unbounded entry for each new event, and no matrix is built;
+        a kept edge without a kept event names only this network's events,
+        so it is never row-only.
         """
         if not self.consistent:
             return None
-        row_only = _row_only(len(self.events), edges)
+        m = len(self.events)
+        row_only = _row_only(m, edges)
         cut = len(edges)
         while cut and row_only[cut - 1]:
             cut -= 1
-        if cut == 0:
-            return np.concatenate((self.dist[0], np.full(n_new, INF)))
-        dist, consistent = self._grow(n_new, edges[:cut], row_only)
-        return dist[0] if consistent else None
+        if cut == 0 and kept_new == 0:
+            return np.concatenate((self.dist[0], np.full(n_new, INF))), self.dist
+        dist = self._grow(n_new)
+        _relax(dist, edges[:kept_edges], row_only)
+        size = m + kept_new
+        kept = dist[:size, :size].copy()
+        _relax(dist, edges[kept_edges:cut], row_only[kept_edges:])
+        if not _consistent(dist):
+            return None
+        return dist[0], kept
 
-    def _grow(self, n_new, edges, row_only):
-        """(dist, consistent) after adding n_new events and then the edges,
-        in a fresh matrix: the network's one relaxation loop. row_only[k]
-        says whether edges[k] relaxes only its source row.
-
-        The matrix equals what adding each new event, then each edge in order,
-        one at a time with a full relaxation each, would leave:
-        - an event no edge has touched keeps the origin row and an empty
-          column, so creating every new event up front changes nothing;
-        - a row-only edge can shorten only its source's row, since every
-          other row reaches the source through its empty column;
-        - relaxation never raises an entry, so one consistency check at the
-          end sees any negative diagonal an earlier step would have seen.
-        Every entry a relaxation offers is dist[i, u] + (b + dist[v, j]), in
-        that association. Once the network is inconsistent its matrix means
-        nothing; only the flag is kept exact.
-        """
+    def _grow(self, n_new):
+        """A fresh matrix: this network's, grown by n_new events before any
+        new edge, as adding each event one at a time would leave it.
+        A new event sits at or after the origin, so its only outgoing edge
+        runs to the origin and onward from there; it gets the origin row and
+        an empty column."""
         m = len(self.events)
         n = m + n_new
         dist = np.empty((n, n))
         dist[:m, :m] = self.dist
         dist[:, m:] = INF
-        # nonnegativity: a new event sits at or after the origin, so its only
-        # outgoing edge runs to the origin and onward from there
         dist[m:, :m] = self.dist[0]
-        diagonal = dist.reshape(-1)[::n + 1]
-        diagonal[m:] = 0.0
-        if not self.consistent:
-            return dist, False
-        via = np.empty(n)
-        through = np.empty((n, n))
-        for (u, v, b), row in zip(edges, row_only):
-            np.add(b, dist[v], out=via)
-            if row:
-                source = dist[u]
-                np.add(source[u], via, out=via)
-                np.minimum(source, via, out=source)
-            else:
-                np.add(dist[:, u, None], via, out=through)
-                np.minimum(dist, through, out=dist)
-        return dist, not diagonal.min() < 0
+        dist.reshape(-1)[m * (n + 1)::n + 1] = 0.0
+        return dist
 
     def solve(self):
         """(consistent, tmin, tmax); the maps are empty when inconsistent."""
@@ -160,6 +166,46 @@ def _row_only(m, edges):
         flags.append(u >= m and u != v and u not in entered)
         entered.add(v)
     return flags
+
+
+def _relax(dist, edges, row_only):
+    """Relax the (u, v, b) edges into dist in order, in place: the network's
+    one relaxation loop. row_only[k] says whether edges[k] relaxes only its
+    source row.
+
+    The matrix ends as adding each edge in order, one at a time with a full
+    relaxation each, would leave it:
+    - an event no edge has touched keeps the origin row and an empty column
+      (see Stn._grow), so laying out every new event up front changes
+      nothing;
+    - a row-only edge can shorten only its source's row, since every other
+      row reaches the source through its empty column;
+    - relaxation never raises an entry, so one consistency check at the end
+      (_consistent) sees any negative diagonal an earlier step would have
+      seen.
+    Every entry a relaxation offers is dist[i, u] + (b + dist[v, j]), in that
+    association.
+    """
+    n = len(dist)
+    via = np.empty(n)
+    through = None
+    for (u, v, b), row in zip(edges, row_only):
+        np.add(b, dist[v], out=via)
+        if row:
+            source = dist[u]
+            np.add(source[u], via, out=via)
+            np.minimum(source, via, out=source)
+        else:
+            if through is None:
+                through = np.empty((n, n))
+            np.add(dist[:, u, None], via, out=through)
+            np.minimum(dist, through, out=dist)
+
+
+def _consistent(dist):
+    """No negative cycle: no diagonal entry below 0. Once a network is
+    inconsistent its matrix means nothing; only the flag is kept exact."""
+    return not dist.diagonal().min() < 0
 
 
 def _edge_matrix(events, constraints):

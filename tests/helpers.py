@@ -118,3 +118,9 @@ def abstract_instances(seed: int) -> list:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.make_instances(seed)
+
+
+def props_of(task, mask: int) -> frozenset:
+    """The propositions a planner bitmask holds: bit i is the i-th name in
+    sorted order."""
+    return frozenset(p for i, p in enumerate(sorted(task.propositions)) if mask >> i & 1)

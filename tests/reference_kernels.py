@@ -1,9 +1,10 @@
 """Straightforward forms of vectorised kernels, kept as exact references:
 the temporal network's growth in copeplan.stn, the planner's per-node
-kernels in copeplan.planner.search (with the relaxed plan's set algebra
-rebuilt on every test, and child networks grown eagerly by event name), the
-decision cycle's scoring in copeplan.planner.engine (every quantity
-recomputed per node and per call), the KDS dynamic program in
+kernels in copeplan.planner.search (with the relaxed plan on proposition
+sets, its set algebra rebuilt on every test, and child networks grown
+eagerly by event name), copeplan.planner.engine's pin as a network grown
+and checked before tighten, the decision cycle's scoring in
+copeplan.planner.engine (every quantity recomputed per node and per call), the KDS dynamic program in
 copeplan.kds, both as a loop and as one layer over every (time, block
 length) cell, and copeplan.copem's measurement solvers with one DP per
 (measured process, observation, dispatch option).
@@ -26,6 +27,7 @@ from copeplan.planner.search import (
     deadline_steps,
     estimate_completion,
 )
+from copeplan.planner.search import tighten as tighten_search
 from copeplan.stn import EPSILON_SEPARATION, ORIGIN, Stn
 
 INF = math.inf
@@ -87,8 +89,16 @@ def grow(stn, names, edges):
 
 def extend_then_probe(parent, name, child_edges, n_chain, chain_edges):
     """Grow the child's network with its event and edges, then probe it with
-    the chain: what tighten did before children kept their edges pending."""
-    return parent.extend((name,), child_edges).probe(n_chain, chain_edges)
+    the chain: what tighten did before children kept their edges pending.
+    The origin row, or None."""
+    probed = parent.extend((name,), child_edges).probe(n_chain, chain_edges)
+    return None if probed is None else probed[0]
+
+
+def node_network(node):
+    """The network a search node stands for: its base grown one event or
+    edge at a time by its pending events and edges."""
+    return grow(node.base, node.names, node.edges)
 
 
 def child_network(task, parent_stn, k, step, til_count):
@@ -113,9 +123,22 @@ def child_network(task, parent_stn, k, step, til_count):
     return stn
 
 
+def apply_step(task, props, step):
+    """The proposition set after one snap step: a happening's deletions
+    first, then its additions; a timed literal flips its proposition."""
+    if step[0] == "til":
+        lit = task.tils[step[1]]
+        return props | {lit.prop} if lit.add else props - {lit.prop}
+    a = task.by_name[step[1]]
+    if step[0] == "start":
+        return (props - a.del_start) | a.add_start
+    return (props - a.del_end) | a.add_end
+
+
 def relaxed_plan(task, props, opens, til_count):
-    """search.relaxed_plan building each action's relaxed precondition and
-    its additions from the action's own sets at every test."""
+    """search.relaxed_plan on proposition sets instead of bitmasks, building
+    each action's relaxed precondition and its additions from the action's
+    own sets at every test and backchaining fact by fact."""
     facts = set(props)
     adder = {}
     for lit in task.tils[til_count:]:
@@ -170,7 +193,7 @@ def relaxed_plan(task, props, opens, til_count):
 def tighten(task, node):
     """Append the relaxed chain to a copy of the node's network, one event
     or edge at a time, and read the prefix tmax values."""
-    stn = node.stn
+    stn = node_network(node)
     eps = EPSILON_SEPARATION
     future = task.tils[node.til_count:]
     prev = f"s{len(node.prefix) - 1}" if node.prefix else ORIGIN
@@ -213,6 +236,20 @@ def tighten(task, node):
         if step[0] == "start"
     )
     return True
+
+
+def pin(task, node, pos, when):
+    """engine._pin as a network grown and checked on its own: extend the
+    node's network by the pin, refuse it if inconsistent, keep it, then
+    tighten (which may still refuse the node, keeping the pinned network)."""
+    ev = pos + 1
+    stn = node.stn.extend((), [(0, ev, when), (ev, 0, -when)])
+    if not stn.consistent:
+        return None
+    node.base = stn
+    if not tighten_search(task, node):
+        return None
+    return node
 
 
 def _phi(x):

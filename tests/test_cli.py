@@ -38,6 +38,22 @@ def test_module_runs_from_a_checkout():
     assert "bench" in done.stdout
 
 
+def test_cli_import_loads_no_network_modules():
+    """Importing the CLI, as every run does, loads none of the standard
+    library's network or mail modules; xml.sax.saxutils pulled in
+    urllib.request and with it http, email, ssl and socket. (pathlib, which
+    numpy imports, loads urllib.parse on its own.)"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = ("import sys, copeplan.cli; print(sorted(m for m in sys.modules "
+            "if m == 'urllib.request' or m.split('.')[0] in "
+            "('http', 'email', 'ssl', 'socket', 'xml')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def _kds_document(tmp_path, text):
     doc = tmp_path / "kds.json"
     doc.write_text('{"format": "kds", "version": 1, ' + text + "}")

@@ -193,6 +193,35 @@ def test_plot_svg_has_one_series_per_mode():
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
 
 
+def test_plot_svg_escapes_its_description_as_before():
+    """The description's <, > and & are escaped and its quotes kept; the
+    whole picture is pinned as the xml.sax.saxutils form printed it."""
+    rows = [{"speed": 2.0, "mode": "disp", "solved": True},
+            {"speed": 2.0, "mode": "nodisp", "solved": False},
+            {"speed": 8.0, "mode": "disp", "solved": True},
+            {"speed": 8.0, "mode": "nodisp", "solved": True}]
+    svg = plot_svg(rows, width=200, height=120, desc="a<b && c>d \"q\" 's' ]]>")
+    assert svg == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="200" height="120">\n'
+        '<desc>a&lt;b &amp;&amp; c&gt;d "q" \'s\' ]]&gt;</desc>\n'
+        '<rect width="200" height="120" fill="white"/>\n'
+        '<line x1="48" y1="72" x2="152" y2="72" stroke="black"/>\n'
+        '<line x1="48" y1="48" x2="48" y2="72" stroke="black"/>\n'
+        '<text x="100.0" y="108" text-anchor="middle" font-size="12">'
+        'speed (expansions per second)</text>\n'
+        '<text x="14" y="60.0" font-size="12" transform="rotate(-90 14 60.0)" '
+        'text-anchor="middle">problems solved</text>\n'
+        '<text x="48.0" y="88" text-anchor="middle" font-size="10">2.000000</text>\n'
+        '<text x="152.0" y="88" text-anchor="middle" font-size="10">8.000000</text>\n'
+        '<polyline points="48.0,48.0 152.0,48.0" fill="none" stroke="#c0392b" '
+        'stroke-width="2"/>\n'
+        '<text x="156" y="48.0" font-size="11" fill="#c0392b">disp</text>\n'
+        '<polyline points="48.0,72.0 152.0,48.0" fill="none" stroke="#2c3e50" '
+        'stroke-width="2"/>\n'
+        '<text x="156" y="48.0" font-size="11" fill="#2c3e50">nodisp</text>\n'
+        '</svg>\n')
+
+
 def test_ablation_flags_set_dispatch_params():
     cfg = BenchmarkConfig(speeds=(10.0,), dt=0.2, sft=0.05,
                           frontier_min_1=True, sft_1=True)

@@ -1,5 +1,7 @@
-"""The benchmark's result line, checked end to end on a copy of the checkout."""
+"""The benchmark's result line, checked end to end on a copy of the checkout,
+and the names its tracer wraps."""
 
+import importlib.util
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _refuse(name):
@@ -37,3 +40,23 @@ def test_traced_solve_abstract_run_ends_with_its_result(tmp_path):
     assert result["metrics"]
     for name, metric in result["metrics"].items():
         assert math.isfinite(metric["value"]), name
+        assert "absent" not in metric, name
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    """Every name the benchmark's tracer wraps still exists where its caller
+    looks it up, so no traced metric reads as absent. Nothing is run; the
+    wrappers are prepared but never put in place."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = _load("run")
+    tracer = _load("tracer").Tracer()
+    run.install(tracer, {})
+    assert tracer.absent == []
+    assert tracer.present

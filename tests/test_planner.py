@@ -32,6 +32,7 @@ from copeplan.planner.search import SearchStats, make_child, q_tables
 from copeplan.stn import Stn
 
 import reference_kernels
+from helpers import props_of
 
 
 def fs(*names):
@@ -111,6 +112,39 @@ def test_chain_tightening_caps_latest_start():
     # must precede it by the separation epsilon
     assert latest_start(child, 0) == pytest.approx(16.999)
     assert latest_start(child, 1) == math.inf
+
+
+def test_child_states_match_the_set_form():
+    """Every child's bitmask state holds the propositions that applying its
+    step to the parent's set gives, deletions before additions, also for an
+    action that deletes and adds one proposition at the same happening and
+    for timed literals that add and delete."""
+    task = Task(
+        propositions=fs("free", "lock", "done", "window"),
+        actions=(DurativeAction(name="a", duration=1.0, cond_start=fs("free"),
+                                cond_over=fs("window"), del_start=fs("free", "lock"),
+                                add_start=fs("lock"), del_end=fs("lock"),
+                                add_end=fs("free", "lock", "done")),),
+        init=fs("free"),
+        goal=fs("done"),
+        tils=(TimedLiteral(time=0.5, prop="window", add=True),
+              TimedLiteral(time=3.0, prop="window", add=False)),
+    )
+    frontier = [make_root(task)]
+    steps = set()
+    # the window bounds the search; the cap turns a runaway into a failure
+    for _ in range(200):
+        if not frontier:
+            break
+        node = frontier.pop()
+        for child in expand(task, node, tick=1):
+            step = child.prefix[-1]
+            want = reference_kernels.apply_step(task, props_of(task, node.props), step)
+            assert props_of(task, child.props) == want
+            steps.add(step[:2])
+            frontier.append(child)
+    assert frontier == []
+    assert steps == {("til", 0), ("til", 1), ("start", "a"), ("end", "a")}
 
 
 def test_latest_start_never_decreases_as_steps_commit():
@@ -295,24 +329,54 @@ def test_tighten_matches_persistent_network_reference(monkeypatch):
 
 
 def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
-    """Every network the planner grows on shipped tasks, in both modes and at
-    two speeds, equals the reference that adds one event or edge at a time."""
-    real = Stn.extend
-    seen = {"child": 0, "pin": 0, "inconsistent": 0}
+    """Every network the planner builds on shipped tasks, in both modes and
+    at two speeds, equals the reference that adds one event or edge at a
+    time: the ones a node wraps from its probe's kept matrix (a child's own,
+    and pinned ones), and the ones _try_finish grows with extend."""
+    real_wrap, real_extend, real_pin = Stn.wrap, Stn.extend, engine._pin
+    seen = {"child": 0, "pin": 0, "finish": 0, "inconsistent": 0}
+    growing = []
+    # the pending edges of each accepted pin, by id; kept alive so that no
+    # id is reused
+    pinned = {}
 
-    def checked(self, names, edges):
-        got = real(self, names, edges)
-        want = reference_kernels.grow(self, names, edges)
+    def check(got, base, names, edges):
+        want = reference_kernels.grow(base, names, edges)
         assert got.consistent == want.consistent
         assert got.events == want.events
         assert got.constraints == want.constraints
         if want.consistent:
-            assert np.array_equal(got.dist, want.dist)
-        seen["child" if names else "pin"] += 1
+            # equal values and equal signs of zero
+            assert got.dist.tobytes() == want.dist.tobytes()
+
+    def checked_wrap(self, names, edges, dist, consistent=True):
+        got = real_wrap(self, names, edges, dist, consistent)
+        if growing:
+            return got  # extend's own wrap, checked there
+        check(got, self, names, edges)
+        seen["pin" if pinned.get(id(edges)) is edges else "child"] += 1
+        return got
+
+    def checked_extend(self, names, edges):
+        growing.append(1)
+        try:
+            got = real_extend(self, names, edges)
+        finally:
+            growing.pop()
+        check(got, self, names, edges)
+        seen["finish"] += 1
         seen["inconsistent"] += not got.consistent
         return got
 
-    monkeypatch.setattr(Stn, "extend", checked)
+    def noting_pin(task, node, pos, when):
+        out = real_pin(task, node, pos, when)
+        if out is not None:
+            pinned[id(node.edges)] = node.edges
+        return out
+
+    monkeypatch.setattr(Stn, "wrap", checked_wrap)
+    monkeypatch.setattr(Stn, "extend", checked_extend)
+    monkeypatch.setattr(engine, "_pin", noting_pin)
     cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", "bench.json"))
     for task in benchmark_tasks(cfg)[:10]:
@@ -321,38 +385,44 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
                 run_search(task, mode=mode, speed=speed,
                            dispatch_params=cfg.dispatch_params(),
                            max_expansions=cfg.max_expansions)
-    assert min(seen.values()) > 0
+    assert min(seen.values()) > 0, seen
 
 
 def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
-    """On every make_child while planning shipped tasks in both modes,
-    tighten's one probe of the parent's network with the child's edges and
-    then the chain equals growing the child and probing it after, bit for
-    bit; and the network a child builds when first read equals the one grown
-    eagerly by event name, in events, dist, constraints and flag."""
+    """On every tighten of a node with a pending event while planning
+    shipped tasks in both modes (a new child, or one pinned before it was
+    read), the one probe of its base with its pending edges and then the
+    chain equals growing the node's network and probing it after, bit for
+    bit, and the matrix the probe keeps equals that grown network's; and the
+    network a child wraps when first read equals the one grown eagerly by
+    event name, in events, dist, constraints and flag."""
     real_make_child, real_tighten, real_probe = search.make_child, search.tighten, Stn.probe
     pending = []
     seen = {"probe": 0, "dead end": 0, "child": 0}
 
     def checked_tighten(task, node):
-        if node.edges is not None:
+        if node.names:
             pending.append(node)
         try:
             return real_tighten(task, node)
         finally:
             pending.clear()
 
-    def checked_probe(self, n_new, edges):
-        got = real_probe(self, n_new, edges)
+    def checked_probe(self, n_new, edges, kept_new=0, kept_edges=0):
+        got = real_probe(self, n_new, edges, kept_new, kept_edges)
         if pending:
             # popped first: the reference's own probe is not checked again
             node = pending.pop()
             k = len(node.edges)
+            assert (kept_new, kept_edges) == (1, k)
             want = reference_kernels.extend_then_probe(
-                self, f"s{len(node.prefix) - 1}", edges[:k], n_new - 1, edges[k:])
+                self, node.names[0], edges[:k], n_new - 1, edges[k:])
             assert (got is None) == (want is None)
             if got is not None:
-                assert got.tobytes() == want.tobytes()
+                assert got[0].tobytes() == want.tobytes()
+                grown = reference_kernels.grow(self, node.names, edges[:k])
+                assert grown.consistent
+                assert got[1].tobytes() == grown.dist.tobytes()
             seen["probe"] += 1
             seen["dead end"] += got is None
         return got
@@ -366,7 +436,7 @@ def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
             got = child.stn
             assert (got.events, got.constraints, got.consistent) == (
                 want.events, want.constraints, want.consistent)
-            assert np.array_equal(got.dist, want.dist)
+            assert got.dist.tobytes() == want.dist.tobytes()
             seen["child"] += 1
         return child
 
@@ -446,7 +516,8 @@ def test_relaxed_plan_matches_set_expression_reference(monkeypatch):
 
     def checked(task, props, opens, til_count):
         got = real(task, props, opens, til_count)
-        assert got == reference_kernels.relaxed_plan(task, props, opens, til_count)
+        assert got == reference_kernels.relaxed_plan(task, props_of(task, props), opens,
+                                                     til_count)
         seen["dead end" if got is None else "chain"] += 1
         return got
 
@@ -662,6 +733,109 @@ def test_apply_dispatch_revives_pruned_duplicate():
     assert all(nd.prefix[0] == ("start", "a") for nd in open_list)
     assert any(nd.prefix == closure_a.prefix for nd in open_list)
     assert memo[closure_a.key()] == closure_a.prefix
+
+
+def window_task():
+    # a and b in either order, then c, which needs the window that closes
+    # at 5 throughout its 2 units: c must start by 3
+    return Task(
+        propositions=fs("window", "pa", "pb", "pc"),
+        actions=(
+            DurativeAction(name="a", duration=1.0, add_end=fs("pa")),
+            DurativeAction(name="b", duration=1.0, add_end=fs("pb")),
+            DurativeAction(name="c", duration=2.0, cond_over=fs("window"),
+                           add_end=fs("pc")),
+        ),
+        init=fs("window"),
+        goal=fs("pa", "pb", "pc"),
+        tils=(TimedLiteral(time=5.0, prop="window", add=False),),
+    )
+
+
+def _dispatch_a_against_a_pruned_duplicate(task, t_now):
+    """Dispatch start a at t_now over one open node (start a), with the
+    a-then-b closure pruned against a b-then-a closure, whose memo entry the
+    dispatch frees. Returns everything the dispatch touched."""
+    root = make_root(task)
+    memo = {root.key(): root.prefix}
+    owner = root
+    for step in (("start", "b"), ("end", "b", 0), ("start", "a"), ("end", "a", 2)):
+        owner = make_child(task, owner, step, tick=1)
+        memo.setdefault(owner.key(), owner.prefix)
+    dup = root
+    for step in (("start", "a"), ("end", "a", 0), ("start", "b"), ("end", "b", 2)):
+        dup = make_child(task, dup, step, tick=1)
+    assert memo[dup.key()] == owner.prefix
+    pruned = {dup.key(): [dup]}
+    before = reference_kernels.node_network(dup)
+    node = make_child(task, root, ("start", "a"), tick=1)
+    memo[node.key()] = node.prefix
+    open_list, executed, records = [node], [], []
+    _apply_dispatch(task, ("start", "a"), executed, open_list, memo, pruned,
+                    t_now=t_now, records=records)
+    return dup, before, open_list, executed, records, memo, pruned
+
+
+@pytest.mark.parametrize("t_now, dup_network", [
+    (0.0, "revived"),
+    # the pinned network holds, but c can no longer start by 3
+    (1.0, "consistent"),
+    # b cannot even end before the window closes
+    (4.0, "inconsistent"),
+])
+def test_pins_in_a_dispatch_match_the_grown_and_checked_reference(monkeypatch, t_now,
+                                                                  dup_network):
+    """_apply_dispatch, with _commit's pins and _repin's, leaves what it
+    leaves when each pin grows and checks the pinned network before tighten
+    (reference_kernels.pin): the same verdicts, the same start tmaxes and
+    suffix minima on every node, the same open list, records, memo and
+    kept duplicates. The three dispatch times revive the duplicate, refuse
+    it because its chain no longer fits after a consistent pin, and refuse
+    it because the pin breaks its network; the last two keep it unrevived."""
+    task = window_task()
+    runs = {}
+    for label, pin in (("pending edges", engine._pin), ("reference", reference_kernels.pin)):
+        verdicts = []
+
+        def noting(task, node, pos, when, pin=pin, verdicts=verdicts):
+            out = pin(task, node, pos, when)
+            verdicts.append((node.prefix, pos, when, out is not None))
+            return out
+
+        monkeypatch.setattr(engine, "_pin", noting)
+        dup, before, open_list, executed, records, memo, pruned = (
+            _dispatch_a_against_a_pruned_duplicate(task, t_now))
+        if label == "pending edges" and dup_network != "revived":
+            # a refused pin leaves the duplicate's network as it was
+            after = dup.stn
+            assert (after.events, after.constraints, after.dist.tobytes()) == (
+                before.events, before.constraints, before.dist.tobytes())
+        nodes = [dup] + open_list
+        runs[label] = (
+            verdicts,
+            [(nd.prefix, nd.start_tmaxes, list(nd.latest)) for nd in nodes],
+            [nd.prefix for nd in open_list],
+            executed, records, memo,
+            {key: [nd.prefix for nd in dups] for key, dups in pruned.items()},
+        )
+    assert runs["pending edges"] == runs["reference"]
+    verdicts, _, opened, executed, records, memo, kept = runs["pending edges"]
+    assert executed == [(("start", "a"), t_now)]
+    assert records == [(t_now, "a", t_now)]
+    dup_prefix = (("start", "a"), ("end", "a", 0), ("start", "b"), ("end", "b", 2))
+    dup_verdicts = [v for prefix, _, _, v in verdicts if prefix == dup_prefix]
+    assert dup_verdicts == [dup_network == "revived"]
+    if dup_network == "revived":
+        assert dup_prefix in opened and kept == {}
+    else:
+        assert dup_prefix not in opened
+        assert list(kept.values()) == [[dup_prefix]]
+        # which refusal it was: the pinned network alone
+        dup = make_root(task)
+        for step in dup_prefix:
+            dup = make_child(task, dup, step, tick=1)
+        pinned = reference_kernels.grow(dup.stn, (), [(0, 1, t_now), (1, 0, -t_now)])
+        assert pinned.consistent == (dup_network == "consistent")
 
 
 def test_auto_advance_absorbs_committed_end():

@@ -7,9 +7,10 @@ bit for bit, also when families of instances share one layer memo; one DP
 layer against its dense form on any next row, lazy layers against it at
 every time on either side of their cell budget, and the order of the rows
 that lets a layer scan only change points; the point-mass shortcut for a
-measured process against the DP with that process swapped in; and the
+measured process against the DP with that process swapped in; the
 incremental temporal network (both its persistent growth and probe)
-against the from-scratch Floyd-Warshall recompute.
+against the from-scratch Floyd-Warshall recompute; and the planner's
+relaxed plan on proposition bitmasks against its form on sets.
 """
 
 import contextlib
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels
-from helpers import abstract_instances
+from helpers import abstract_instances, props_of
 from copeplan import cope, copem, kds
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import (
@@ -34,6 +35,8 @@ from copeplan.kds import (
     eval_schedule,
     solve_kds_dp,
 )
+from copeplan.planner import DurativeAction, Task, TimedLiteral
+from copeplan.planner.search import relaxed_plan
 from copeplan.stn import ORIGIN, Stn, recompute
 
 # derandomized and without an example database, so every run draws the
@@ -501,10 +504,10 @@ def test_probe_matches_recompute_of_the_grown_network(net, n_new, data):
     for u, v, b in extra:
         grown = grown.add_constraint(grown.events[u], grown.events[v], b)
     consistent, _, tmax = recompute(grown)
-    row = base.probe(n_new, extra)
-    assert (row is not None) == consistent
+    probed = base.probe(n_new, extra)
+    assert (probed is not None) == consistent
     if consistent:
-        assert row.tolist() == [tmax[e] for e in grown.events]
+        assert probed[0].tolist() == [tmax[e] for e in grown.events]
 
 
 @SETTINGS
@@ -512,7 +515,8 @@ def test_probe_matches_recompute_of_the_grown_network(net, n_new, data):
 def test_one_call_probe_matches_extend_then_probe(net, n_chain, data):
     """Probing a network with a child's edges (over its events and the
     child's) and then a chain's, in one call, equals growing the child's
-    network and probing that with the chain, bit for bit."""
+    network and probing that with the chain, bit for bit; and the matrix
+    the probe keeps for the child equals the child's grown network."""
     names, edges = net
     base = Stn()
     for name in names:
@@ -530,8 +534,75 @@ def test_one_call_probe_matches_extend_then_probe(net, n_chain, data):
 
     child = data.draw(edge_lists(n, 4))
     chain = data.draw(edge_lists(n + n_chain, 8))
-    got = base.probe(1 + n_chain, child + chain)
+    got = base.probe(1 + n_chain, child + chain, 1, len(child))
     want = reference_kernels.extend_then_probe(base, "child", child, n_chain, chain)
     assert (got is None) == (want is None)
     if got is not None:
-        assert got.tobytes() == want.tobytes()
+        assert got[0].tobytes() == want.tobytes()
+        assert got[1].tobytes() == base.extend(("child",), child).dist.tobytes()
+
+
+@st.composite
+def relaxed_cases(draw):
+    """A small random task, a state, open actions and a timed-literal count.
+    Each action's conditions are drawn from what the initial state and the
+    actions drawn before it add, so most goals are reachable through chains
+    of several actions; the task then lists the actions in a drawn order, so
+    that chains take several rounds. Proposition p<i> sorts by name, not by
+    i, and about one task in three has more than 64 propositions, so masks
+    pass one machine word."""
+    n = draw(st.one_of(st.integers(2, 12), st.integers(65, 90)))
+    names = [f"p{i}" for i in range(n)]
+    prop = st.sampled_from(names)
+    init = draw(st.frozensets(prop, min_size=1, max_size=3))
+    reached = set(init)
+    actions = []
+    for k in range(draw(st.integers(1, 6))):
+        pool = st.sampled_from(sorted(reached))
+        add_start = draw(st.frozensets(prop, max_size=2))
+        over_end = st.sampled_from(sorted(reached | add_start))
+        actions.append(DurativeAction(
+            name=f"a{k}", duration=1.0,
+            cond_start=draw(st.frozensets(pool, max_size=2)),
+            cond_over=draw(st.frozensets(over_end, max_size=1)),
+            cond_end=draw(st.frozensets(over_end, max_size=1)),
+            add_start=add_start, del_start=draw(st.frozensets(prop, max_size=2)),
+            add_end=draw(st.frozensets(prop, max_size=3)),
+            del_end=draw(st.frozensets(prop, max_size=2))))
+        reached |= actions[-1].add_start | actions[-1].add_end
+    useful = st.sampled_from(sorted(reached)) | prop
+    tils = tuple(TimedLiteral(time=float(draw(st.integers(0, 9))), prop=draw(useful),
+                              add=draw(st.booleans()))
+                 for _ in range(draw(st.integers(0, 3))))
+    goal = draw(st.frozensets(useful, min_size=1, max_size=3))
+    task = Task(propositions=frozenset(names), actions=draw(st.permutations(actions)),
+                init=init, goal=goal, tils=tils)
+    props = draw(st.frozensets(st.sampled_from(sorted(init)) | prop, max_size=3))
+    opens = tuple((a.name, pos) for pos, a in enumerate(
+        draw(st.lists(st.sampled_from(actions), max_size=2))))
+    return task, props, opens, draw(st.integers(0, len(tils)))
+
+
+def test_masked_relaxed_plan_matches_the_set_reference():
+    """relaxed_plan on bitmasks returns the reference's chain, built on
+    proposition sets, on random tasks: the same actions in the same order,
+    or None with it; and a state's mask holds exactly its propositions."""
+    seen = {"chain": 0, "longer chain": 0, "empty chain": 0, "dead end": 0, "wide": 0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(relaxed_cases())
+    def check(case):
+        task, props, opens, til_count = case
+        mask = task.mask(props)
+        assert props_of(task, mask) == props
+        got = relaxed_plan(task, mask, opens, til_count)
+        want = reference_kernels.relaxed_plan(task, props, opens, til_count)
+        assert got == want
+        if got is not None:
+            assert [a.name for a in got] == [a.name for a in want]
+        seen["dead end" if got is None else "chain" if got else "empty chain"] += 1
+        seen["longer chain"] += got is not None and len(got) > 1
+        seen["wide"] += len(task.propositions) > 64 and bool(got)
+
+    check()
+    assert min(seen.values()) > 5, seen

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from copeplan import stn as stn_module
 from copeplan.stn import EPSILON_SEPARATION, ORIGIN, Stn, recompute
 
 import reference_kernels
@@ -166,7 +167,9 @@ def test_probe_matches_step_by_step_growth():
         want = reference_kernels.grow(base, [f"x{k}" for k in range(n_new)], edges)
         assert (got is None) == (not want.consistent)
         if want.consistent:
-            assert np.array_equal(got, want.dist[0])
+            assert np.array_equal(got[0], want.dist[0])
+            # nothing kept: the kept block is this network's own matrix
+            assert got[1].tobytes() == base.dist.tobytes()
         outcomes[want.consistent] += 1
         assert np.array_equal(base.dist, before)
     assert min(outcomes.values()) > 30
@@ -217,7 +220,7 @@ def test_probe_skips_the_row_only_tail_exactly():
         want = reference_kernels.grow(base, [f"x{k}" for k in range(n_new)], edges)
         assert (got is None) == (not want.consistent)
         if want.consistent:
-            assert np.array_equal(got, want.dist[0])
+            assert np.array_equal(got[0], want.dist[0])
         if not base.consistent:
             seen["inconsistent base"] += 1
         elif tail == len(edges):
@@ -226,6 +229,73 @@ def test_probe_skips_the_row_only_tail_exactly():
             seen["cut tail"] += 1
         seen["consistent" if want.consistent else "inconsistent"] += 1
     assert min(seen.values()) > 20, seen
+
+
+def test_probe_keeps_the_network_that_step_by_step_growth_builds():
+    """The block a probe keeps, wrapped, is the network that adding the kept
+    events and then the kept edges one at a time builds, in events, dist
+    (signs of zero too), constraints and flag, and the probe's origin row is
+    unchanged by keeping it. The draws cover kept edges that are row-only
+    and lie past the last full relaxation, a kept part with no edge, and
+    probes that fail in the kept part or only in the chain."""
+    rng = np.random.default_rng(34)
+    seen = {"row-only kept tail past the cut": 0, "no kept edge": 0,
+            "kept part inconsistent": 0, "chain inconsistent": 0, "consistent": 0}
+    for trial in range(400):
+        base = random_network(rng, max_events=14)
+        if not base.consistent:
+            continue
+        m = len(base.events)
+        kept_new = int(rng.integers(0, 3))
+        n_new = kept_new + int(rng.integers(0, 5))
+        kept = []
+        for _ in range(int(rng.integers(0, 4))):
+            u = int(rng.integers(0, m + kept_new))
+            v = int(rng.integers(0, m + kept_new - 1))
+            kept.append((u, v + (v >= u), float(rng.uniform(-3.0, 12.0))))
+        if kept_new and trial % 3 == 0:
+            # a kept event's own row-only edge at the end, as a child's
+            # (new, k, -eps) edge is
+            entered = {v for _, v, _ in kept}
+            u = m + kept_new - 1
+            if u not in entered:
+                kept.append((u, int(rng.integers(0, m)), float(rng.uniform(-3.0, 3.0))))
+        chain = []
+        full = trial % 2 == 0
+        for _ in range(int(rng.integers(0, 2 * (n_new - kept_new) + 2))):
+            if n_new == kept_new:
+                break
+            u = m + kept_new + int(rng.integers(0, n_new - kept_new))
+            v = int(rng.integers(0, m + n_new - 1))
+            v += v >= u
+            chain.append((u, v, float(rng.uniform(-6.0, 12.0))))
+        if full and chain:
+            chain.insert(int(rng.integers(0, len(chain))),
+                         (0, int(rng.integers(1, m + n_new)), float(rng.uniform(-1.0, 12.0))))
+        edges = kept + chain
+        names = [f"x{k}" for k in range(kept_new)]
+        got = base.probe(n_new, edges, kept_new, len(kept))
+        plain = base.probe(n_new, edges)
+        part = reference_kernels.grow(base, names, kept)
+        whole = reference_kernels.grow(base, [f"x{k}" for k in range(n_new)], edges)
+        assert (got is None) == (plain is None) == (not whole.consistent)
+        if got is None:
+            seen["chain inconsistent" if part.consistent else "kept part inconsistent"] += 1
+            continue
+        assert got[0].tobytes() == plain[0].tobytes() == whole.dist[0].tobytes()
+        network = base.wrap(names, kept, got[1])
+        assert network.events == part.events and network.index == part.index
+        assert network.constraints == part.constraints
+        assert network.consistent and part.consistent
+        assert network.dist.tobytes() == part.dist.tobytes()
+        row_only = stn_module._row_only(m, edges)
+        cut = len(edges)
+        while cut and row_only[cut - 1]:
+            cut -= 1
+        seen["consistent"] += 1
+        seen["no kept edge"] += not kept
+        seen["row-only kept tail past the cut"] += cut < len(kept)
+    assert min(seen.values()) > 5, seen
 
 
 def test_extend_matches_step_by_step_growth():
@@ -247,10 +317,15 @@ def test_extend_matches_step_by_step_growth():
 
 def test_probe_answers_without_growing_the_network():
     s = Stn().add_event("a").add_constraint(ORIGIN, "a", 4.5).add_constraint("a", ORIGIN, -2.0)
-    assert np.array_equal(s.probe(0, []), s.dist[0])
+    row, kept = s.probe(0, [])
+    assert np.array_equal(row, s.dist[0]) and kept is s.dist
     # x0 >= a + 1 and x1 >= x0 + 2 leave every upper bound where it was
-    assert np.array_equal(s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)]),
-                          [0.0, 4.5, math.inf, math.inf])
+    row, kept = s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)])
+    assert np.array_equal(row, [0.0, 4.5, math.inf, math.inf])
+    # keeping x0 and its edge: the network extend builds from them
+    row, kept = s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)], 1, 1)
+    assert np.array_equal(row, [0.0, 4.5, math.inf, math.inf])
+    assert np.array_equal(kept, s.extend(("x0",), [(2, 1, -1.0)]).dist)
     # x0 >= a + 1 >= 3 cannot also sit at or before 1
     assert s.probe(1, [(2, 1, -1.0), (0, 2, 1.0)]) is None
     # a self-loop below 0 is a negative cycle even at the tail of the edges
