@@ -26,8 +26,8 @@ from copeplan.planner.search import (
     ESTIMATE_SUPPORT_CAP,
     deadline_steps,
     estimate_completion,
+    tighten as tighten_search,
 )
-from copeplan.planner.search import tighten as tighten_search
 from copeplan.stn import EPSILON_SEPARATION, ORIGIN, Stn
 
 INF = math.inf
