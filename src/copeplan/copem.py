@@ -25,12 +25,11 @@ d j's deadline in the branch's reduction:
   that of the reduction without j, bit for bit. One DP per (dispatch
   option, measured process) serves all of that process's observations.
 
-The second case is licensed by the DP layer below j being `ordered` (every
-log failure sequence below it non-increasing, which the layer checks once);
-where that fails, the branch is solved with j in it. Only values are
-computed this way. `solve11` builds schedules last, for the winning first
-step's table only: one DP per observation of its measured process.
-`solve01` returns no schedules and builds none.
+The second case needs no check: a running sum never decreases, so a DP
+layer scans only the block lengths where its running sum changes, and
+delta(r) has none before d. Only values are computed this way. `solve11`
+builds schedules last, for the winning first step's table only: one DP per
+observation of its measured process. `solve01` returns and builds none.
 """
 
 from dataclasses import dataclass, field

@@ -13,16 +13,18 @@ assumption about optimal schedules.
 
 The DP's layers are lazy. A layer is computed at a start time only when the
 layer above reads it there, by scanning the block lengths where its
-profile's running sum changes; that shortcut is licensed up front by
-checking that every log failure sequence below it is non-increasing. A
-layer whose reads pass a small cell budget solves its whole row with numpy
-instead, so dense profiles and long horizons cost what an eager DP does.
-Every value, sign of zero and block list equals the dense layer's.
+profile's running sum changes. That is exact because a running sum never
+decreases: `DiscreteDistribution` stores masses >= 0, and fl(a + b) >= a
+when b >= 0, so every log failure sequence is non-increasing and every row
+below a layer is non-decreasing (`_Layer` gives the proof). A layer whose
+reads pass a small cell budget solves its whole row with numpy instead, so
+dense profiles and long horizons cost what an eager DP does. Every value,
+sign of zero and block list equals the dense layer's.
 
 `point_mass_values` gives the value of an instance with one process's
 profile swapped for a point mass, as a perfect measurement leaves it:
-exactly 1.0 when the process surely completes in time, otherwise, under the
-same licence, the value of the instance without that process.
+exactly 1.0 when the process surely completes in time, otherwise the value
+of the instance without that process.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ BRUTE_FORCE_MAX_T = 12
 _CHUNK = 1 << 17
 # runs of fewer change points are scanned a column at a time: a block's
 # fixed cost is about that of four one-column scans at the benchmark's
-# deadlines (up to 300)
+# deadlines (up to 300). solve_abstract forms no such run, but dense
+# profiles do: scanning every column alone made a dense n = 10, T = 200
+# solve 5.3x slower and a dense n = 4, T = 3000 one 2.1x (medians of ten
+# in-process alternating pairs, 2-vCPU Xeon)
 _BLOCK_RUN = 4
 # a layer scans its columns one time at a time until that has cost this
 # many cells, then solves its whole row. A read of a few columns takes
@@ -53,7 +58,10 @@ _BLOCK_RUN = 4
 # row at once
 _POINT_BUDGET = 16
 # a layer's running sums are scanned in the interpreter up to this length
-# and with numpy past it; both take about 7 us at 64 cells
+# and with numpy past it; both take about 7 us at 64 cells. A seed-1
+# solve_abstract pass scans 429 windows in the interpreter and 161 with
+# numpy: numpy alone made the pass 1.11x slower, and the interpreter alone
+# a 4-atom n = 4, T = 3000 solve 4.1x (as above)
 _SHORT_WINDOW = 64
 # a chain of more layers solves its rows before the first read, which
 # recurses one frame a layer
@@ -146,9 +154,9 @@ def solve_kds_dp(
     at every start time) is a `_Layer` evaluated lazily: a solve reads
     layer 0 at one time, and each deeper layer only at the times that the
     block lengths scanned above it reach. A layer scans only the lengths
-    where the profile's running sum changes, once the layers below it are
-    known to hold non-decreasing rows; past `_POINT_BUDGET` cells of such
-    reads it solves its whole row at once. `_Layer` says why both are exact.
+    where the profile's running sum changes, which the non-decreasing rows
+    below it allow; past `_POINT_BUDGET` cells of such reads it solves its
+    whole row at once. `_Layer` says why both are exact.
 
     Layer k is a function of T and of the running sums and deadlines of
     processes order[k:] only. A caller that solves several instances
@@ -197,12 +205,11 @@ def point_mass_values(
       reaches that -inf at s through column 0, and 0.0 - expm1(-inf) is 1.0.
     - Otherwise, at every time tau >= s that a solve reads it, j's layer has
       only column 0 to scan, with lf -0.0: below d - tau <= r, delta(r)'s
-      running sum stays 0.0, and at or past d column 0 is the only one. So
-      it returns -0.0 + next.at(tau), which equals next.at(tau) bit for
+      running sum stays 0.0, and at or past d column 0 is the only one
+      (scanning change points only is exact on every layer, see `_Layer`).
+      So it returns -0.0 + next.at(tau), which equals next.at(tau) bit for
       bit, and the value is that of the instance without j, solved once
-      for every such r. That needs the layer below j to be `ordered`, the
-      licence to scan change points only; where it fails, j's layer scans
-      every column, and each such r is solved with j in it.
+      for every such r.
 
     `solve` is the DP those solves call: `solve_kds_dp`, as the caller
     looks it up, so that a wrapper around the caller's reference sees every
@@ -215,20 +222,11 @@ def point_mass_values(
     T = instance.horizon
     s = min(start_time, T)
     d = procs[j].deadline
-    licensed = rest = None
+    rest = None
     values = []
     for r in remainings:
         if s + r < d:
             values.append(1.0)
-            continue
-        if licensed is None:
-            order = _order(procs)
-            below = order[order.index(j) + 1 :]
-            licensed = _layers([procs[i] for i in below], T, memo)[0].ordered
-        if not licensed:
-            point = KdsProcess(DiscreteDistribution.delta(r), d)
-            swapped = KdsInstance([point if i == j else p for i, p in enumerate(procs)], T)
-            values.append(solve(swapped, start_time, memo=memo).value)
             continue
         if rest is None:
             others = KdsInstance([p for i, p in enumerate(procs) if i != j], T)
@@ -245,7 +243,7 @@ def _order(processes: list) -> list:
 def _layers(processes: list, T: int, memo: dict | None) -> list:
     """The DP layers of `processes`, given in (deadline, index) order, top
     first, then the base row of zeros; through `memo` when one is given."""
-    layer = _Row(np.zeros(T + 1), True)
+    layer = _Row(np.zeros(T + 1))
     layers = [layer]
     key = T
     for proc in reversed(processes):
@@ -263,17 +261,13 @@ def _layers(processes: list, T: int, memo: dict | None) -> list:
 
 
 class _Row:
-    """A given row read as a layer, `ordered` if it never decreases: the
-    DP's base row of zeros."""
+    """A given non-decreasing row read as a layer: the DP's base row of
+    zeros."""
 
-    def __init__(self, row: np.ndarray, ordered: bool) -> None:
+    def __init__(self, row: np.ndarray) -> None:
         self._values: dict = {}
         self._out = row
         self.at = row.item
-        self.ordered = ordered
-
-    def row(self) -> np.ndarray:
-        return self._out
 
 
 class _Layer:
@@ -298,17 +292,14 @@ class _Layer:
     strictly smaller, which gives the first minimum's value (sign of zero
     included) and t.
 
-    The next row's order is licensed up front, not read off the row, which
-    a lazy layer never holds. If every lf sequence below a layer is
-    non-increasing, every row below it is non-decreasing, by induction
-    from the base row of zeros: fl(c + x) is monotone in c and in x, and
-    each candidate at time + 1 is no smaller than the candidate one column
-    longer at `time`, which reads the same cell of the next row with an lf
-    no larger (last column against last column, and at d - 1 the last
-    column lf[0] + next.at(d) against -0.0 + next.at(d) at d). So
-    `ordered` checks each profile's few lf values, after log1p(-0.0), once;
-    where the check fails, the layer above scans every column and the last
-    column, which is exact on any row.
+    The next row never decreases, by induction from the base row of zeros.
+    `cum` never decreases: `DiscreteDistribution` stores masses >= 0 and
+    sums them in order, and fl(a + b) >= a when b >= 0. So log1p(-0.0),
+    then lf, is non-increasing, and, fl(c + x) being monotone in c and in
+    x, each candidate at time + 1 is no smaller than the candidate one
+    column longer at `time`, which reads the same cell of the next row
+    with an lf no larger (last column against last column, and at d - 1
+    the last column lf[0] + next.at(d) against -0.0 + next.at(d) at d).
 
     A read at a time not yet known scans the columns at that one time,
     reading `next` at each, and the layer keeps value and length per time.
@@ -317,19 +308,17 @@ class _Layer:
     row from then on.
     """
 
-    __slots__ = ("d", "next", "full", "cols", "lfs", "sure", "ordered",
+    __slots__ = ("d", "next", "cols", "lfs", "sure",
                  "_values", "_choices", "_work", "_out", "_best")
 
     def __init__(self, cum: np.ndarray, d: int, next) -> None:
         self.d = d
         self.next = next
-        self.full = not next.ordered
         # the columns scanned, 0 first and ascending, and their lf; the
         # first sure success, scanned apart
         self.cols: list = []
         self.lfs: list = []
         self.sure = None
-        self.ordered = next.ordered
         self._values: dict = {}
         self._choices: dict = {}
         self._work = 0
@@ -344,18 +333,11 @@ class _Layer:
         j = m if window[-1] < 1.0 else bisect.bisect_left(window, 1.0)
         if 0 < j < m:
             self.sure = j
-        # the finite columns after 0 lie in [1, stop)
-        stop = j if j < m else d
-        if self.full:
-            cols = list(range(1, stop))
-            # past its end the running sum holds its last value
-            losses = [-s for s in window[1:stop]] + [-window[-1]] * (stop - m)
-        else:
-            # cum is constant past its end, so it changes below m only
-            cols, losses = _steps(window, min(stop, m))
+        # the finite columns after 0 lie in [1, j): cum is constant past
+        # its end, so it changes below m only
+        cols, losses = _steps(window, j)
         self.cols = [0, *cols]
         self.lfs = [_log_failure(float(window[0])), *map(math.log1p, losses)]
-        self.ordered = next.ordered and _non_increasing([_log_failure(0.0), *self.lfs])
 
     def at(self, time: int) -> float:
         """The best log failure from `time` on: kept, read off the row, or
@@ -386,17 +368,11 @@ class _Layer:
             cand = lfs[i] + value
             if cand < best:
                 best, best_t = cand, t
-        if span > 0:
-            j = self.sure
-            if j is not None and j < span:
-                cand = -math.inf + nxt.at(time + j)
-                if cand < best:
-                    best, best_t = cand, j
-            if self.full:
-                # lf[span - 1], -inf from the sure success on
-                cand = (lfs[span - 1] if span <= len(lfs) else -math.inf) + nxt.at(self.d)
-                if cand < best:
-                    best, best_t = cand, span
+        j = self.sure
+        if j is not None and j < span:
+            cand = -math.inf + nxt.at(time + j)
+            if cand < best:
+                best, best_t = cand, j
         self._values[time] = best
         self._choices[time] = best_t
         return best
@@ -433,12 +409,6 @@ def _steps(window, top: int) -> tuple[list, list]:
         return cols, [-window[t] for t in cols]
     cols = np.flatnonzero(window[1:top] != window[: top - 1]) + 1
     return cols.tolist(), (-window[cols]).tolist()
-
-
-def _non_increasing(values: list) -> bool:
-    """values[0] >= values[1] >= ..., the order that licenses scanning
-    change points only."""
-    return values == sorted(values, reverse=True)
 
 
 def _solve_layer(layer: _Layer, row: np.ndarray, out: np.ndarray,
@@ -485,11 +455,6 @@ def _solve_layer(layer: _Layer, row: np.ndarray, out: np.ndarray,
     j = layer.sure
     if j is not None:
         best_t[: d - j][_take_smaller(out, -math.inf + row[j:d])] = j
-    if layer.full:
-        lf = np.full(d, -math.inf)
-        lf[: len(layer.lfs)] = layer.lfs
-        better = _take_smaller(out, lf[::-1] + row[d])
-        best_t[:d][better] = d - np.flatnonzero(better)
 
 
 def _runs(cols: list) -> list:

@@ -244,6 +244,10 @@ def tighten(task, node: SearchNode):
 def make_child(task, parent: SearchNode, step, tick: int):
     """Apply one snap step; None when conditions or time make it impossible.
 
+    A start step must be applicable in the parent (its start conditions
+    hold there), as `candidate_steps` only offers such starts; an end step's
+    conditions are checked here.
+
     The child's event is k + 1 for a prefix of length k; it and the child's
     edges stay pending over the parent's network, and tighten's probe keeps
     the child's matrix."""
@@ -254,8 +258,6 @@ def make_child(task, parent: SearchNode, step, tick: int):
     masks = task.masks
     if step[0] == "start":
         m = masks[step[1]]
-        if m.cond_start & ~props:
-            return None
         props = (props & ~m.del_start) | m.add_start
         opens = parent.opens + ((step[1], k),)
     elif step[0] == "end":

@@ -32,6 +32,22 @@ def test_consistent_prefix_matching():
     assert not consistent([PrefixAction("a", 1)], [("a", 0), ("b", 2)])
 
 
+def test_enumeration_skips_functions_that_validate_refuses():
+    # the times are in order and finish inside ID = 4, but validate
+    # refuses a negative start and a prefix with repeated action ids
+    inst = CopeInstance([proc(DiscreteDistribution.delta(1), [PrefixAction("a", 1)], 4)])
+    with pytest.raises(ValueError, match=">= 0"):
+        InitiationFunction(0, {"a": -1}).validate(inst)
+    fs = list(enumerate_initiation_functions(inst, candidate_times=[-1, 0, 2]))
+    assert [(f.chosen_process, f.start_times) for f in fs] == [
+        (None, {}), (0, {"a": 0}), (0, {"a": 2})]
+    twice = CopeInstance([proc(DiscreteDistribution.delta(1),
+                               [PrefixAction("a", 1), PrefixAction("a", 1)], 4)])
+    with pytest.raises(ValueError, match="duplicate"):
+        InitiationFunction(0, {"a": 0}).validate(twice)
+    assert [f.chosen_process for f in enumerate_initiation_functions(twice, [0, 1])] == [None]
+
+
 def test_effective_deadlines_no_dispatch():
     inst = CopeInstance(
         [

@@ -1,5 +1,6 @@
 """Dispatch-and-measure solvers against the exhaustive policy-tree oracle."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,14 @@ def test_solve01_point_mass_observation_is_free_progress():
     value_nd, _ = solve01(inst, dispatched=None)
     direct_nd = solve_kds_dp(KdsInstance([KdsProcess(delta(2), 3)], 4)).value
     assert value_nd == pytest.approx(direct_nd, abs=1e-12)
+
+
+def test_solve01_on_an_empty_instance_measures_nothing():
+    inst = CopemInstance([])
+    for dispatched in (None, 0):
+        value, j = solve01(inst, dispatched)
+        assert (value, j) == (0.0, None)
+        assert math.copysign(1.0, value) == 1.0
 
 
 def split_world_instance(dispatch_budget, observation_budget):

@@ -124,6 +124,23 @@ def test_eval_schedule_rejects_duplicates():
         eval_schedule(inst, [Block(0, 0, 1), Block(0, 1, 1)])
 
 
+def test_out_of_range_input_is_refused():
+    one = DiscreteDistribution.delta(1)
+    with pytest.raises(ValueError, match="horizon"):
+        KdsInstance([], -1)
+    with pytest.raises(ValueError, match="outside"):
+        KdsInstance([KdsProcess(one, 4)], 3)
+    with pytest.raises(ValueError, match=">= 0"):
+        success_prob(one, 2, -1, 0)
+    inst = KdsInstance([KdsProcess(one, 2)], 3)
+    with pytest.raises(ValueError, match="outside"):
+        eval_schedule(inst, [Block(0, 2, 2)])
+    with pytest.raises(ValueError, match="start_time"):
+        solve_kds_dp(inst, -1)
+    with pytest.raises(ValueError, match="prefix"):
+        brute_force_kds(inst, 1, (0, 0))
+
+
 def test_brute_force_guard():
     procs = [KdsProcess(DiscreteDistribution.delta(1), 2) for _ in range(5)]
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import os
 import warnings
@@ -868,3 +869,43 @@ def test_validator_rejects_broken_plans():
     unseparated = [(0.0, "start", "prep"), (2.0, "end", "prep"),
                    (2.0, "start", "finish"), (5.0, "end", "finish")]
     assert not validate_plan(task, unseparated)[0]
+
+
+def _ending_on_done(task):
+    """The task with prep's end needing "done", which nothing holds then."""
+    prep, finish = task.actions
+    return dataclasses.replace(
+        task, actions=(dataclasses.replace(prep, cond_end=fs("done")), finish))
+
+
+# one broken plan per rejection of validate_plan, on micro_task(window)
+# or a variant of it, and the message that names the rule
+BROKEN_PLANS = {
+    "unknown kind": (20.0, None, [(0.0, "pause", "prep")],
+                     "unknown happening kind 'pause'"),
+    "unknown action": (20.0, None, [(0.0, "start", "nap")], "unknown action 'nap'"),
+    "unseparated": (20.0, None, [(0.0, "start", "prep"), (0.0, "start", "prep")],
+                    "happenings at 0.0 and 0.0 are not separated"),
+    "start missing a condition": (20.0, None, [(0.0, "start", "finish")],
+                                  "start finish at 0.0: missing ['prepped']"),
+    "end with no open interval": (20.0, None, [(0.0, "start", "prep"), (3.0, "end", "prep")],
+                                  "end prep at 3.0 matches no open interval"),
+    "end missing a condition": (20.0, _ending_on_done,
+                                [(0.0, "start", "prep"), (2.0, "end", "prep")],
+                                "end prep at 2.0: missing ['done']"),
+    "broken invariant": (1.0, None, [(0.0, "start", "prep"), (2.0, "end", "prep")],
+                         "invariant of prep broken at 1.0"),
+    "unfinished action": (20.0, None, [(0.0, "start", "prep")],
+                          "unfinished actions: ['prep']"),
+    "unreached goal": (20.0, None, [(0.0, "start", "prep"), (2.0, "end", "prep")],
+                       "goal not reached, missing ['done']"),
+}
+
+
+@pytest.mark.parametrize("rule", BROKEN_PLANS)
+def test_validator_names_each_broken_rule(rule):
+    window, variant, plan, message = BROKEN_PLANS[rule]
+    task = micro_task(window)
+    if variant is not None:
+        task = variant(task)
+    assert validate_plan(task, plan) == (False, message)

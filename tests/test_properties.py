@@ -4,16 +4,16 @@ The unit suites sample these invariants with fixed seeds; here hypothesis
 searches for counterexamples: the KDS dynamic program against the
 brute-force oracle at its largest admitted sizes and against its loop form
 bit for bit, also when families of instances share one layer memo; one DP
-layer against its dense form on any next row, lazy layers against it at
-every time on either side of their cell budget, and the order of the rows
-that lets a layer scan only change points; the point-mass shortcut for a
+layer against its dense form on any non-decreasing next row, lazy layers
+against it at every time on either side of their cell budget, and the
+orders that let a layer scan only change points (running sums and log
+failures, and the rows the DP computes); the point-mass shortcut for a
 measured process against the DP with that process swapped in; the
 incremental temporal network (both its persistent growth and probe)
 against the from-scratch Floyd-Warshall recompute; and the planner's
 relaxed plan on proposition bitmasks against its form on sets.
 """
 
-import contextlib
 import math
 from unittest import mock
 
@@ -164,17 +164,43 @@ def test_every_dp_layer_row_is_non_decreasing(case):
 
 
 @st.composite
+def gap_profiles(draw, horizon):
+    """Masses with integer weights and, between them, zero gaps and the
+    negative masses that construction tolerates and clamps to +0.0."""
+    gap = st.sampled_from((0.0, -0.0, -5e-324, -1e-12, -1e-11))
+    cells = draw(st.lists(st.integers(1, 1000) | gap, min_size=1, max_size=horizon + 6)
+                 .filter(lambda c: any(isinstance(x, int) for x in c)))
+    total = sum(x for x in cells if isinstance(x, int))
+    return DiscreteDistribution([x / total if isinstance(x, int) else x for x in cells])
+
+
+@SETTINGS
+@given(st.integers(0, DP_MAX_T).flatmap(
+    lambda T: st.tuples(st.just(T), dp_profiles(T) | gap_profiles(T))))
+def test_running_sums_never_decrease_and_log_failures_never_increase(case):
+    """What lets a layer scan only change points, with no check at run
+    time: a profile's running sum never decreases, so at every deadline
+    the layer's log failures, after the -0.0 of a block at or past it,
+    never increase."""
+    T, profile = case
+    cum = profile.cum.tolist()
+    assert all(b >= a for a, b in zip(cum, cum[1:]))
+    for d in range(T + 1):
+        layer = kds._Layer(profile.cum, d, kds._Row(np.zeros(T + 1)))
+        lfs = [kds._log_failure(0.0), *layer.lfs]
+        assert all(b <= a for a, b in zip(lfs, lfs[1:]))
+
+
+@st.composite
 def layer_cases(draw):
     """(cum, d, row, row-block size): a profile and deadline, and a next
-    row that is sorted, as a layer's is, or arbitrary, so that every column
-    is scanned. Rows hold -inf, both zeros and negative floats."""
+    row that never decreases, as a layer's does. Rows hold -inf, both
+    zeros and negative floats."""
     horizon = draw(_up_to(40))
     d = draw(_up_to(horizon))
     profile = draw(dp_profiles(horizon))
     cell = st.sampled_from((-math.inf, -0.0, 0.0)) | st.floats(-50.0, 0.0)
-    row = np.array(draw(st.lists(cell, min_size=horizon + 1, max_size=horizon + 1)))
-    if draw(st.booleans()):
-        row = np.sort(row)
+    row = np.sort(draw(st.lists(cell, min_size=horizon + 1, max_size=horizon + 1)))
     chunk = draw(st.one_of(st.just(kds._CHUNK), st.integers(1, 4 * (horizon + 1))))
     return profile.cum, d, row, chunk
 
@@ -187,19 +213,19 @@ DENSE_30 = DiscreteDistribution([1 / 30] * 30)
 
 
 LAYER_EXAMPLES = (
-    _layer_case(DENSE_30, 0, [0.0, -1.0, -0.0]),
-    _layer_case(DiscreteDistribution.delta(0), 1, [-1.0, -2.0, 0.0]),
-    _layer_case(DiscreteDistribution.uniform([1, 2]), 1, [-0.0, -3.0, -1.0]),
-    # support shorter than d; the last column wins on this falling row
-    _layer_case(DiscreteDistribution.delta(2), 6, [0.0, -0.0, -1.0, 0.0, -0.0, -2.0, -9.0, 0.0]),
-    # support longer than d, on a sorted row and on a falling one
+    _layer_case(DENSE_30, 0, [-1.0, -0.0, 0.0]),
+    _layer_case(DiscreteDistribution.delta(0), 1, [-2.0, -1.0, 0.0]),
+    _layer_case(DiscreteDistribution.uniform([1, 2]), 1, [-3.0, -1.0, -0.0]),
+    # support shorter than d
+    _layer_case(DiscreteDistribution.delta(2), 6, [-9.0, -2.0, -1.0, -0.0, 0.0, -0.0, 0.0, 0.0]),
+    # support longer than d
     _layer_case(DENSE_30, 5, [-4.0, -3.0, -3.0, -1.0, -0.0, 0.0, 0.0]),
-    _layer_case(DENSE_30, 5, [0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]),
-    _layer_case(ABOVE_ONE, 6, [-1.0, -math.inf, 0.0, -2.0, -0.0, -1.0, -math.inf, 0.0]),
+    _layer_case(DENSE_30, 5, [-6.0, -5.0, -4.0, -3.0, -2.0, -1.0, 0.0]),
+    _layer_case(ABOVE_ONE, 6, [-math.inf, -math.inf, -2.0, -1.0, -1.0, -0.0, 0.0, 0.0]),
     # mass short of 1 and support shorter than d: past its end the running
-    # sum holds its last value, which the last column reads on this row
+    # sum holds its last value
     _layer_case(DiscreteDistribution([0.1, 0.2, 0.7 - 1e-12]), 6,
-                [0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -9.0]),
+                [-9.0, -5.0, -4.0, -3.0, -2.0, -1.0, 0.0]),
 )
 
 
@@ -210,8 +236,8 @@ def _with_layer_examples(test):
 
 
 def _layer_over(cum, d, row):
-    """A layer over the fixed row `row`, licensed when the row is sorted."""
-    return kds._Layer(cum, d, kds._Row(row, bool((row[1:] >= row[:-1]).all())))
+    """A layer over the fixed non-decreasing row `row`."""
+    return kds._Layer(cum, d, kds._Row(row))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -236,7 +262,7 @@ def test_layer_matches_the_dense_reference_on_any_row(case):
 @pytest.mark.filterwarnings("error")
 def test_layer_reads_match_the_dense_reference_on_any_row(case):
     """A layer read one time at a time, never past its budget, over any
-    fixed row: every column and the last one where the row is unsorted."""
+    fixed non-decreasing row."""
     cum, d, row, _ = case
     want = np.zeros(len(row)), np.zeros(len(row), dtype=int)
     reference_kernels.solve_layer_dense(cum, d, row, *want)
@@ -261,30 +287,25 @@ LAZY_EXAMPLES = (
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(dp_cases(), st.sampled_from((0, 1, 1 << 20)), st.booleans(), st.booleans(),
+@given(dp_cases(), st.sampled_from((0, 1, 1 << 20)), st.booleans(),
        st.sampled_from((0, 1 << 20)))
-@example(LAZY_EXAMPLES[0], 1, True, True, 0)
-@example(LAZY_EXAMPLES[1], 1, False, False, 1 << 20)
-@example(LAZY_EXAMPLES[2], 1 << 20, False, True, 0)
-@example(LAZY_EXAMPLES[2], 1, True, False, 1 << 20)
+@example(LAZY_EXAMPLES[0], 1, True, 0)
+@example(LAZY_EXAMPLES[1], 1, False, 1 << 20)
+@example(LAZY_EXAMPLES[2], 1 << 20, True, 0)
+@example(LAZY_EXAMPLES[2], 1, False, 1 << 20)
 @pytest.mark.filterwarnings("error")
-def test_lazy_layers_match_the_dense_layer_at_every_time(case, budget, licensed, descending,
-                                                         short):
+def test_lazy_layers_match_the_dense_layer_at_every_time(case, budget, descending, short):
     """Each layer a solve leaves in its memo answers at(time) and
     choice(time) as the dense layer does at every time, read after the
     solve in ascending or descending time, top layer first. A budget of 0
     solves every row, 1 switches each layer to its row after about one
-    read, and a large one never does. Unlicensed, the lf-order check fails
-    on the deepest layer that makes it, and every layer above that one
-    scans all its columns. Running sums are read with numpy or, every
-    window being short, in the interpreter."""
+    read, and a large one never does. Running sums are read with numpy or,
+    every window being short, in the interpreter."""
     inst, start, chunk = case
     n, T = len(inst.processes), inst.horizon
     memo = {}
-    check = (contextlib.nullcontext() if licensed else
-             mock.patch.object(kds, "_non_increasing", side_effect=[False] + [True] * n))
     with mock.patch.object(kds, "_POINT_BUDGET", budget), mock.patch.object(kds, "_CHUNK", chunk), \
-            mock.patch.object(kds, "_SHORT_WINDOW", short), check, \
+            mock.patch.object(kds, "_SHORT_WINDOW", short), \
             mock.patch.object(kds, "_solve_layer", wraps=kds._solve_layer) as rows:
         sol = solve_kds_dp(inst, start, memo=memo)
         assert rows.call_count == {0: n, 1 << 20: 0}.get(budget, rows.call_count)
@@ -293,11 +314,6 @@ def test_lazy_layers_match_the_dense_layer_at_every_time(case, budget, licensed,
         order = sorted(range(n), key=lambda i: (inst.processes[i].deadline, i))
         layers = list(memo.values())
         assert len(layers) == n
-        # a failed check marks every layer above one that checked lf
-        checked = False
-        for layer in layers:
-            assert layer.full == (checked and not licensed)
-            checked = checked or layer.d > 0
         wanted = []
         row = np.zeros(T + 1)
         for k, layer in zip(reversed(order), layers):
@@ -405,21 +421,19 @@ def _point_mass_case(deadlines, j, remainings, start, horizon):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(point_mass_cases(), st.booleans())
+@given(point_mass_cases())
 # n = 1 with d = 0: every remaining time leaves j out
-@example(_point_mass_case([0], 0, [0, 3], 0, 4), True)
-# j between equal deadlines, licence off: s + r == d and past it fall back
-@example(_point_mass_case([5, 5, 5], 1, [0, 4, 5], 1, 6), False)
-@example(_point_mass_case([5, 5, 5], 1, [0, 4, 5], 1, 6), True)
+@example(_point_mass_case([0], 0, [0, 3], 0, 4))
+# j between equal deadlines: s + r == d and past it
+@example(_point_mass_case([5, 5, 5], 1, [0, 4, 5], 1, 6))
 # d in {1, 2}, j last in the order, start past the horizon
-@example(_point_mass_case([1, 2], 1, [0, 1, 2], 9, 6), False)
-@example(_point_mass_case([2, 1], 0, [0, 1, 2], 1, 3), True)
+@example(_point_mass_case([1, 2], 1, [0, 1, 2], 9, 6))
+@example(_point_mass_case([2, 1], 0, [0, 1, 2], 1, 3))
 @pytest.mark.filterwarnings("error")
-def test_point_mass_values_match_the_dp(case, licensed):
+def test_point_mass_values_match_the_dp(case):
     """kds.point_mass_values equals solve_kds_dp on the instance with j's
     profile swapped for delta(r), bit for bit: 1.0 while s + r < d, else
-    one solve without j for every such r, or, where the lf-order check is
-    forced to fail below j, one solve with j per such r."""
+    one solve without j for every such r."""
     inst, j, remainings, start = case
     n, T = len(inst.processes), inst.horizon
     solved = []
@@ -428,10 +442,7 @@ def test_point_mass_values_match_the_dp(case, licensed):
         solved.append(len(instance.processes))
         return solve_kds_dp(instance, start_time, memo=memo)
 
-    check = (contextlib.nullcontext() if licensed else
-             mock.patch.object(kds, "_non_increasing", return_value=False))
-    with check:
-        got = kds.point_mass_values(inst, j, remainings, start, memo={}, solve=solve)
+    got = kds.point_mass_values(inst, j, remainings, start, memo={}, solve=solve)
     s = min(start, T)
     d = inst.processes[j].deadline
     for r, value in zip(remainings, got, strict=True):
@@ -443,12 +454,7 @@ def test_point_mass_values_match_the_dp(case, licensed):
         if s + r < d:
             assert value == 1.0
     late = sum(s + r >= d for r in remainings)
-    # only a layer with a deadline checks its lf order
-    below = [p for i, p in enumerate(inst.processes) if (p.deadline, i) > (d, j)]
-    if not licensed and any(p.deadline > 0 for p in below):
-        assert solved == [n] * late
-    else:
-        assert solved == [n - 1] * min(late, 1)
+    assert solved == [n - 1] * min(late, 1)
 
 
 def test_point_mass_values_refuse_a_negative_start():
