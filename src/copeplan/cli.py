@@ -131,6 +131,9 @@ def cmd_solve(args) -> int:
     else:
         policy = solve11(_expect(obj, CopemInstance, "copem"))
         print(f"value {policy.value:.7f}")
+        if policy.first_step is None:
+            print("no dispatch")
+            return EXIT_OK
         kind, who = policy.first_step
         print(f"first {kind} process {who + 1}")
         if policy.compute_after_dispatch is not None:

@@ -114,7 +114,8 @@ class BranchOutcome:
 class MetaPolicy:
     """Depth-2 policy: a first step, then a per-observation follow-up table.
 
-    first_step is ("compute", j) or ("dispatch", i). For a dispatch-first
+    first_step is ("compute", j) or ("dispatch", i), or None when there is
+    no process to act on. For a dispatch-first
     policy, compute_after_dispatch names the measurement taken during the
     first slot. second_step maps each observable remaining time to the
     continuation chosen for it. branch_values records the value of every
@@ -122,7 +123,7 @@ class MetaPolicy:
     """
 
     value: float
-    first_step: tuple
+    first_step: tuple | None
     compute_after_dispatch: int | None
     second_step: dict[int, BranchOutcome]
     branch_values: dict[tuple, float] = field(default_factory=dict)
@@ -245,7 +246,8 @@ def solve11(inst) -> MetaPolicy:
     commit process i's action at time 0 and measure during the same slot.
     Scans compute branches in index order, then dispatch branches; a later
     branch replaces the incumbent only on strict improvement, so ties prefer
-    measuring first and lower indices.
+    measuring first and lower indices. With no processes the value is 0
+    and no step is taken, as in solve00 and solve01.
 
     Each dispatch option is reduced to KDS once. Every observation's value
     comes from `point_mass_values`: 1.0, or the value of the option without
@@ -256,7 +258,7 @@ def solve11(inst) -> MetaPolicy:
     that observation chose. One layer memo serves every DP of the call.
     """
     if not inst.processes:
-        raise ValueError("empty instance")
+        return MetaPolicy(0.0, None, None, {}, {})
     _check_prefixes(inst)
     memo: dict = {}
     branch_values: dict[tuple, float] = {}

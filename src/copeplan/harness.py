@@ -61,6 +61,8 @@ def _simulate_meta(inst, policy, samples, rng):
     # the measured process is resolved exactly by its own observation, so
     # each observation value maps to one fixed reduced instance and schedule
     first = policy.first_step
+    if first is None:
+        return 0.0
     if first[0] == "compute":
         measured, dispatched, disp_time = first[1], None, 1
     else:

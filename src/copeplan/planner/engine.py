@@ -14,10 +14,12 @@ Scoring reads what the loop already knows. Each node carries the suffix
 minima of its start tmaxes, so latest_start is a lookup. run_search keeps one
 memo per burst that maps h to a _Scores: the completion profile, its
 expected effort, q_known's whole-support tables and lpf's values by success
-index. Step pos is event pos + 1 of a node's network, which a node wraps
-from its last probe's matrix only when something reads it: an expansion,
-_try_finish or _apply_dispatch. A pin is two pending edges on that network,
-probed by the tighten that checks the node's chain against it.
+index. Step pos is event pos + 1 of a node's network; networks hold
+positions only, no event names. A node wraps its network from its last
+probe's matrix only when something reads it: an expansion, _try_finish or
+_apply_dispatch. A pin is two pending edges on that network, probed by the
+tighten that checks the node's chain against it; _try_finish extends it by
+one edge per uncommitted start.
 """
 
 import math
@@ -271,7 +273,12 @@ def _apply_dispatch(task, step, executed, open_list, memo, pruned_dups, t_now, r
 def _auto_advance(task, executed, open_list, t_now):
     """Absorb happenings that are no longer decisions: ends of committed
     starts and timed literals, once their moment has passed and every open
-    node agrees on them."""
+    node agrees on them.
+
+    Every open node's prefix[:m] is the executed steps (_apply_dispatch keeps
+    only matching nodes and _repin checks the prefix), and an end at
+    position m has its start at some pos < m, so that start is committed and
+    executed[pos] holds its time."""
     while open_list:
         m = len(executed)
         if any(len(nd.prefix) <= m for nd in open_list):
@@ -283,10 +290,7 @@ def _auto_advance(task, executed, open_list, t_now):
         if step[0] == "start":
             return
         if step[0] == "end":
-            pos = step[2]
-            if pos >= m:
-                return
-            when = executed[pos][1] + task.by_name[step[1]].duration
+            when = executed[step[2]][1] + task.by_name[step[1]].duration
         else:
             when = task.tils[step[1]].time
         if when > t_now:
@@ -297,7 +301,7 @@ def _auto_advance(task, executed, open_list, t_now):
 def _try_finish(task, node, executed, records, stats, t_now):
     """Schedule the whole plan; starts not yet committed may not predate now."""
     m = len(executed)
-    stn = node.stn.extend((), [
+    stn = node.stn.extend(0, [
         (pos + 1, 0, -t_now)
         for pos, step in enumerate(node.prefix) if pos >= m and step[0] == "start"
     ])

@@ -12,17 +12,17 @@ A node's state is a bitmask over the task's numbered propositions
 (Task.bit), so applying a step, testing a condition and the relaxed pass are
 integer & and | on the masks Task compiles once.
 
-Events are positional: a network holds the origin, then one event per step
-in prefix order, so step pos is event pos + 1. A generated child keeps its
-parent's network and its own pending event and edges; tighten probes them
-together with the chain in one call, and the probe keeps the child's matrix
-on the way. The child's own network (SearchNode.stn) wraps that matrix when
-something first reads it; no network is grown twice. Most children are
-never read.
+Events are positions, never names: a network holds the origin, then one
+event per step in prefix order, so step pos is event pos + 1. A generated
+child keeps its parent's network, a count of one pending event and its own
+edges; tighten probes them together with the chain in one call, and the
+probe keeps the child's matrix on the way. The child's own network
+(SearchNode.stn) wraps that matrix when something first reads it; no
+network is grown twice. Most children are never read.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,11 +79,12 @@ class SearchStats:
 @dataclass(eq=False)
 class SearchNode:
     """`props` is the node's state as a proposition bitmask. `base` is the
-    node's network, or one that the pending event `names` and (u, v, b)
-    `edges` extend to it (a child's own, then any pins); `dist` is then the
-    matrix tighten's last probe kept for that extension, which `stn` wraps
-    on first read. `start_tmaxes` holds (pos, tmax) per start step and
-    `latest[c]` the least of them at a position >= c."""
+    node's network, or one that `pending` new events (0, or 1 for a child's
+    own) and the (u, v, b) `edges` (a child's own, then any pins) extend to
+    it; `dist` is then the matrix tighten's last probe kept for that
+    extension, which `stn` wraps on first read. `start_tmaxes` holds
+    (pos, tmax) per start step and `latest[c]` the least of them at a
+    position >= c."""
 
     prefix: tuple
     props: int
@@ -93,7 +94,7 @@ class SearchNode:
     h: float
     chain: tuple
     generation_tick: int
-    names: tuple = ()
+    pending: int = 0
     edges: tuple = ()
     dist: np.ndarray = None
     start_tmaxes: tuple = ()
@@ -101,10 +102,9 @@ class SearchNode:
 
     @property
     def stn(self) -> Stn:
-        if self.names or self.edges:
-            self.base = self.base.wrap(self.names, self.edges, self.dist)
-            self.names = self.edges = ()
-            self.dist = None
+        if self.pending or self.edges:
+            self.base = self.base.wrap(self.pending, self.edges, self.dist)
+            self.pending, self.edges, self.dist = 0, (), None
         return self.base
 
     def key(self):
@@ -219,7 +219,7 @@ def tighten(task, node: SearchNode):
         if goal_cut < INF:
             edges.append((0, ev, goal_cut))
         ev += 1
-    probed = base.probe(ev - len(base.events), edges, len(node.names), len(node.edges))
+    probed = base.probe(ev - len(base.dist), edges, node.pending, len(node.edges))
     if probed is None:
         return False
     tmax, node.dist = probed
@@ -301,7 +301,7 @@ def make_child(task, parent: SearchNode, step, tick: int):
         h=float(h),
         chain=tuple(chain),
         generation_tick=tick,
-        names=(f"s{k}",),
+        pending=1,
         edges=tuple(edges),
     )
     if not tighten(task, node):

@@ -1,11 +1,13 @@
 """Simple temporal networks with value semantics and incremental solving.
 
-Events are named time points; a constraint (u, v, b) encodes t(v) - t(u) <= b.
-Every event is implicitly at or after the origin. Networks are persistent:
-extend returns a new network, so search nodes can share history safely. The
-incremental all-pairs matrix is exact because a single new edge can only
-improve a shortest path once when no negative cycle exists; recompute() is
-the from-scratch oracle for that claim.
+Events are positions: the origin is event 0 and each new event takes the
+next position. A constraint (u, v, b) encodes t(v) - t(u) <= b. Every event
+is implicitly at or after the origin. Networks are persistent: extend
+returns a new network, so search nodes can share history safely. Each
+network logs its (u, v, b) edges, an (e, 0, 0.0) entry per event included;
+recompute() closes that log from scratch, the oracle for the claim that the
+incremental all-pairs matrix is exact (a single new edge can only improve a
+shortest path once when no negative cycle exists).
 
 A network grows in one body: it copies the matrix into one scratch matrix of
 the final size, gives each new event the origin row and relaxes the new
@@ -23,60 +25,47 @@ import math
 
 import numpy as np
 
-ORIGIN = "origin"
 INF = math.inf
 # separation between a condition's time and the effect that achieves it
 EPSILON_SEPARATION = 0.001
 
 
 class Stn:
-    __slots__ = ("events", "index", "dist", "constraints", "consistent")
+    __slots__ = ("dist", "edges", "consistent")
 
     def __init__(self):
-        self.events = (ORIGIN,)
-        self.index = {ORIGIN: 0}
         self.dist = np.zeros((1, 1))
-        self.constraints = ()
+        self.edges = ()
         self.consistent = True
 
-    def add_event(self, name: str) -> "Stn":
-        return self.extend((name,), ())
+    def add_event(self) -> "Stn":
+        return self.extend(1, ())
 
-    def add_constraint(self, from_event: str, to_event: str, bound: float) -> "Stn":
-        try:
-            edge = (self.index[from_event], self.index[to_event], bound)
-        except KeyError as exc:
-            raise KeyError(f"unknown event {exc.args[0]!r}") from None
-        return self.extend((), (edge,))
+    def add_constraint(self, u: int, v: int, b: float) -> "Stn":
+        return self.extend(0, ((u, v, b),))
 
-    def extend(self, names, edges) -> "Stn":
-        """A new network with the events `names` appended, then the sequence
-        of (u, v, b) index edges added in order; new events are numbered from
-        len(self.events). Nothing changes in this network."""
-        dist = self._grow(len(names))
+    def extend(self, n_new, edges) -> "Stn":
+        """A new network with n_new events appended, numbered from
+        len(self.dist), then the sequence of (u, v, b) edges added in order.
+        Nothing changes in this network."""
+        dist = self._grow(n_new)
         consistent = self.consistent
         if consistent:
-            _relax(dist, edges, _row_only(len(self.events), edges))
+            _relax(dist, edges, _row_only(len(self.dist), edges))
             consistent = _consistent(dist)
-        return self.wrap(names, edges, dist, consistent)
+        return self.wrap(n_new, edges, dist, consistent)
 
-    def wrap(self, names, edges, dist, consistent=True) -> "Stn":
-        """The network extend(names, edges) builds, around a matrix already
+    def wrap(self, n_new, edges, dist, consistent=True) -> "Stn":
+        """The network extend(n_new, edges) builds, around a matrix already
         computed for it (probe's kept block); no edge is relaxed again."""
-        index = dict(self.index)
-        for name in names:
-            if name in index:
-                raise ValueError(f"event {name!r} already present")
-            index[name] = len(index)
+        m = len(self.dist)
         s = Stn.__new__(Stn)
-        s.events = self.events + tuple(names)
-        s.index = index
         s.dist = dist
         s.consistent = consistent
-        s.constraints = (
-            self.constraints
-            + tuple((name, ORIGIN, 0.0) for name in names)
-            + tuple((s.events[u], s.events[v], float(b)) for u, v, b in edges)
+        s.edges = (
+            self.edges
+            + tuple((e, 0, 0.0) for e in range(m, m + n_new))
+            + tuple((u, v, float(b)) for u, v, b in edges)
         )
         return s
 
@@ -108,7 +97,7 @@ class Stn:
         """
         if not self.consistent:
             return None
-        m = len(self.events)
+        m = len(self.dist)
         row_only = _row_only(m, edges)
         cut = len(edges)
         while cut and row_only[cut - 1]:
@@ -130,7 +119,7 @@ class Stn:
         A new event sits at or after the origin, so its only outgoing edge
         runs to the origin and onward from there; it gets the origin row and
         an empty column."""
-        m = len(self.events)
+        m = len(self.dist)
         n = m + n_new
         dist = np.empty((n, n))
         dist[:m, :m] = self.dist
@@ -138,20 +127,6 @@ class Stn:
         dist[m:, :m] = self.dist[0]
         dist.reshape(-1)[m * (n + 1)::n + 1] = 0.0
         return dist
-
-    def solve(self):
-        """(consistent, tmin, tmax); the maps are empty when inconsistent."""
-        if not self.consistent:
-            return False, {}, {}
-        tmin = {e: -self.dist[i, 0] for e, i in self.index.items()}
-        tmax = {e: self.dist[0, i] for e, i in self.index.items()}
-        return True, tmin, tmax
-
-    def tmin(self, event: str) -> float:
-        return -self.dist[self.index[event], 0]
-
-    def tmax(self, event: str) -> float:
-        return self.dist[0, self.index[event]]
 
 
 def _row_only(m, edges):
@@ -208,25 +183,18 @@ def _consistent(dist):
     return not dist.diagonal().min() < 0
 
 
-def _edge_matrix(events, constraints):
-    index = {e: i for i, e in enumerate(events)}
-    n = len(events)
-    adj = np.full((n, n), INF)
-    np.fill_diagonal(adj, 0.0)
-    for u, v, b in constraints:
-        if b < adj[index[u], index[v]]:
-            adj[index[u], index[v]] = b
-    return adj
-
-
 def recompute(stn: Stn):
     """From-scratch (consistent, tmin, tmax) for oracle comparisons: a full
-    Floyd-Warshall closure of the constraint log."""
-    dist = _edge_matrix(stn.events, stn.constraints)
-    for k in range(len(stn.events)):
+    Floyd-Warshall closure of the edge log, the bounds as lists by
+    position; they are empty when inconsistent."""
+    n = len(stn.dist)
+    dist = np.full((n, n), INF)
+    np.fill_diagonal(dist, 0.0)
+    for u, v, b in stn.edges:
+        if b < dist[u, v]:
+            dist[u, v] = b
+    for k in range(n):
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     if np.diagonal(dist).min() < 0:
-        return False, {}, {}
-    tmin = {e: -dist[stn.index[e], 0] for e in stn.events}
-    tmax = {e: dist[0, stn.index[e]] for e in stn.events}
-    return True, tmin, tmax
+        return False, [], []
+    return True, (-dist[:, 0]).tolist(), dist[0].tolist()

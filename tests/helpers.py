@@ -15,7 +15,7 @@ from copeplan.cope import CopeInstance, CopeProcess, PrefixAction
 from copeplan.copem import CopemInstance
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import KdsInstance, KdsProcess
-from copeplan.stn import ORIGIN, Stn
+from copeplan.stn import Stn
 
 
 def random_pmf(
@@ -77,17 +77,62 @@ def random_cope_instance(
 
 def random_network(rng: np.random.Generator, max_events: int = 30,
                    min_events: int = 2) -> Stn:
-    s = Stn()
-    names = [f"e{k}" for k in range(int(rng.integers(min_events, max_events)))]
-    for name in names:
-        s = s.add_event(name)
-    pool = [ORIGIN] + names
-    for _ in range(int(rng.integers(1, 4 * len(names)))):
-        u, v = rng.choice(len(pool), size=2, replace=False)
+    """Events 1..n after the origin, then constraints between any two of
+    the n + 1 events, each its own add_constraint."""
+    n = int(rng.integers(min_events, max_events))
+    s = Stn().extend(n, ())
+    for _ in range(int(rng.integers(1, 4 * n))):
+        u, v = rng.choice(n + 1, size=2, replace=False)
         # dyadic bounds keep every path sum exact in float64
         bound = int(rng.integers(-8, 33)) / 8.0
-        s = s.add_constraint(pool[u], pool[v], bound)
+        s = s.add_constraint(int(u), int(v), bound)
     return s
+
+
+def solve(stn: Stn):
+    """The incremental network's (consistent, tmin, tmax) in
+    stn.recompute's form: bounds as lists by position, empty when
+    inconsistent."""
+    if not stn.consistent:
+        return False, [], []
+    return True, (-stn.dist[:, 0]).tolist(), stn.dist[0].tolist()
+
+
+ORIGIN = "origin"
+
+
+class NamedStn:
+    """A positional network built and read by event name, for tests that
+    write networks by hand and for the references that look events up by
+    name: `index` maps each name to its position, ORIGIN to 0 and every
+    later name to the next position in the order it was given."""
+
+    __slots__ = ("stn", "index")
+
+    def __init__(self, stn=None, names=()):
+        self.stn = Stn() if stn is None else stn
+        self.index = {ORIGIN: 0}
+        for name in names:
+            if name in self.index:
+                raise ValueError(f"event {name!r} already present")
+            self.index[name] = len(self.index)
+
+    def named(self, stn, *names) -> "NamedStn":
+        """`stn`, a growth of this network by the events `names` (or by
+        edges alone), under this network's names and those."""
+        return NamedStn(stn, [*list(self.index)[1:], *names])
+
+    def add_event(self, name) -> "NamedStn":
+        return self.named(self.stn.add_event(), name)
+
+    def add_constraint(self, u, v, b) -> "NamedStn":
+        return self.named(self.stn.add_constraint(self.index[u], self.index[v], b))
+
+    def tmin(self, name) -> float:
+        return -self.stn.dist[self.index[name], 0]
+
+    def tmax(self, name) -> float:
+        return self.stn.dist[0, self.index[name]]
 
 
 def random_copem_instance(

@@ -2,9 +2,10 @@
 the temporal network's growth in copeplan.stn, the planner's per-node
 kernels in copeplan.planner.search (with the relaxed plan on proposition
 sets, its set algebra rebuilt on every test, and child networks grown
-eagerly by event name), copeplan.planner.engine's pin as a network grown
-and checked before tighten, the decision cycle's scoring in
-copeplan.planner.engine (every quantity recomputed per node and per call), the KDS dynamic program in
+eagerly with every event looked up by name through helpers.NamedStn),
+copeplan.planner.engine's pin as a network grown and checked before
+tighten, the decision cycle's scoring in copeplan.planner.engine (every
+quantity recomputed per node and per call), the KDS dynamic program in
 copeplan.kds, both as a loop and as one layer over every (time, block
 length) cell, and copeplan.copem's measurement solvers with one DP per
 (measured process, observation, dispatch option).
@@ -28,77 +29,82 @@ from copeplan.planner.search import (
     estimate_completion,
     tighten as tighten_search,
 )
-from copeplan.stn import EPSILON_SEPARATION, ORIGIN, Stn
+from copeplan.stn import EPSILON_SEPARATION, Stn
+
+from helpers import ORIGIN, NamedStn
 
 INF = math.inf
 
 
-def _clone(stn):
-    s = Stn.__new__(Stn)
-    s.events = stn.events
-    s.index = stn.index
-    s.dist = stn.dist
-    s.constraints = stn.constraints
-    s.consistent = stn.consistent
-    return s
-
-
-def add_event(stn, name):
+def add_event(stn):
     """One new event in its own n x n matrix: its row is the origin row, its
     column empty but for the diagonal."""
-    if name in stn.index:
-        raise ValueError(f"event {name!r} already present")
-    s = _clone(stn)
-    s.events = stn.events + (name,)
-    s.index = {**stn.index, name: len(stn.events)}
-    n = len(s.events)
+    n = len(stn.dist) + 1
     dist = np.full((n, n), INF)
     dist[: n - 1, : n - 1] = stn.dist
     dist[n - 1, n - 1] = 0.0
     dist[n - 1, : n - 1] = stn.dist[0, :]
-    s.dist = dist
-    s.constraints = stn.constraints + ((name, ORIGIN, 0.0),)
-    return s
+    return _network(dist, stn.edges + ((n - 1, 0, 0.0),), stn.consistent)
 
 
-def add_constraint(stn, from_event, to_event, bound):
+def add_constraint(stn, u, v, bound):
     """One new edge, relaxed over the whole matrix and checked at once; an
     inconsistent network only logs it."""
-    u = stn.index[from_event]
-    v = stn.index[to_event]
-    s = _clone(stn)
-    s.constraints = stn.constraints + ((from_event, to_event, float(bound)),)
+    edges = stn.edges + ((u, v, float(bound)),)
     if not stn.consistent:
-        return s
+        return _network(stn.dist, edges, False)
     d = stn.dist
-    s.dist = np.minimum(d, d[:, u, None] + (bound + d[None, v, :]))
-    if np.diagonal(s.dist).min() < 0:
-        s.consistent = False
+    dist = np.minimum(d, d[:, u, None] + (bound + d[None, v, :]))
+    return _network(dist, edges, not np.diagonal(dist).min() < 0)
+
+
+def _network(dist, edges, consistent):
+    s = Stn.__new__(Stn)
+    s.dist = dist
+    s.edges = edges
+    s.consistent = consistent
     return s
 
 
-def grow(stn, names, edges):
-    """Stn.extend one step at a time: each event, then each (u, v, b) index
-    edge in order, every step a new network."""
-    for name in names:
-        stn = add_event(stn, name)
+def grow(stn, n_new, edges):
+    """Stn.extend one step at a time: each event, then each (u, v, b) edge
+    in order, every step a new network."""
+    for _ in range(n_new):
+        stn = add_event(stn)
     for u, v, b in edges:
-        stn = add_constraint(stn, stn.events[u], stn.events[v], b)
+        stn = add_constraint(stn, u, v, b)
     return stn
 
 
-def extend_then_probe(parent, name, child_edges, n_chain, chain_edges):
+def add_named_event(net, name):
+    """add_event on a network built by event name."""
+    return net.named(add_event(net.stn), name)
+
+
+def add_named_constraint(net, from_event, to_event, bound):
+    """add_constraint between two events looked up by name."""
+    return net.named(add_constraint(net.stn, net.index[from_event],
+                                    net.index[to_event], bound))
+
+
+def prefix_network(stn, k):
+    """A prefix's network under the names the references use: the origin,
+    then s0..s{k-1}, one event per step in prefix order."""
+    return NamedStn(stn, [f"s{pos}" for pos in range(k)])
+
+
+def extend_then_probe(parent, child_edges, n_chain, chain_edges):
     """Grow the child's network with its event and edges, then probe it with
     the chain: what tighten did before children kept their edges pending.
     The origin row, or None."""
-    probed = parent.extend((name,), child_edges).probe(n_chain, chain_edges)
+    probed = parent.extend(1, child_edges).probe(n_chain, chain_edges)
     return None if probed is None else probed[0]
 
 
 def node_network(node):
     """The network a search node stands for: its base grown one event or
     edge at a time by its pending events and edges."""
-    return grow(node.base, node.names, node.edges)
+    return grow(node.base, node.pending, node.edges)
 
 
 def child_network(task, parent_stn, k, step, til_count):
@@ -106,21 +112,21 @@ def child_network(task, parent_stn, k, step, til_count):
     event or edge at a time with every event looked up by name."""
     eps = EPSILON_SEPARATION
     ev = f"s{k}"
-    stn = add_event(parent_stn, ev)
+    net = add_named_event(prefix_network(parent_stn, k), ev)
     if k > 0:
-        stn = add_constraint(stn, ev, f"s{k - 1}", -eps)
+        net = add_named_constraint(net, ev, f"s{k - 1}", -eps)
     if step[0] == "end":
         start = f"s{step[2]}"
         a = task.by_name[step[1]]
-        stn = add_constraint(stn, start, ev, a.duration)
-        stn = add_constraint(stn, ev, start, -a.duration)
+        net = add_named_constraint(net, start, ev, a.duration)
+        net = add_named_constraint(net, ev, start, -a.duration)
     elif step[0] == "til":
         t = task.tils[step[1]].time
-        stn = add_constraint(stn, ORIGIN, ev, t)
-        stn = add_constraint(stn, ev, ORIGIN, -t)
+        net = add_named_constraint(net, ORIGIN, ev, t)
+        net = add_named_constraint(net, ev, ORIGIN, -t)
     if step[0] != "til" and til_count < len(task.tils):
-        stn = add_constraint(stn, ORIGIN, ev, task.tils[til_count].time - eps)
-    return stn
+        net = add_named_constraint(net, ORIGIN, ev, task.tils[til_count].time - eps)
+    return net.stn
 
 
 def apply_step(task, props, step):
@@ -193,15 +199,15 @@ def relaxed_plan(task, props, opens, til_count):
 def tighten(task, node):
     """Append the relaxed chain to a copy of the node's network, one event
     or edge at a time, and read the prefix tmax values."""
-    stn = node_network(node)
+    net = prefix_network(node_network(node), len(node.prefix))
     eps = EPSILON_SEPARATION
     future = task.tils[node.til_count:]
     prev = f"s{len(node.prefix) - 1}" if node.prefix else ORIGIN
     last = prev
     for i, a in enumerate(node.chain):
         ev = f"r{i}"
-        stn = add_event(stn, ev)
-        stn = add_constraint(stn, ev, last, -eps)
+        net = add_named_event(net, ev)
+        net = add_named_constraint(net, ev, last, -eps)
         conds = a.cond_start | a.cond_over | a.cond_end
         bound = INF
         for lit in future:
@@ -211,10 +217,10 @@ def tighten(task, node):
                     cut = lit.time - a.duration
                 bound = min(bound, cut)
         if bound < INF:
-            stn = add_constraint(stn, ORIGIN, ev, bound)
+            net = add_named_constraint(net, ORIGIN, ev, bound)
         nxt = f"r{i}d"
-        stn = add_event(stn, nxt)
-        stn = add_constraint(stn, nxt, ev, -a.duration)
+        net = add_named_event(net, nxt)
+        net = add_named_constraint(net, nxt, ev, -a.duration)
         last = nxt
     goal_cut = INF
     for lit in future:
@@ -222,16 +228,16 @@ def tighten(task, node):
             goal_cut = min(goal_cut, lit.time - eps)
     if node.opens or goal_cut < INF:
         g = "rg"
-        stn = add_event(stn, g)
-        stn = add_constraint(stn, g, last, 0.0)
+        net = add_named_event(net, g)
+        net = add_named_constraint(net, g, last, 0.0)
         for name, pos in node.opens:
-            stn = add_constraint(stn, g, f"s{pos}", -task.by_name[name].duration)
+            net = add_named_constraint(net, g, f"s{pos}", -task.by_name[name].duration)
         if goal_cut < INF:
-            stn = add_constraint(stn, ORIGIN, g, goal_cut)
-    if not stn.consistent:
+            net = add_named_constraint(net, ORIGIN, g, goal_cut)
+    if not net.stn.consistent:
         return False
     node.start_tmaxes = tuple(
-        (pos, stn.tmax(f"s{pos}"))
+        (pos, net.tmax(f"s{pos}"))
         for pos, step in enumerate(node.prefix)
         if step[0] == "start"
     )
@@ -243,7 +249,7 @@ def pin(task, node, pos, when):
     node's network by the pin, refuse it if inconsistent, keep it, then
     tighten (which may still refuse the node, keeping the pinned network)."""
     ev = pos + 1
-    stn = node.stn.extend((), [(0, ev, when), (ev, 0, -when)])
+    stn = node.stn.extend(0, [(0, ev, when), (ev, 0, -when)])
     if not stn.consistent:
         return None
     node.base = stn
@@ -502,7 +508,7 @@ def solve11(inst):
     dispatch option), each table built from the solutions its branch
     solved."""
     if not inst.processes:
-        raise ValueError("empty instance")
+        return copem.MetaPolicy(0.0, None, None, {}, {})
     copem._check_prefixes(inst)
     memo = {}
     branch_values = {}

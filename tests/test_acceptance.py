@@ -42,6 +42,7 @@ from helpers import (
     random_copem_instance,
     random_kds_instance,
     random_network,
+    solve,
 )
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -152,11 +153,12 @@ def test_c05_monte_carlo_calibration():
 
 
 def test_c06_stn_incremental_matches_recompute():
+    """tmin and tmax by position, incremental against Floyd-Warshall."""
     rng = np.random.default_rng(606)
     inconsistent = 0
     for _ in range(500):
         s = random_network(rng)
-        got = s.solve()
+        got = solve(s)
         want = recompute(s)
         assert got[0] == want[0]
         if not got[0]:

@@ -125,6 +125,36 @@ def test_solve_copem11_prints_the_measurement_after_a_dispatch(tmp_path, capsys)
     assert solve11(inst).value == pytest.approx(expectimax_oracle(inst), abs=1e-12)
 
 
+def _emptied_copem(tmp_path):
+    doc = json.loads(open(path("copem_worked.json"), encoding="utf-8").read())
+    doc["processes"] = []
+    out = tmp_path / "copem.json"
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+def test_solve_copem00_without_processes_prints_no_dispatch(tmp_path, capsys):
+    assert main(["solve", "copem00", _emptied_copem(tmp_path)]) == 0
+    assert capsys.readouterr().out == "value 0.0000000\nno dispatch\n"
+
+
+def test_solve_copem11_without_processes_prints_no_dispatch(tmp_path, capsys):
+    assert main(["solve", "copem11", _emptied_copem(tmp_path)]) == 0
+    assert capsys.readouterr().out == "value 0.0000000\nno dispatch\n"
+
+
+def test_solve_kidcope_without_a_prefix_prints_no_initiation(tmp_path, capsys):
+    doc = tmp_path / "cope.json"
+    doc.write_text(json.dumps({
+        "format": "cope", "version": 1, "horizon": 3,
+        "processes": [{"pmf": [[1, 1.0]], "prefix": [], "induced_deadline": 3}],
+    }))
+    assert main(["solve", "kidcope", str(doc)]) == 0
+    assert capsys.readouterr().out == ("value 1.0000000\n"
+                                       "no initiation\n"
+                                       "block process 1 start 0 length 1\n")
+
+
 def test_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -373,6 +403,17 @@ def test_bench_reads_whole_floats_as_integers(tmp_path, capsys):
     echo = json.loads((tmp_path / "out.csv").read_text().splitlines()[0][len("# config "):])
     assert [echo["instances"], echo["seed"]] == [1, 2]
     assert isinstance(echo["instances"], int) and isinstance(echo["seed"], int)
+
+
+def test_bench_without_csv_writes_it_to_stdout(tmp_path, capsys):
+    doc = tmp_path / "bench.json"
+    doc.write_text(_BENCH_DOC + '"instances": 1, "generator": {"goals": 1, "width": 1}}')
+    assert main(["bench", str(doc)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# config ")
+    assert json.loads(lines[0][len("# config "):])["instances"] == 1
+    assert lines[1].startswith("speed,mode,")
+    assert len(lines) == 3
 
 
 def test_plan_has_no_seed_flag(capsys):

@@ -19,6 +19,7 @@ from copeplan.copem import (
     solve11,
 )
 from copeplan.dist import DiscreteDistribution
+from copeplan.harness import simulate_policy
 from copeplan.kds import KdsInstance, KdsProcess, solve_kds_dp
 
 from helpers import abstract_instances, random_cope_instance, random_copem_instance, random_pmf
@@ -115,6 +116,15 @@ def test_solve01_on_an_empty_instance_measures_nothing():
         value, j = solve01(inst, dispatched)
         assert (value, j) == (0.0, None)
         assert math.copysign(1.0, value) == 1.0
+
+
+def test_solve11_on_an_empty_instance_takes_no_step():
+    inst = CopemInstance([])
+    policy = solve11(inst)
+    assert policy == MetaPolicy(0.0, None, None, {}, {})
+    assert math.copysign(1.0, policy.value) == 1.0
+    assert policy.value == solve00(inst)[0] == expectimax_oracle(inst)
+    assert simulate_policy(inst, policy, samples=10, seed=0) == 0.0
 
 
 def split_world_instance(dispatch_budget, observation_budget):

@@ -30,10 +30,10 @@ from copeplan.planner import (
 from copeplan.planner import engine, search
 from copeplan.planner.engine import _apply_dispatch, _auto_advance
 from copeplan.planner.search import SearchStats, make_child, q_tables
-from copeplan.stn import Stn
+from copeplan.stn import Stn, recompute
 
 import reference_kernels
-from helpers import props_of
+from helpers import props_of, solve
 
 
 def fs(*names):
@@ -333,7 +333,9 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
     """Every network the planner builds on shipped tasks, in both modes and
     at two speeds, equals the reference that adds one event or edge at a
     time: the ones a node wraps from its probe's kept matrix (a child's own,
-    and pinned ones), and the ones _try_finish grows with extend."""
+    and pinned ones), and the ones _try_finish grows with extend. Each also
+    agrees with the Floyd-Warshall closure of its edge log: the same flag,
+    and bounds within 1e-9, as that closure sums paths in another order."""
     real_wrap, real_extend, real_pin = Stn.wrap, Stn.extend, engine._pin
     seen = {"child": 0, "pin": 0, "finish": 0, "inconsistent": 0}
     growing = []
@@ -341,30 +343,35 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
     # id is reused
     pinned = {}
 
-    def check(got, base, names, edges):
-        want = reference_kernels.grow(base, names, edges)
+    def check(got, base, n_new, edges):
+        want = reference_kernels.grow(base, n_new, edges)
         assert got.consistent == want.consistent
-        assert got.events == want.events
-        assert got.constraints == want.constraints
+        assert got.edges == want.edges
         if want.consistent:
             # equal values and equal signs of zero
             assert got.dist.tobytes() == want.dist.tobytes()
+        consistent, tmin, tmax = recompute(got)
+        assert consistent == got.consistent
+        if consistent:
+            _, got_min, got_max = solve(got)
+            assert np.allclose(got_min, tmin, rtol=0.0, atol=1e-9)
+            assert np.allclose(got_max, tmax, rtol=0.0, atol=1e-9)
 
-    def checked_wrap(self, names, edges, dist, consistent=True):
-        got = real_wrap(self, names, edges, dist, consistent)
+    def checked_wrap(self, n_new, edges, dist, consistent=True):
+        got = real_wrap(self, n_new, edges, dist, consistent)
         if growing:
             return got  # extend's own wrap, checked there
-        check(got, self, names, edges)
+        check(got, self, n_new, edges)
         seen["pin" if pinned.get(id(edges)) is edges else "child"] += 1
         return got
 
-    def checked_extend(self, names, edges):
+    def checked_extend(self, n_new, edges):
         growing.append(1)
         try:
-            got = real_extend(self, names, edges)
+            got = real_extend(self, n_new, edges)
         finally:
             growing.pop()
-        check(got, self, names, edges)
+        check(got, self, n_new, edges)
         seen["finish"] += 1
         seen["inconsistent"] += not got.consistent
         return got
@@ -396,13 +403,13 @@ def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
     chain equals growing the node's network and probing it after, bit for
     bit, and the matrix the probe keeps equals that grown network's; and the
     network a child wraps when first read equals the one grown eagerly by
-    event name, in events, dist, constraints and flag."""
+    event name, in edge log, dist and flag."""
     real_make_child, real_tighten, real_probe = search.make_child, search.tighten, Stn.probe
     pending = []
     seen = {"probe": 0, "dead end": 0, "child": 0}
 
     def checked_tighten(task, node):
-        if node.names:
+        if node.pending:
             pending.append(node)
         try:
             return real_tighten(task, node)
@@ -416,12 +423,11 @@ def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
             node = pending.pop()
             k = len(node.edges)
             assert (kept_new, kept_edges) == (1, k)
-            want = reference_kernels.extend_then_probe(
-                self, node.names[0], edges[:k], n_new - 1, edges[k:])
+            want = reference_kernels.extend_then_probe(self, edges[:k], n_new - 1, edges[k:])
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[0].tobytes() == want.tobytes()
-                grown = reference_kernels.grow(self, node.names, edges[:k])
+                grown = reference_kernels.grow(self, node.pending, edges[:k])
                 assert grown.consistent
                 assert got[1].tobytes() == grown.dist.tobytes()
             seen["probe"] += 1
@@ -435,8 +441,7 @@ def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
             want = reference_kernels.child_network(task, parent_stn, len(parent.prefix),
                                                    step, child.til_count)
             got = child.stn
-            assert (got.events, got.constraints, got.consistent) == (
-                want.events, want.constraints, want.consistent)
+            assert (got.edges, got.consistent) == (want.edges, want.consistent)
             assert got.dist.tobytes() == want.dist.tobytes()
             seen["child"] += 1
         return child
@@ -809,8 +814,7 @@ def test_pins_in_a_dispatch_match_the_grown_and_checked_reference(monkeypatch, t
         if label == "pending edges" and dup_network != "revived":
             # a refused pin leaves the duplicate's network as it was
             after = dup.stn
-            assert (after.events, after.constraints, after.dist.tobytes()) == (
-                before.events, before.constraints, before.dist.tobytes())
+            assert (after.edges, after.dist.tobytes()) == (before.edges, before.dist.tobytes())
         nodes = [dup] + open_list
         runs[label] = (
             verdicts,
@@ -835,7 +839,7 @@ def test_pins_in_a_dispatch_match_the_grown_and_checked_reference(monkeypatch, t
         dup = make_root(task)
         for step in dup_prefix:
             dup = make_child(task, dup, step, tick=1)
-        pinned = reference_kernels.grow(dup.stn, (), [(0, 1, t_now), (1, 0, -t_now)])
+        pinned = reference_kernels.grow(dup.stn, 0, [(0, 1, t_now), (1, 0, -t_now)])
         assert pinned.consistent == (dup_network == "consistent")
 
 

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels
-from helpers import abstract_instances, props_of
+from helpers import abstract_instances, props_of, solve
 from copeplan import cope, copem, kds
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import (
@@ -37,7 +37,7 @@ from copeplan.kds import (
 )
 from copeplan.planner import DurativeAction, Task, TimedLiteral
 from copeplan.planner.search import relaxed_plan
-from copeplan.stn import ORIGIN, Stn, recompute
+from copeplan.stn import Stn, recompute
 
 # derandomized and without an example database, so every run draws the
 # same examples and writes nothing
@@ -465,55 +465,60 @@ def test_point_mass_values_refuse_a_negative_start():
 
 @st.composite
 def networks(draw):
-    """Events e0.. and constraints between any two of them and the origin;
-    dyadic bounds keep every path sum exact, so results compare with ==."""
-    names = [f"e{k}" for k in range(draw(st.integers(1, 12)))]
-    pool = [ORIGIN] + names
+    """n events after the origin and constraints between any two of the
+    n + 1 events; dyadic bounds keep every path sum exact, so results
+    compare with ==."""
+    n = draw(st.integers(1, 12))
+    pool = list(range(n + 1))
     bound = st.integers(-16, 64).map(lambda k: k / 8.0)
     edges = draw(st.lists(
         st.tuples(st.sampled_from(pool), st.sampled_from(pool), bound)
         .filter(lambda e: e[0] != e[1]),
-        max_size=3 * len(names)))
-    return names, edges
+        max_size=3 * n))
+    return n, edges
+
+
+def _network(n, edges):
+    s = Stn()
+    for _ in range(n):
+        s = s.add_event()
+    for u, v, b in edges:
+        s = s.add_constraint(u, v, b)
+    return s
 
 
 @SETTINGS
 @given(networks())
 def test_incremental_network_matches_recompute(net):
-    names, edges = net
+    n, edges = net
     s = Stn()
-    for name in names:
-        s = s.add_event(name)
+    for _ in range(n):
+        s = s.add_event()
     for u, v, b in edges:
         s = s.add_constraint(u, v, b)
-        assert s.solve() == recompute(s)
+        assert solve(s) == recompute(s)
 
 
 @SETTINGS
 @given(networks(), st.integers(0, 4), st.data())
 def test_probe_matches_recompute_of_the_grown_network(net, n_new, data):
-    names, edges = net
-    base = Stn()
-    for name in names:
-        base = base.add_event(name)
-    for u, v, b in edges:
-        base = base.add_constraint(u, v, b)
-    n = len(base.events) + n_new
+    base = _network(*net)
+    n = len(base.dist) + n_new
     index = st.integers(0, n - 1)
     extra = data.draw(st.lists(
         st.tuples(index, index, st.integers(-16, 64).map(lambda k: k / 8.0))
         .filter(lambda e: e[0] != e[1]),
         max_size=8))
     grown = base
-    for k in range(n_new):
-        grown = grown.add_event(f"x{k}")
+    for _ in range(n_new):
+        grown = grown.add_event()
     for u, v, b in extra:
-        grown = grown.add_constraint(grown.events[u], grown.events[v], b)
+        grown = grown.add_constraint(u, v, b)
     consistent, _, tmax = recompute(grown)
     probed = base.probe(n_new, extra)
     assert (probed is not None) == consistent
     if consistent:
-        assert probed[0].tolist() == [tmax[e] for e in grown.events]
+        assert probed[0].tolist() == tmax
 
 
 @SETTINGS
@@ -523,13 +528,8 @@ def test_one_call_probe_matches_extend_then_probe(net, n_chain, data):
     child's) and then a chain's, in one call, equals growing the child's
     network and probing that with the chain, bit for bit; and the matrix
     the probe keeps for the child equals the child's grown network."""
-    names, edges = net
-    base = Stn()
-    for name in names:
-        base = base.add_event(name)
-    for u, v, b in edges:
-        base = base.add_constraint(u, v, b)
-    n = len(base.events)
+    base = _network(*net)
+    n = len(base.dist)
 
     def edge_lists(hi, max_size):
         index = st.integers(0, hi)
@@ -541,11 +541,11 @@ def test_one_call_probe_matches_extend_then_probe(net, n_chain, data):
     child = data.draw(edge_lists(n, 4))
     chain = data.draw(edge_lists(n + n_chain, 8))
     got = base.probe(1 + n_chain, child + chain, 1, len(child))
-    want = reference_kernels.extend_then_probe(base, "child", child, n_chain, chain)
+    want = reference_kernels.extend_then_probe(base, child, n_chain, chain)
     assert (got is None) == (want is None)
     if got is not None:
         assert got[0].tobytes() == want.tobytes()
-        assert got[1].tobytes() == base.extend(("child",), child).dist.tobytes()
+        assert got[1].tobytes() == base.extend(1, child).dist.tobytes()
 
 
 @st.composite

@@ -6,29 +6,26 @@ import numpy as np
 import pytest
 
 from copeplan import stn as stn_module
-from copeplan.stn import EPSILON_SEPARATION, ORIGIN, Stn, recompute
+from copeplan.stn import EPSILON_SEPARATION, Stn, recompute
 
 import reference_kernels
-from helpers import random_network
+from helpers import ORIGIN, NamedStn, random_network, solve
 
 
 def test_empty_network_everything_unbounded_above():
-    s = Stn().add_event("a").add_event("b")
-    consistent, tmin, tmax = s.solve()
-    assert consistent
-    assert tmin["a"] == 0.0 and tmin["b"] == 0.0
-    assert tmax["a"] == math.inf and tmax["b"] == math.inf
+    s = Stn().add_event().add_event()
+    assert solve(s) == (True, [0.0, 0.0, 0.0], [0.0, math.inf, math.inf])
 
 
 def test_single_upper_bound():
-    s = Stn().add_event("a").add_constraint(ORIGIN, "a", 5)
+    s = NamedStn().add_event("a").add_constraint(ORIGIN, "a", 5)
     assert s.tmax("a") == 5.0
     assert s.tmin("a") == 0.0
 
 
 def test_chain_bounds_accumulate():
     s = (
-        Stn()
+        NamedStn()
         .add_event("a")
         .add_event("b")
         .add_constraint(ORIGIN, "a", 3)
@@ -39,7 +36,7 @@ def test_chain_bounds_accumulate():
 
 
 def test_tighter_duplicate_wins_and_looser_is_ignored():
-    s = Stn().add_event("a").add_constraint(ORIGIN, "a", 5)
+    s = NamedStn().add_event("a").add_constraint(ORIGIN, "a", 5)
     s = s.add_constraint(ORIGIN, "a", 3)
     assert s.tmax("a") == 3.0
     s = s.add_constraint(ORIGIN, "a", 7)
@@ -47,24 +44,24 @@ def test_tighter_duplicate_wins_and_looser_is_ignored():
 
 
 def test_contradiction_is_a_solve_result_not_an_error():
-    s = Stn().add_event("a")
+    s = NamedStn().add_event("a")
     s = s.add_constraint(ORIGIN, "a", 1)   # t(a) <= 1
     s = s.add_constraint("a", ORIGIN, -2)  # t(a) >= 2
-    assert len(s.constraints) == 3
-    consistent, tmin, tmax = s.solve()
-    assert not consistent and tmin == {} and tmax == {}
-    rc, _, _ = recompute(s)
-    assert not rc
+    assert s.stn.edges == ((1, 0, 0.0), (0, 1, 1.0), (1, 0, -2.0))
+    assert solve(s.stn) == recompute(s.stn) == (False, [], [])
 
 
 def test_negative_cycle_between_events():
-    s = Stn().add_event("a").add_event("b")
+    s = NamedStn().add_event("a").add_event("b")
     s = s.add_constraint("a", "b", 2).add_constraint("b", "a", -3)
-    assert s.solve()[0] is False
+    assert s.stn.consistent is False
 
 
 def test_unknown_event_raises():
-    s = Stn()
+    # an edge into an event the network does not have
+    with pytest.raises(IndexError):
+        Stn().add_constraint(0, 1, 1.0)
+    s = NamedStn()
     with pytest.raises(KeyError):
         s.add_constraint(ORIGIN, "ghost", 1)
     with pytest.raises(ValueError):
@@ -72,12 +69,13 @@ def test_unknown_event_raises():
 
 
 def test_value_semantics():
-    base = Stn().add_event("a")
+    base = NamedStn().add_event("a")
     tight = base.add_constraint(ORIGIN, "a", 2)
     assert base.tmax("a") == math.inf
     assert tight.tmax("a") == 2.0
-    other = base.add_event("b")
-    assert "b" not in base.index and "b" in other.index
+    other = base.stn.add_event()
+    assert len(base.stn.dist) == 2 and len(other.dist) == 3
+    assert base.stn.edges == ((1, 0, 0.0),)
 
 
 def test_incremental_matches_recompute_on_random_networks():
@@ -85,7 +83,7 @@ def test_incremental_matches_recompute_on_random_networks():
     inconsistent = 0
     for _ in range(120):
         s = random_network(rng)
-        got = s.solve()
+        got = solve(s)
         want = recompute(s)
         assert got[0] == want[0]
         if not got[0]:
@@ -102,7 +100,7 @@ def test_recompute_matches_incremental_on_large_networks():
     inconsistent = 0
     for _ in range(20):
         s = random_network(rng, max_events=90, min_events=65)
-        got = s.solve()
+        got = solve(s)
         assert got == recompute(s)
         inconsistent += not got[0]
     assert 0 < inconsistent < 20
@@ -112,10 +110,10 @@ def test_tmin_never_exceeds_tmax():
     rng = np.random.default_rng(11)
     for _ in range(60):
         s = random_network(rng, max_events=12)
-        consistent, tmin, tmax = s.solve()
+        consistent, tmin, tmax = solve(s)
         if consistent:
-            for e in s.events:
-                assert tmin[e] <= tmax[e]
+            for lo, hi in zip(tmin, tmax):
+                assert lo <= hi
 
 
 def test_tightening_never_increases_tmax():
@@ -124,15 +122,14 @@ def test_tightening_never_increases_tmax():
         s = random_network(rng, max_events=10)
         if not s.consistent:
             continue
-        before = s.solve()[2]
-        pool = list(s.events)
-        u, v = rng.choice(len(pool), size=2, replace=False)
-        s2 = s.add_constraint(pool[u], pool[v], int(rng.integers(-8, 33)) / 8.0)
+        before = solve(s)[2]
+        u, v = rng.choice(len(s.dist), size=2, replace=False)
+        s2 = s.add_constraint(int(u), int(v), int(rng.integers(-8, 33)) / 8.0)
         if not s2.consistent:
             continue
-        after = s2.solve()[2]
-        for e in s.events:
-            assert after[e] <= before[e]
+        after = solve(s2)[2]
+        for a, b in zip(after, before):
+            assert a <= b
 
 
 def _random_growths(seed, trials=300):
@@ -144,7 +141,7 @@ def _random_growths(seed, trials=300):
             base = random_network(rng, max_events=90, min_events=65)
         else:
             base = random_network(rng, max_events=14)
-        m = len(base.events)
+        m = len(base.dist)
         n_new = int(rng.integers(0, 7))
         edges = []
         for _ in range(int(rng.integers(0, 3 * n_new + 4))):
@@ -164,7 +161,7 @@ def test_probe_matches_step_by_step_growth():
     for base, n_new, edges in _random_growths(31):
         before = base.dist.copy()
         got = base.probe(n_new, edges)
-        want = reference_kernels.grow(base, [f"x{k}" for k in range(n_new)], edges)
+        want = reference_kernels.grow(base, n_new, edges)
         assert (got is None) == (not want.consistent)
         if want.consistent:
             assert np.array_equal(got[0], want.dist[0])
@@ -184,7 +181,7 @@ def _probe_draws(seed, trials=300):
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         base = random_network(rng, max_events=14)
-        m = len(base.events)
+        m = len(base.dist)
         n_new = int(rng.integers(1, 7))
         edges = []
         if trial % 4:
@@ -217,7 +214,7 @@ def test_probe_skips_the_row_only_tail_exactly():
             "consistent": 0, "inconsistent": 0}
     for base, n_new, edges, tail in _probe_draws(33):
         got = base.probe(n_new, edges)
-        want = reference_kernels.grow(base, [f"x{k}" for k in range(n_new)], edges)
+        want = reference_kernels.grow(base, n_new, edges)
         assert (got is None) == (not want.consistent)
         if want.consistent:
             assert np.array_equal(got[0], want.dist[0])
@@ -233,8 +230,8 @@ def test_probe_skips_the_row_only_tail_exactly():
 
 def test_probe_keeps_the_network_that_step_by_step_growth_builds():
     """The block a probe keeps, wrapped, is the network that adding the kept
-    events and then the kept edges one at a time builds, in events, dist
-    (signs of zero too), constraints and flag, and the probe's origin row is
+    events and then the kept edges one at a time builds, in edge log, dist
+    (signs of zero too) and flag, and the probe's origin row is
     unchanged by keeping it. The draws cover kept edges that are row-only
     and lie past the last full relaxation, a kept part with no edge, and
     probes that fail in the kept part or only in the chain."""
@@ -245,7 +242,7 @@ def test_probe_keeps_the_network_that_step_by_step_growth_builds():
         base = random_network(rng, max_events=14)
         if not base.consistent:
             continue
-        m = len(base.events)
+        m = len(base.dist)
         kept_new = int(rng.integers(0, 3))
         n_new = kept_new + int(rng.integers(0, 5))
         kept = []
@@ -273,19 +270,17 @@ def test_probe_keeps_the_network_that_step_by_step_growth_builds():
             chain.insert(int(rng.integers(0, len(chain))),
                          (0, int(rng.integers(1, m + n_new)), float(rng.uniform(-1.0, 12.0))))
         edges = kept + chain
-        names = [f"x{k}" for k in range(kept_new)]
         got = base.probe(n_new, edges, kept_new, len(kept))
         plain = base.probe(n_new, edges)
-        part = reference_kernels.grow(base, names, kept)
-        whole = reference_kernels.grow(base, [f"x{k}" for k in range(n_new)], edges)
+        part = reference_kernels.grow(base, kept_new, kept)
+        whole = reference_kernels.grow(base, n_new, edges)
         assert (got is None) == (plain is None) == (not whole.consistent)
         if got is None:
             seen["chain inconsistent" if part.consistent else "kept part inconsistent"] += 1
             continue
         assert got[0].tobytes() == plain[0].tobytes() == whole.dist[0].tobytes()
-        network = base.wrap(names, kept, got[1])
-        assert network.events == part.events and network.index == part.index
-        assert network.constraints == part.constraints
+        network = base.wrap(kept_new, kept, got[1])
+        assert network.edges == part.edges
         assert network.consistent and part.consistent
         assert network.dist.tobytes() == part.dist.tobytes()
         row_only = stn_module._row_only(m, edges)
@@ -302,12 +297,10 @@ def test_extend_matches_step_by_step_growth():
     outcomes = {True: 0, False: 0}
     for base, n_new, edges in _random_growths(32):
         before = base.dist.copy()
-        names = [f"x{k}" for k in range(n_new)]
-        got = base.extend(names, edges)
-        want = reference_kernels.grow(base, names, edges)
+        got = base.extend(n_new, edges)
+        want = reference_kernels.grow(base, n_new, edges)
         assert got.consistent == want.consistent
-        assert got.events == want.events and got.index == want.index
-        assert got.constraints == want.constraints
+        assert got.edges == want.edges
         if want.consistent:
             assert np.array_equal(got.dist, want.dist)
         outcomes[want.consistent] += 1
@@ -316,7 +309,9 @@ def test_extend_matches_step_by_step_growth():
 
 
 def test_probe_answers_without_growing_the_network():
-    s = Stn().add_event("a").add_constraint(ORIGIN, "a", 4.5).add_constraint("a", ORIGIN, -2.0)
+    s = NamedStn().add_event("a").add_constraint(ORIGIN, "a", 4.5).add_constraint("a", ORIGIN, -2.0)
+    s = s.stn
+    edges = s.edges
     row, kept = s.probe(0, [])
     assert np.array_equal(row, s.dist[0]) and kept is s.dist
     # x0 >= a + 1 and x1 >= x0 + 2 leave every upper bound where it was
@@ -325,12 +320,12 @@ def test_probe_answers_without_growing_the_network():
     # keeping x0 and its edge: the network extend builds from them
     row, kept = s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)], 1, 1)
     assert np.array_equal(row, [0.0, 4.5, math.inf, math.inf])
-    assert np.array_equal(kept, s.extend(("x0",), [(2, 1, -1.0)]).dist)
+    assert np.array_equal(kept, s.extend(1, [(2, 1, -1.0)]).dist)
     # x0 >= a + 1 >= 3 cannot also sit at or before 1
     assert s.probe(1, [(2, 1, -1.0), (0, 2, 1.0)]) is None
     # a self-loop below 0 is a negative cycle even at the tail of the edges
     assert s.probe(1, [(0, 1, 3.0), (2, 2, -1.0)]) is None
-    assert s.events == (ORIGIN, "a")
+    assert len(s.dist) == 2 and s.edges == edges
 
 
 def test_epsilon_separation_is_small_and_positive():
