@@ -13,12 +13,16 @@ A node's state is a bitmask over the task's numbered propositions
 integer & and | on the masks Task compiles once.
 
 Events are positions, never names: a network holds the origin, then one
-event per step in prefix order, so step pos is event pos + 1. A generated
-child keeps its parent's network, a count of one pending event and its own
-edges; tighten probes them together with the chain in one call, and the
-probe keeps the child's matrix on the way. The child's own network
-(SearchNode.stn) wraps that matrix when something first reads it; no
-network is grown twice. Most children are never read.
+event per step in prefix order, so step pos is event pos + 1. A start leaves
+til_count as it was, so every start child of one expansion has the same own
+edges: the first that passes its condition checks extends the parent's
+network once, and its siblings take that network as their base with nothing
+pending, so tighten probes only their chains. An end or timed-literal child
+keeps its parent's network, one pending event and its own edges; tighten
+probes them with the chain in one call and keeps the child's matrix, which
+SearchNode.stn wraps when something first reads it. No network is grown
+twice and no shared matrix is written in place. Most children are never
+read.
 """
 
 import math
@@ -79,11 +83,14 @@ class SearchStats:
 @dataclass(eq=False)
 class SearchNode:
     """`props` is the node's state as a proposition bitmask. `base` is the
-    node's network, or one that `pending` new events (0, or 1 for a child's
-    own) and the (u, v, b) `edges` (a child's own, then any pins) extend to
-    it; `dist` is then the matrix tighten's last probe kept for that
-    extension, which `stn` wraps on first read. `start_tmaxes` holds
-    (pos, tmax) per start step and `latest[c]` the least of them at a
+    node's network, or one that `pending` new events (0, or 1 for an end or
+    timed-literal child's own) and the (u, v, b) `edges` (such a child's
+    own, then any pins) extend to it; `dist` is then the matrix tighten's
+    last probe kept for that extension, which `stn` wraps on first read. A
+    start child's base is the network its expansion's start children share,
+    so it starts with nothing pending; a pin still adds pending edges. When
+    nothing is pending, `dist` is the base's own matrix. `start_tmaxes`
+    holds (pos, tmax) per start step and `latest[c]` the least of them at a
     position >= c."""
 
     prefix: tuple
@@ -184,9 +191,10 @@ def tighten(task, node: SearchNode):
     network takes the node's pending edges and then the chain, which is
     never added to any network; the probe's origin row gives the prefix tmax
     values, and the probe keeps the matrix of the node's own network in
-    node.dist. Returns False when the node's own edges, or even the
-    optimistic chain after them, cannot fit, which callers treat as a dead
-    end; the node is then left as it was.
+    node.dist (the base's own matrix when nothing is pending, as for a start
+    child, whose probe relaxes only its chain). Returns False when the
+    node's pending edges, or even the optimistic chain after them, cannot
+    fit, which callers treat as a dead end; the node is then left as it was.
     """
     base = node.base
     edges = list(node.edges)
@@ -241,16 +249,23 @@ def tighten(task, node: SearchNode):
     return True
 
 
-def make_child(task, parent: SearchNode, step, tick: int):
+def make_child(task, parent: SearchNode, step, tick: int, shared=None):
     """Apply one snap step; None when conditions or time make it impossible.
 
     A start step must be applicable in the parent (its start conditions
     hold there), as `candidate_steps` only offers such starts; an end step's
     conditions are checked here.
 
-    The child's event is k + 1 for a prefix of length k; it and the child's
-    edges stay pending over the parent's network, and tighten's probe keeps
-    the child's matrix."""
+    The child's event is k + 1 for a prefix of length k. A start child's
+    network is the parent's extended by that event and its edges, which are
+    the same for every start child of the parent. `shared` is a list that
+    holds that network once built: expand passes one per expansion, so the
+    first start child that passes its condition checks builds it and its
+    siblings reuse it; when it is inconsistent every start child is None
+    before its relaxed plan. Without `shared` the network is built for this
+    child alone. An end or timed-literal child's event and edges stay
+    pending over the parent's network, and tighten's probe keeps the child's
+    matrix."""
     eps = EPSILON_SEPARATION
     k = len(parent.prefix)
     til_count = parent.til_count
@@ -288,6 +303,17 @@ def make_child(task, parent: SearchNode, step, tick: int):
     if step[0] != "til" and til_count < len(task.tils):
         edges.append((0, new, task.tils[til_count].time - eps))
 
+    if step[0] == "start":
+        if shared is None:
+            shared = []
+        if not shared:
+            shared.append(parent.stn.extend(1, edges))
+        base, pending, edges = shared[0], 0, ()
+        if not base.consistent:
+            return None
+    else:
+        base, pending = parent.stn, 1
+
     chain = relaxed_plan(task, props, opens, til_count)
     if chain is None:
         return None
@@ -297,11 +323,11 @@ def make_child(task, parent: SearchNode, step, tick: int):
         props=props,
         opens=opens,
         til_count=til_count,
-        base=parent.stn,
+        base=base,
         h=float(h),
         chain=tuple(chain),
         generation_tick=tick,
-        pending=1,
+        pending=pending,
         edges=tuple(edges),
     )
     if not tighten(task, node):
@@ -323,8 +349,11 @@ def candidate_steps(task, node: SearchNode):
 
 def expand(task, node: SearchNode, tick: int):
     children = []
+    # the network every start child of this expansion shares, built by the
+    # first one that passes its condition checks
+    shared = []
     for step in candidate_steps(task, node):
-        child = make_child(task, node, step, tick)
+        child = make_child(task, node, step, tick, shared)
         if child is not None:
             children.append(child)
     return children

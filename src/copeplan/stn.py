@@ -47,7 +47,12 @@ class Stn:
     def extend(self, n_new, edges) -> "Stn":
         """A new network with n_new events appended, numbered from
         len(self.dist), then the sequence of (u, v, b) edges added in order.
-        Nothing changes in this network."""
+        Nothing changes in this network. IndexError if an edge names an
+        event outside the new network, consistent or not."""
+        n = len(self.dist) + n_new
+        for u, v, _ in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise IndexError(f"edge ({u}, {v}) outside events 0..{n - 1}")
         dist = self._grow(n_new)
         consistent = self.consistent
         if consistent:
@@ -72,7 +77,15 @@ class Stn:
     def probe(self, n_new, edges, kept_new=0, kept_edges=0):
         """(origin row, kept block) after adding n_new events and then the
         edges, or None when the result is inconsistent. Nothing is added to
-        this network.
+        this network, and its matrix is never written.
+
+        The planner probes an end or timed-literal child's base with the
+        child's event and edges kept and its chain after them, and a pinned
+        node's with the pin's edges kept. A start child's base is already
+        its own network (the one its siblings share), so its probe keeps
+        nothing and relaxes only the chain. With nothing kept, the kept
+        block is this network's own matrix, not a copy. Unlike extend,
+        probe checks no event index.
 
         The kept block is the matrix of extend(the first kept_new new
         events, edges[:kept_edges]), bit for bit. Those edges may name only
@@ -107,7 +120,7 @@ class Stn:
         dist = self._grow(n_new)
         _relax(dist, edges[:kept_edges], row_only)
         size = m + kept_new
-        kept = dist[:size, :size].copy()
+        kept = dist[:size, :size].copy() if kept_new or kept_edges else self.dist
         _relax(dist, edges[kept_edges:cut], row_only[kept_edges:])
         if not _consistent(dist):
             return None

@@ -186,6 +186,69 @@ def test_c07_all_emitted_plans_validate(shipped_bench):
           "no decision after its start")
 
 
+def _plan_mutants(task, plan):
+    """(mutation, plan, leading words the validator may answer with) for
+    one valid plan: each happening dropped; each end moved earlier, half way
+    to the happening or timed literal before it; the times of each two
+    successive starts of different actions swapped; each happening renamed
+    to an unknown action. A validator rejects a plan at its first broken
+    rule, so a mutant may fail before the changed happening, but only by a
+    rule the change can break."""
+    plan = sorted(plan)
+    for i, (t, kind, name) in enumerate(plan):
+        rest = plan[:i] + plan[i + 1:]
+        if i == len(plan) - 1:
+            # the last happening is an end: the rest replays as before
+            assert kind == "end"
+            yield "drop last", rest, {"unfinished"}
+        else:
+            words = {"start", "end", "invariant"} | ({"unfinished"} if kind == "end" else set())
+            yield "drop", rest, words
+        yield "rename", plan[:i] + [(t, kind, "no-such-action")] + plan[i + 1:], {"unknown"}
+        if kind == "end":
+            times = [u for u, _, _ in plan[:i]] + [lit.time for lit in task.tils]
+            before = max(u for u in times if u < t)
+            assert t - before > 4e-6
+            moved = (before + t) / 2.0
+            yield "move end", plan[:i] + [(moved, kind, name)] + plan[i + 1:], {"end"}
+    starts = [i for i, (_, kind, _) in enumerate(plan) if kind == "start"]
+    for i, j in zip(starts, starts[1:]):
+        (ti, _, a), (tj, _, b) = plan[i], plan[j]
+        if a != b:
+            swapped = list(plan)
+            swapped[i], swapped[j] = (tj, "start", a), (ti, "start", b)
+            yield "swap starts", swapped, {"start", "end", "invariant"}
+
+
+def test_c07_mutated_plans_are_rejected(shipped_bench):
+    """Every solved plan at the fastest shipped speed, in both modes, stops
+    validating under each single mutation, with a message that names a rule
+    the mutation can break."""
+    cfg, runs = shipped_bench
+    speed = max(cfg.speeds)
+    seen = {}
+    modes = set()
+    for row, task, res in runs:
+        if row["speed"] != speed or not res.solved:
+            continue
+        modes.add(row["mode"])
+        assert validate_plan(task, res.happenings) == (True, "ok")
+        for mutation, plan, words in _plan_mutants(task, res.happenings):
+            ok, msg = validate_plan(task, plan)
+            where = (row["mode"], row["instance_id"], mutation, msg)
+            assert not ok, where
+            assert msg.split()[0] in words, where
+            if mutation == "rename":
+                assert msg == "unknown action 'no-such-action'", where
+            elif mutation == "move end":
+                assert msg.endswith("matches no open interval"), where
+            seen[mutation] = seen.get(mutation, 0) + 1
+    assert modes == set(cfg.modes)
+    assert set(seen) == {"drop", "drop last", "rename", "move end", "swap starts"}, seen
+    print(f"PASS metamorphic validation: {sum(seen.values())} mutants of the "
+          f"speed-{speed:g} plans all rejected ({seen})")
+
+
 def test_c08_benchmark_csv_byte_deterministic(tmp_path):
     argv = ["bench", config_path("bench.json"), "--instances", "8",
             "--speeds", "6,100"]

@@ -398,26 +398,52 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
 
 def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
     """On every tighten of a node with a pending event while planning
-    shipped tasks in both modes (a new child, or one pinned before it was
-    read), the one probe of its base with its pending edges and then the
-    chain equals growing the node's network and probing it after, bit for
-    bit, and the matrix the probe keeps equals that grown network's; and the
-    network a child wraps when first read equals the one grown eagerly by
-    event name, in edge log, dist and flag."""
+    shipped tasks in both modes (an end or timed-literal child, or one
+    pinned before it was read), the one probe of its base with its pending
+    edges and then the chain equals growing the node's network and probing
+    it after, bit for bit, and the matrix the probe keeps equals that grown
+    network's. On every new start child's tighten, the probe of the network
+    its siblings share with the chain alone equals extending the parent by
+    the child's edges and probing that, and keeps the shared matrix itself.
+    The network a child reads equals the one grown eagerly by event name,
+    in edge log, dist and flag."""
     real_make_child, real_tighten, real_probe = search.make_child, search.tighten, Stn.probe
     pending = []
-    seen = {"probe": 0, "dead end": 0, "child": 0}
+    # the parent's network while make_child runs, and a start child's node
+    # while its tighten runs
+    making = []
+    starting = []
+    seen = {"probe": 0, "dead end": 0, "child": 0, "start probe": 0}
 
     def checked_tighten(task, node):
         if node.pending:
             pending.append(node)
+        elif making:
+            assert node.prefix[-1][0] == "start" and node.edges == ()
+            starting.append(node)
         try:
             return real_tighten(task, node)
         finally:
             pending.clear()
+            starting.clear()
 
     def checked_probe(self, n_new, edges, kept_new=0, kept_edges=0):
         got = real_probe(self, n_new, edges, kept_new, kept_edges)
+        if starting:
+            starting.pop()
+            parent_stn = making[-1]
+            assert (kept_new, kept_edges) == (0, 0)
+            # the shared network's log: the parent's, the child's event,
+            # then the child's own edges
+            m = len(parent_stn.edges)
+            assert self.edges[:m + 1] == parent_stn.edges + ((len(parent_stn.dist), 0, 0.0),)
+            want = reference_kernels.extend_then_probe(parent_stn, self.edges[m + 1:],
+                                                       n_new, edges)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0].tobytes() == want.tobytes()
+                assert got[1] is self.dist
+            seen["start probe"] += 1
         if pending:
             # popped first: the reference's own probe is not checked again
             node = pending.pop()
@@ -434,9 +460,13 @@ def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
             seen["dead end"] += got is None
         return got
 
-    def checked_make_child(task, parent, step, tick):
+    def checked_make_child(task, parent, step, tick, shared=None):
         parent_stn = parent.stn
-        child = real_make_child(task, parent, step, tick)
+        making.append(parent_stn)
+        try:
+            child = real_make_child(task, parent, step, tick, shared)
+        finally:
+            making.pop()
         if child is not None:
             want = reference_kernels.child_network(task, parent_stn, len(parent.prefix),
                                                    step, child.til_count)
@@ -457,6 +487,46 @@ def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
                        dispatch_params=cfg.dispatch_params(),
                        max_expansions=cfg.max_expansions)
     assert min(seen.values()) > 0
+
+
+def test_start_siblings_share_one_network_never_written(monkeypatch):
+    """While planning shipped tasks in both modes, every start child of one
+    expansion holds the same network object with nothing pending, and no
+    shared network's matrix changes from the expansion that built it to the
+    end of the run: pins, reads and later probes never write it in place."""
+    real_expand, real_pin = engine.expand, engine._pin
+    shared = []
+    seen = {"expansions": 0, "siblings": 0, "pins on a shared network": 0}
+
+    def counting_pin(task, node, pos, when):
+        seen["pins on a shared network"] += any(node.base is base for base, _ in shared)
+        return real_pin(task, node, pos, when)
+
+    def checked_expand(task, node, tick):
+        children = real_expand(task, node, tick)
+        starts = [c for c in children if c.prefix[-1][0] == "start"]
+        if starts:
+            base = starts[0].base
+            assert all(c.base is base and c.pending == 0 and c.edges == ()
+                       for c in starts)
+            assert base is not node.base
+            shared.append((base, base.dist.tobytes()))
+            seen["expansions"] += 1
+            seen["siblings"] += len(starts) > 1
+        return children
+
+    monkeypatch.setattr(engine, "expand", checked_expand)
+    monkeypatch.setattr(engine, "_pin", counting_pin)
+    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "bench.json"))
+    for task in benchmark_tasks(cfg)[:10]:
+        for mode in ("disp", "nodisp"):
+            shared.clear()
+            run_search(task, mode=mode, speed=cfg.speeds[0],
+                       dispatch_params=cfg.dispatch_params(),
+                       max_expansions=cfg.max_expansions)
+            assert all(base.dist.tobytes() == before for base, before in shared)
+    assert min(seen.values()) > 0, seen
 
 
 def test_decisions_match_per_node_references(monkeypatch):
@@ -873,6 +943,14 @@ def test_validator_rejects_broken_plans():
     unseparated = [(0.0, "start", "prep"), (2.0, "end", "prep"),
                    (2.0, "start", "finish"), (5.0, "end", "finish")]
     assert not validate_plan(task, unseparated)[0]
+
+
+def test_validator_applies_an_adding_timed_literal():
+    # g0 needs "open", which only the timed literal at 0.5 adds
+    task = gated_task(goals=1)
+    assert validate_plan(task, [(1.0, "start", "g0"), (2.0, "end", "g0")]) == (True, "ok")
+    assert validate_plan(task, [(0.2, "start", "g0"), (1.2, "end", "g0")]) == (
+        False, "start g0 at 0.2: missing ['open']")
 
 
 def _ending_on_done(task):

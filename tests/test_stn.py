@@ -68,6 +68,28 @@ def test_unknown_event_raises():
         s.add_event(ORIGIN)
 
 
+def test_negative_event_index_raises():
+    # numpy would read -1 as the last event, here the one after the origin
+    s = Stn().add_event()
+    with pytest.raises(IndexError):
+        s.add_constraint(-1, 0, -1.0)
+    with pytest.raises(IndexError):
+        s.extend(1, [(2, -3, 0.0)])
+    assert s.edges == ((1, 0, 0.0),)
+
+
+def test_event_index_is_checked_on_an_inconsistent_network():
+    # t(1) <= t(0) - 1 contradicts every event being at or after the origin;
+    # no edge is relaxed any more, but an edge into position 7 is still
+    # refused rather than logged for recompute to trip over
+    s = Stn().add_event().add_constraint(0, 1, -1.0)
+    assert not s.consistent
+    with pytest.raises(IndexError):
+        s.add_constraint(0, 7, 1.0)
+    assert s.extend(1, [(0, 2, 1.0)]).edges[-1] == (0, 2, 1.0)
+    assert recompute(s) == (False, [], [])
+
+
 def test_value_semantics():
     base = NamedStn().add_event("a")
     tight = base.add_constraint(ORIGIN, "a", 2)
@@ -321,6 +343,12 @@ def test_probe_answers_without_growing_the_network():
     row, kept = s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)], 1, 1)
     assert np.array_equal(row, [0.0, 4.5, math.inf, math.inf])
     assert np.array_equal(kept, s.extend(1, [(2, 1, -1.0)]).dist)
+    # a chain edge that relaxes the whole matrix, nothing kept: the kept
+    # block is the network's own matrix, not a copy, and stays as it was
+    before = s.dist.tobytes()
+    row, kept = s.probe(1, [(2, 1, -1.0), (0, 2, 10.0)])
+    assert np.array_equal(row, [0.0, 4.5, 10.0]) and kept is s.dist
+    assert s.dist.tobytes() == before
     # x0 >= a + 1 >= 3 cannot also sit at or before 1
     assert s.probe(1, [(2, 1, -1.0), (0, 2, 1.0)]) is None
     # a self-loop below 0 is a negative cycle even at the tail of the edges
