@@ -61,33 +61,27 @@ def test_unknown_event_raises():
     # an edge into an event the network does not have
     with pytest.raises(IndexError):
         Stn().add_constraint(0, 1, 1.0)
+    # numpy would read -1 as the last event, here the one after the origin
+    one = Stn().add_event()
+    with pytest.raises(IndexError):
+        one.add_constraint(-1, 0, -1.0)
+    with pytest.raises(IndexError):
+        one.extend(1, [(2, -3, 0.0)])
+    assert one.edges == ((1, 0, 0.0),)
+    # t(1) <= t(0) - 1 contradicts every event being at or after the origin;
+    # an inconsistent network relaxes no further edge, but still refuses one
+    # into a position it lacks rather than log it for recompute to trip over
+    broken = one.add_constraint(0, 1, -1.0)
+    assert not broken.consistent
+    with pytest.raises(IndexError):
+        broken.add_constraint(0, 7, 1.0)
+    assert broken.extend(1, [(0, 2, 1.0)]).edges[-1] == (0, 2, 1.0)
+    assert recompute(broken) == (False, [], [])
     s = NamedStn()
     with pytest.raises(KeyError):
         s.add_constraint(ORIGIN, "ghost", 1)
     with pytest.raises(ValueError):
         s.add_event(ORIGIN)
-
-
-def test_negative_event_index_raises():
-    # numpy would read -1 as the last event, here the one after the origin
-    s = Stn().add_event()
-    with pytest.raises(IndexError):
-        s.add_constraint(-1, 0, -1.0)
-    with pytest.raises(IndexError):
-        s.extend(1, [(2, -3, 0.0)])
-    assert s.edges == ((1, 0, 0.0),)
-
-
-def test_event_index_is_checked_on_an_inconsistent_network():
-    # t(1) <= t(0) - 1 contradicts every event being at or after the origin;
-    # no edge is relaxed any more, but an edge into position 7 is still
-    # refused rather than logged for recompute to trip over
-    s = Stn().add_event().add_constraint(0, 1, -1.0)
-    assert not s.consistent
-    with pytest.raises(IndexError):
-        s.add_constraint(0, 7, 1.0)
-    assert s.extend(1, [(0, 2, 1.0)]).edges[-1] == (0, 2, 1.0)
-    assert recompute(s) == (False, [], [])
 
 
 def test_value_semantics():
