@@ -58,6 +58,13 @@ def _flag(value, where):
     return value
 
 
+def _string(value, where):
+    """value when it is a JSON string; anything else raises FormatError."""
+    if not isinstance(value, str):
+        raise FormatError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 def _pmf_to_json(dist):
     return [[t, p] for t, p in dist.pairs()]
 
@@ -212,13 +219,15 @@ def _task_from_dict(doc) -> Task:
             raise FormatError(f"{where}: not a JSON object")
         kwargs = {key: _propositions(a.get(key, []), f"{where} {key}") for key in _ACTION_SETS}
         actions.append(DurativeAction(
-            name=str(_require(a, "name", where)),
-            duration=float(_require(a, "duration", where)),
+            name=_string(_require(a, "name", where), f"{where} name"),
+            duration=_number(_require(a, "duration", where), f"{where} duration"),
             **kwargs,
         ))
     tils = tuple(
-        TimedLiteral(time=float(t), prop=str(p), add=bool(add))
-        for t, p, add in doc.get("tils", ())
+        TimedLiteral(time=_number(t, f"task timed literal {k} time"),
+                     prop=_string(p, f"task timed literal {k} proposition"),
+                     add=_flag(add, f"task timed literal {k} add"))
+        for k, (t, p, add) in enumerate(doc.get("tils", ()))
     )
     propositions = _propositions(_require(doc, "propositions", "task"), "task propositions")
     init = _propositions(_require(doc, "init", "task"), "task init")

@@ -16,12 +16,11 @@ memo per burst that maps h to a _Scores: the completion profile, its
 expected effort, q_known's whole-support tables and lpf's values by success
 index. Step pos is event pos + 1 of a node's network; networks hold
 positions only, no event names. The start children of one expansion share
-one network, built once by expand; an end or timed-literal child wraps its
-network from its last probe's matrix only when something reads it: an
-expansion, _try_finish or _apply_dispatch. A pin is two pending edges on a
-node's network, shared or not, probed by the tighten that checks the node's
-chain against it; the shared network itself is never changed. _try_finish
-extends a node's network by one edge per uncommitted start.
+one network, built once by expand. A pin's two edges are kept by the
+tighten that probes the node's network with them and the node's chain
+after them, and the pinned network becomes the node's; no network is
+changed in place, so a shared one stays as its siblings read it.
+_try_finish extends a node's network by one edge per uncommitted start.
 """
 
 import math
@@ -208,16 +207,12 @@ MODES = {"disp": "_decide", "nodisp": "_never_commit"}
 
 def _pin(task, node, pos, when):
     """Fix t(step pos) = when in the node's network; None if that breaks it
-    or the node's chain no longer fits. The pin's two edges join the node's
-    pending edges (none yet on a start child, whose base is the network its
-    siblings share), so tighten's one probe checks both and keeps the
-    pinned network in a matrix of the node's own; the base is never
-    written. A refused pin leaves the node as it was."""
+    or the node's chain no longer fits. tighten's one probe of the node's
+    network checks the pin's two edges and the chain after them, and keeps
+    the pinned network as the node's own; the old one is never written.
+    A refused pin leaves the node as it was."""
     ev = pos + 1
-    edges = node.edges
-    node.edges = edges + ((0, ev, when), (ev, 0, -when))
-    if not tighten(task, node):
-        node.edges = edges
+    if not tighten(task, node, node.stn, 0, ((0, ev, when), (ev, 0, -when))):
         return None
     return node
 

@@ -16,13 +16,11 @@ Events are positions, never names: a network holds the origin, then one
 event per step in prefix order, so step pos is event pos + 1. A start leaves
 til_count as it was, so every start child of one expansion has the same own
 edges: the first that passes its condition checks extends the parent's
-network once, and its siblings take that network as their base with nothing
-pending, so tighten probes only their chains. An end or timed-literal child
-keeps its parent's network, one pending event and its own edges; tighten
-probes them with the chain in one call and keeps the child's matrix, which
-SearchNode.stn wraps when something first reads it. No network is grown
-twice and no shared matrix is written in place. Most children are never
-read.
+network once, and its siblings take that network as their own, so tighten
+probes only their chains. An end or timed-literal child's tighten probes its
+parent's network with the child's event and edges, kept as the child's
+network, and the chain after them in one call. No network is grown twice
+and no shared matrix is written in place.
 """
 
 import math
@@ -82,37 +80,21 @@ class SearchStats:
 # and list.remove on the open list and the frontier need not compare fields
 @dataclass(eq=False)
 class SearchNode:
-    """`props` is the node's state as a proposition bitmask. `base` is the
-    node's network, or one that `pending` new events (0, or 1 for an end or
-    timed-literal child's own) and the (u, v, b) `edges` (such a child's
-    own, then any pins) extend to it; `dist` is then the matrix tighten's
-    last probe kept for that extension, which `stn` wraps on first read. A
-    start child's base is the network its expansion's start children share,
-    so it starts with nothing pending; a pin still adds pending edges. When
-    nothing is pending, `dist` is the base's own matrix. `start_tmaxes`
-    holds (pos, tmax) per start step and `latest[c]` the least of them at a
-    position >= c."""
+    """`props` is the node's state as a proposition bitmask. `stn` is the
+    node's network, its pins included; a start child's is the network its
+    expansion's start children share, until a pin gives it one of its own.
+    `latest[c]` is the least latest feasible time of a start step at a
+    position >= c. tighten sets both."""
 
     prefix: tuple
     props: int
     opens: tuple
     til_count: int
-    base: Stn
     h: float
     chain: tuple
     generation_tick: int
-    pending: int = 0
-    edges: tuple = ()
-    dist: np.ndarray = None
-    start_tmaxes: tuple = ()
+    stn: Stn = None
     latest: list = ()
-
-    @property
-    def stn(self) -> Stn:
-        if self.pending or self.edges:
-            self.base = self.base.wrap(self.pending, self.edges, self.dist)
-            self.pending, self.edges, self.dist = 0, (), None
-        return self.base
 
     def key(self):
         return (self.props, self.opens, self.til_count)
@@ -182,22 +164,24 @@ def relaxed_plan(task, props, opens, til_count):
     return chain
 
 
-def tighten(task, node: SearchNode):
-    """Cache latest feasible starts against the relaxed chain.
+def tighten(task, node: SearchNode, base: Stn, pending=0, own=()):
+    """Set the node's network and latest feasible starts against the relaxed
+    chain.
 
-    The chain actions are laid out sequentially after the last step, bounded
-    by upcoming timed deletions of their conditions (and of goal facts); open
-    intervals bound the chain's finish from below. One Stn.probe of the base
-    network takes the node's pending edges and then the chain, which is
-    never added to any network; the probe's origin row gives the prefix tmax
-    values, and the probe keeps the matrix of the node's own network in
-    node.dist (the base's own matrix when nothing is pending, as for a start
-    child, whose probe relaxes only its chain). Returns False when the
-    node's pending edges, or even the optimistic chain after them, cannot
-    fit, which callers treat as a dead end; the node is then left as it was.
+    The node's network is `base` extended by `pending` new events (1 for an
+    end or timed-literal child's own, else 0) and then the (u, v, b) edges
+    `own` (such a child's edges, or a pin's). The chain actions are laid out
+    sequentially after the last step, bounded by upcoming timed deletions of
+    their conditions (and of goal facts); open intervals bound the chain's
+    finish from below. One Stn.probe of `base` takes `own` and then the
+    chain, which is never added to any network; the probe keeps the node's
+    network (`base` itself when there is nothing to add, as for a start
+    child, whose probe relaxes only its chain), and its origin row gives the
+    prefix tmax values. Returns False when `own`, or even the optimistic chain
+    after it, cannot fit, which callers treat as a dead end; the node is
+    then left as it was.
     """
-    base = node.base
-    edges = list(node.edges)
+    edges = list(own)
     eps = EPSILON_SEPARATION
     future = task.tils[node.til_count:]
     last = len(node.prefix)
@@ -227,24 +211,19 @@ def tighten(task, node: SearchNode):
         if goal_cut < INF:
             edges.append((0, ev, goal_cut))
         ev += 1
-    probed = base.probe(ev - len(base.dist), edges, node.pending, len(node.edges))
+    probed = base.probe(ev - len(base.dist), edges, pending, len(own))
     if probed is None:
         return False
-    tmax, node.dist = probed
+    tmax, node.stn = probed
     tmax = tmax.tolist()
     # suffix minima of the start tmaxes; of equal values the earlier is
     # kept, as min over the list in position order would
     latest = [INF] * (len(node.prefix) + 1)
-    starts = []
     low = INF
     for pos in range(len(node.prefix) - 1, -1, -1):
-        if node.prefix[pos][0] == "start":
-            tm = tmax[pos + 1]
-            starts.append((pos, tm))
-            if tm <= low:
-                low = tm
+        if node.prefix[pos][0] == "start" and tmax[pos + 1] <= low:
+            low = tmax[pos + 1]
         latest[pos] = low
-    node.start_tmaxes = tuple(reversed(starts))
     node.latest = latest
     return True
 
@@ -263,9 +242,9 @@ def make_child(task, parent: SearchNode, step, tick: int, shared=None):
     first start child that passes its condition checks builds it and its
     siblings reuse it; when it is inconsistent every start child is None
     before its relaxed plan. Without `shared` the network is built for this
-    child alone. An end or timed-literal child's event and edges stay
-    pending over the parent's network, and tighten's probe keeps the child's
-    matrix."""
+    child alone. An end or timed-literal child's network is kept by
+    tighten's probe of the parent's network with the child's event and
+    edges."""
     eps = EPSILON_SEPARATION
     k = len(parent.prefix)
     til_count = parent.til_count
@@ -323,14 +302,11 @@ def make_child(task, parent: SearchNode, step, tick: int, shared=None):
         props=props,
         opens=opens,
         til_count=til_count,
-        base=base,
         h=float(h),
         chain=tuple(chain),
         generation_tick=tick,
-        pending=pending,
-        edges=tuple(edges),
     )
-    if not tighten(task, node):
+    if not tighten(task, node, base, pending, edges):
         return None
     return node
 
@@ -369,12 +345,11 @@ def make_root(task):
         props=props,
         opens=(),
         til_count=0,
-        base=Stn(),
         h=float(2 * len(chain)),
         chain=tuple(chain),
         generation_tick=0,
     )
-    if not tighten(task, node):
+    if not tighten(task, node, Stn()):
         return None
     return node
 

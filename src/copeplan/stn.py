@@ -16,9 +16,9 @@ new network; add_event and add_constraint are extend with one event or one
 edge. probe reads the origin row and the diagonal, so tentative events never
 enter the network, and it stops after the last edge that relaxes the whole
 matrix: every edge past it writes only the row of a new event, which nothing
-reads. probe also keeps the matrix of a leading part of its events and
-edges, which is what extend would build from that part; wrap turns it into
-a network without relaxing anything again.
+reads. probe also keeps a leading part of its events and edges as a new
+network, the one extend would build from that part, without relaxing
+anything again.
 """
 
 import math
@@ -58,11 +58,11 @@ class Stn:
         if consistent:
             _relax(dist, edges, _row_only(len(self.dist), edges))
             consistent = _consistent(dist)
-        return self.wrap(n_new, edges, dist, consistent)
+        return self._wrap(n_new, edges, dist, consistent)
 
-    def wrap(self, n_new, edges, dist, consistent=True) -> "Stn":
+    def _wrap(self, n_new, edges, dist, consistent=True) -> "Stn":
         """The network extend(n_new, edges) builds, around a matrix already
-        computed for it (probe's kept block); no edge is relaxed again."""
+        computed for it; no edge is relaxed again."""
         m = len(self.dist)
         s = Stn.__new__(Stn)
         s.dist = dist
@@ -75,21 +75,21 @@ class Stn:
         return s
 
     def probe(self, n_new, edges, kept_new=0, kept_edges=0):
-        """(origin row, kept block) after adding n_new events and then the
-        edges, or None when the result is inconsistent. Nothing is added to
-        this network, and its matrix is never written.
+        """(origin row, kept network) after adding n_new events and then
+        the edges, or None when the result is inconsistent. Nothing is added
+        to this network, and its matrix is never written.
 
-        The planner probes an end or timed-literal child's base with the
-        child's event and edges kept and its chain after them, and a pinned
-        node's with the pin's edges kept. A start child's base is already
-        its own network (the one its siblings share), so its probe keeps
-        nothing and relaxes only the chain. With nothing kept, the kept
-        block is this network's own matrix, not a copy. Unlike extend,
-        probe checks no event index.
+        The planner probes an end or timed-literal child's parent network
+        with the child's event and edges kept and its chain after them, and
+        a pinned node's network with the pin's edges kept. A start child's
+        network is already its own (the one its siblings share), so its
+        probe keeps nothing and relaxes only the chain. With nothing kept,
+        the kept network is this one itself. Unlike extend, probe checks no
+        event index.
 
-        The kept block is the matrix of extend(the first kept_new new
-        events, edges[:kept_edges]), bit for bit. Those edges may name only
-        this network's events and the kept ones, the first k events of the
+        The kept network is extend(the first kept_new new events,
+        edges[:kept_edges]), bit for bit. Those edges may name only this
+        network's events and the kept ones, the first k events of the
         matrix; an edge among the first k events reads and writes only the
         top-left k x k block, and every later event keeps the origin row and
         an empty column until an edge enters it. So the block is copied out
@@ -116,14 +116,15 @@ class Stn:
         while cut and row_only[cut - 1]:
             cut -= 1
         if cut == 0 and kept_new == 0:
-            return np.concatenate((self.dist[0], np.full(n_new, INF))), self.dist
+            return np.concatenate((self.dist[0], np.full(n_new, INF))), self
         dist = self._grow(n_new)
         _relax(dist, edges[:kept_edges], row_only)
         size = m + kept_new
-        kept = dist[:size, :size].copy() if kept_new or kept_edges else self.dist
+        block = dist[:size, :size].copy() if kept_new or kept_edges else None
         _relax(dist, edges[kept_edges:cut], row_only[kept_edges:])
         if not _consistent(dist):
             return None
+        kept = self if block is None else self._wrap(kept_new, edges[:kept_edges], block)
         return dist[0], kept
 
     def _grow(self, n_new):

@@ -93,18 +93,12 @@ def prefix_network(stn, k):
     return NamedStn(stn, [f"s{pos}" for pos in range(k)])
 
 
-def extend_then_probe(parent, child_edges, n_chain, chain_edges):
-    """Grow the child's network with its event and edges, then probe it with
-    the chain: what tighten did before children kept their edges pending.
-    The origin row, or None."""
-    probed = parent.extend(1, child_edges).probe(n_chain, chain_edges)
+def extend_then_probe(parent, n_child, child_edges, n_chain, chain_edges):
+    """Grow a node's network with its n_child events and its edges, then
+    probe it with the chain: tighten as two calls. The origin row, or
+    None."""
+    probed = parent.extend(n_child, child_edges).probe(n_chain, chain_edges)
     return None if probed is None else probed[0]
-
-
-def node_network(node):
-    """The network a search node stands for: its base grown one event or
-    edge at a time by its pending events and edges."""
-    return grow(node.base, node.pending, node.edges)
 
 
 def child_network(task, parent_stn, k, step, til_count):
@@ -196,10 +190,13 @@ def relaxed_plan(task, props, opens, til_count):
     return [a for a in applied if a.name in selected]
 
 
-def tighten(task, node):
-    """Append the relaxed chain to a copy of the node's network, one event
-    or edge at a time, and read the prefix tmax values."""
-    net = prefix_network(node_network(node), len(node.prefix))
+def tighten(task, node, base, pending=0, own=()):
+    """search.tighten with the node's network grown from `base` one event or
+    edge at a time, then the relaxed chain appended to a copy of it the same
+    way; on success the node takes the grown network and its (pos, tmax)
+    per start step as `start_tmaxes`."""
+    stn = grow(base, pending, own)
+    net = prefix_network(stn, len(node.prefix))
     eps = EPSILON_SEPARATION
     future = task.tils[node.til_count:]
     prev = f"s{len(node.prefix) - 1}" if node.prefix else ORIGIN
@@ -236,6 +233,7 @@ def tighten(task, node):
             net = add_named_constraint(net, ORIGIN, g, goal_cut)
     if not net.stn.consistent:
         return False
+    node.stn = stn
     node.start_tmaxes = tuple(
         (pos, net.tmax(f"s{pos}"))
         for pos, step in enumerate(node.prefix)
@@ -246,14 +244,12 @@ def tighten(task, node):
 
 def pin(task, node, pos, when):
     """engine._pin as a network grown and checked on its own: extend the
-    node's network by the pin, refuse it if inconsistent, keep it, then
-    tighten (which may still refuse the node, keeping the pinned network)."""
+    node's network by the pin, refuse it if inconsistent, then tighten
+    against it with nothing more to add (which may still refuse the node,
+    leaving it as it was)."""
     ev = pos + 1
     stn = node.stn.extend(0, [(0, ev, when), (ev, 0, -when)])
-    if not stn.consistent:
-        return None
-    node.base = stn
-    if not tighten_search(task, node):
+    if not stn.consistent or not tighten_search(task, node, stn):
         return None
     return node
 
@@ -325,7 +321,8 @@ def q_known_cut(profile, d, params):
 
 
 def latest_start(node, c):
-    """The least start tmax at a position >= c, from a fresh list."""
+    """The least start tmax at a position >= c, from a fresh list of the
+    `start_tmaxes` that tighten above sets."""
     vals = [tm for pos, tm in node.start_tmaxes if pos >= c]
     return min(vals) if vals else INF
 

@@ -179,7 +179,7 @@ def _demo_task_with(tmp_path, edit):
     return str(out)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, "2", True])
 def test_plan_rejects_durations_that_are_not_positive_and_finite(tmp_path, capsys, value):
     def edit(doc):
         doc["actions"][0]["duration"] = value
@@ -188,10 +188,25 @@ def test_plan_rejects_durations_that_are_not_positive_and_finite(tmp_path, capsy
     assert _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "5"])
 def test_plan_rejects_timed_literals_that_are_not_finite_from_0(tmp_path, capsys, value):
     def edit(doc):
         doc["tils"][0][0] = value
+
+    assert main(["plan", _demo_task_with(tmp_path, edit)]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("field", ["timed literal add", "action name"])
+def test_plan_rejects_flags_and_names_that_are_not_json_booleans_and_strings(
+        tmp_path, capsys, field):
+    # truthiness would read the string "false" as adding, and str() a name 7
+    # as "7"
+    def edit(doc):
+        if field == "timed literal add":
+            doc["tils"][0][2] = "false"
+        else:
+            doc["actions"][0]["name"] = 7
 
     assert main(["plan", _demo_task_with(tmp_path, edit)]) == 2
     assert _one_error_line(capsys)

@@ -286,31 +286,47 @@ def test_discretized_lognormal_without_spread_is_a_point_mass():
             reference_kernels.discretized_lognormal(mean, cv)
 
 
-def _tighten_verdicts_against_reference(monkeypatch, tasks, dispatch_params,
-                                        max_expansions):
-    """Plan each task in both modes at speeds 6 and 100, checking every
-    tighten call against the reference; returns the verdicts seen."""
+def _check_tighten_against_reference(monkeypatch, verdicts):
+    """Check every tighten call against the reference from now on, and
+    append each verdict to `verdicts`. A node tighten accepts takes the
+    reference's start tmaxes as `start_tmaxes`, which the reference scoring
+    reads; a refused node keeps its network and everything else."""
     real = search.tighten
-    verdicts = []
 
-    def checked(task, node):
+    def checked(task, node, base, pending=0, own=()):
         ref = copy.copy(node)
-        want = reference_kernels.tighten(task, ref)
-        got = real(task, node)
+        want = reference_kernels.tighten(task, ref, base, pending, own)
+        before = copy.copy(node)
+        got = real(task, node, base, pending, own)
         assert got == want
-        assert node.start_tmaxes == ref.start_tmaxes
         if got:
+            # the node's network, grown one event or edge at a time
+            assert (node.stn.edges, node.stn.consistent) == (ref.stn.edges, True)
+            assert node.stn.dist.tobytes() == ref.stn.dist.tobytes()
             # suffix minima against the list form, also past the prefix
             cs = range(len(node.prefix) + 3)
             assert node.latest == [reference_kernels.latest_start(ref, c)
                                    for c in cs[:len(node.latest)]]
             assert [latest_start(node, c) for c in cs] == [
                 reference_kernels.latest_start(ref, c) for c in cs]
+            node.start_tmaxes = ref.start_tmaxes
+        else:
+            # every field as it was; Stn compares by identity, so the
+            # network is the same object
+            assert vars(node) == vars(before)
         verdicts.append(got)
         return got
 
     monkeypatch.setattr(search, "tighten", checked)
     monkeypatch.setattr(engine, "tighten", checked)
+
+
+def _tighten_verdicts_against_reference(monkeypatch, tasks, dispatch_params,
+                                        max_expansions):
+    """Plan each task in both modes at speeds 6 and 100, checking every
+    tighten call against the reference; returns the verdicts seen."""
+    verdicts = []
+    _check_tighten_against_reference(monkeypatch, verdicts)
     for task in tasks:
         for mode in ("disp", "nodisp"):
             for speed in (6.0, 100.0):
@@ -321,7 +337,8 @@ def _tighten_verdicts_against_reference(monkeypatch, tasks, dispatch_params,
 
 def test_tighten_matches_persistent_network_reference(monkeypatch):
     """Every tighten call on shipped tasks, in both modes and at two speeds,
-    gives the reference's verdict and start tmaxes bit for bit."""
+    gives the reference's verdict, network and suffix minima of its start
+    tmaxes bit for bit."""
     cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", "bench.json"))
     verdicts = _tighten_verdicts_against_reference(
@@ -332,16 +349,12 @@ def test_tighten_matches_persistent_network_reference(monkeypatch):
 def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
     """Every network the planner builds on shipped tasks, in both modes and
     at two speeds, equals the reference that adds one event or edge at a
-    time: the ones a node wraps from its probe's kept matrix (a child's own,
-    and pinned ones), and the ones _try_finish grows with extend. Each also
+    time: the ones a probe keeps (a child's own, and pinned ones), and the
+    ones extend grows (a shared start network, and _try_finish's). Each also
     agrees with the Floyd-Warshall closure of its edge log: the same flag,
     and bounds within 1e-9, as that closure sums paths in another order."""
-    real_wrap, real_extend, real_pin = Stn.wrap, Stn.extend, engine._pin
-    seen = {"child": 0, "pin": 0, "finish": 0, "inconsistent": 0}
-    growing = []
-    # the pending edges of each accepted pin, by id; kept alive so that no
-    # id is reused
-    pinned = {}
+    real_probe, real_extend = Stn.probe, Stn.extend
+    seen = {"child": 0, "pin": 0, "extend": 0, "inconsistent": 0}
 
     def check(got, base, n_new, edges):
         want = reference_kernels.grow(base, n_new, edges)
@@ -357,34 +370,22 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
             assert np.allclose(got_min, tmin, rtol=0.0, atol=1e-9)
             assert np.allclose(got_max, tmax, rtol=0.0, atol=1e-9)
 
-    def checked_wrap(self, n_new, edges, dist, consistent=True):
-        got = real_wrap(self, n_new, edges, dist, consistent)
-        if growing:
-            return got  # extend's own wrap, checked there
-        check(got, self, n_new, edges)
-        seen["pin" if pinned.get(id(edges)) is edges else "child"] += 1
+    def checked_probe(self, n_new, edges, kept_new=0, kept_edges=0):
+        got = real_probe(self, n_new, edges, kept_new, kept_edges)
+        if got is not None and (kept_new or kept_edges):
+            check(got[1], self, kept_new, edges[:kept_edges])
+            seen["child" if kept_new else "pin"] += 1
         return got
 
     def checked_extend(self, n_new, edges):
-        growing.append(1)
-        try:
-            got = real_extend(self, n_new, edges)
-        finally:
-            growing.pop()
+        got = real_extend(self, n_new, edges)
         check(got, self, n_new, edges)
-        seen["finish"] += 1
+        seen["extend"] += 1
         seen["inconsistent"] += not got.consistent
         return got
 
-    def noting_pin(task, node, pos, when):
-        out = real_pin(task, node, pos, when)
-        if out is not None:
-            pinned[id(node.edges)] = node.edges
-        return out
-
-    monkeypatch.setattr(Stn, "wrap", checked_wrap)
+    monkeypatch.setattr(Stn, "probe", checked_probe)
     monkeypatch.setattr(Stn, "extend", checked_extend)
-    monkeypatch.setattr(engine, "_pin", noting_pin)
     cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", "bench.json"))
     for task in benchmark_tasks(cfg)[:10]:
@@ -396,35 +397,35 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
-def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
-    """On every tighten of a node with a pending event while planning
-    shipped tasks in both modes (an end or timed-literal child, or one
-    pinned before it was read), the one probe of its base with its pending
-    edges and then the chain equals growing the node's network and probing
-    it after, bit for bit, and the matrix the probe keeps equals that grown
-    network's. On every new start child's tighten, the probe of the network
-    its siblings share with the chain alone equals extending the parent by
-    the child's edges and probing that, and keeps the shared matrix itself.
-    The network a child reads equals the one grown eagerly by event name,
-    in edge log, dist and flag."""
+def test_one_call_probe_and_node_network_match_eager_growth(monkeypatch):
+    """On every tighten that adds to a network while planning shipped
+    tasks in both modes (an end or timed-literal child's event and edges,
+    or a pin's edges), the one probe of that network with those edges and
+    then the chain equals growing the node's network and probing it after,
+    bit for bit, and the network the probe keeps equals that grown network.
+    On every new start child's tighten, the probe of the network its
+    siblings share with the chain alone equals extending the parent by the
+    child's edges and probing that, and keeps the shared network itself.
+    Every child's network equals the one grown eagerly by event name, in
+    edge log, dist and flag."""
     real_make_child, real_tighten, real_probe = search.make_child, search.tighten, Stn.probe
-    pending = []
+    adding = []
     # the parent's network while make_child runs, and a start child's node
     # while its tighten runs
     making = []
     starting = []
-    seen = {"probe": 0, "dead end": 0, "child": 0, "start probe": 0}
+    seen = {"child probe": 0, "pin probe": 0, "dead end": 0, "child": 0, "start probe": 0}
 
-    def checked_tighten(task, node):
-        if node.pending:
-            pending.append(node)
+    def checked_tighten(task, node, base, pending=0, own=()):
+        if pending or own:
+            adding.append((pending, len(own)))
         elif making:
-            assert node.prefix[-1][0] == "start" and node.edges == ()
+            assert node.prefix[-1][0] == "start"
             starting.append(node)
         try:
-            return real_tighten(task, node)
+            return real_tighten(task, node, base, pending, own)
         finally:
-            pending.clear()
+            adding.clear()
             starting.clear()
 
     def checked_probe(self, n_new, edges, kept_new=0, kept_edges=0):
@@ -437,26 +438,27 @@ def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
             # then the child's own edges
             m = len(parent_stn.edges)
             assert self.edges[:m + 1] == parent_stn.edges + ((len(parent_stn.dist), 0, 0.0),)
-            want = reference_kernels.extend_then_probe(parent_stn, self.edges[m + 1:],
+            want = reference_kernels.extend_then_probe(parent_stn, 1, self.edges[m + 1:],
                                                        n_new, edges)
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[0].tobytes() == want.tobytes()
-                assert got[1] is self.dist
+                assert got[1] is self
             seen["start probe"] += 1
-        if pending:
+        if adding:
             # popped first: the reference's own probe is not checked again
-            node = pending.pop()
-            k = len(node.edges)
-            assert (kept_new, kept_edges) == (1, k)
-            want = reference_kernels.extend_then_probe(self, edges[:k], n_new - 1, edges[k:])
+            pending, k = adding.pop()
+            assert (kept_new, kept_edges) == (pending, k)
+            want = reference_kernels.extend_then_probe(self, pending, edges[:k],
+                                                       n_new - pending, edges[k:])
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[0].tobytes() == want.tobytes()
-                grown = reference_kernels.grow(self, node.pending, edges[:k])
+                grown = reference_kernels.grow(self, pending, edges[:k])
                 assert grown.consistent
-                assert got[1].tobytes() == grown.dist.tobytes()
-            seen["probe"] += 1
+                assert (got[1].edges, got[1].consistent) == (grown.edges, True)
+                assert got[1].dist.tobytes() == grown.dist.tobytes()
+            seen["child probe" if pending else "pin probe"] += 1
             seen["dead end"] += got is None
         return got
 
@@ -478,6 +480,7 @@ def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
 
     monkeypatch.setattr(search, "make_child", checked_make_child)
     monkeypatch.setattr(search, "tighten", checked_tighten)
+    monkeypatch.setattr(engine, "tighten", checked_tighten)
     monkeypatch.setattr(Stn, "probe", checked_probe)
     cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", "bench.json"))
@@ -491,32 +494,42 @@ def test_one_call_probe_and_first_read_network_match_eager_growth(monkeypatch):
 
 def test_start_siblings_share_one_network_never_written(monkeypatch):
     """While planning shipped tasks in both modes, every start child of one
-    expansion holds the same network object with nothing pending, and no
-    shared network's matrix changes from the expansion that built it to the
-    end of the run: pins, reads and later probes never write it in place."""
+    expansion holds the same network object, and no shared network's matrix
+    changes from the expansion that built it to the end of the run: pins,
+    reads and later probes never write it in place. A pin that a node on a
+    shared network accepts gives the node a network of its own, and a
+    refused pin leaves the node's network the same object."""
     real_expand, real_pin = engine.expand, engine._pin
     shared = []
-    seen = {"expansions": 0, "siblings": 0, "pins on a shared network": 0}
+    seen = {"expansions": 0, "siblings": 0, "pins on a shared network": 0,
+            "refused pins": 0}
 
-    def counting_pin(task, node, pos, when):
-        seen["pins on a shared network"] += any(node.base is base for base, _ in shared)
-        return real_pin(task, node, pos, when)
+    def checked_pin(task, node, pos, when):
+        stn = node.stn
+        on_shared = any(stn is net for net, _ in shared)
+        seen["pins on a shared network"] += on_shared
+        out = real_pin(task, node, pos, when)
+        if out is None:
+            assert node.stn is stn
+            seen["refused pins"] += 1
+        elif on_shared:
+            assert node.stn is not stn
+        return out
 
     def checked_expand(task, node, tick):
         children = real_expand(task, node, tick)
         starts = [c for c in children if c.prefix[-1][0] == "start"]
         if starts:
-            base = starts[0].base
-            assert all(c.base is base and c.pending == 0 and c.edges == ()
-                       for c in starts)
-            assert base is not node.base
-            shared.append((base, base.dist.tobytes()))
+            stn = starts[0].stn
+            assert all(c.stn is stn for c in starts)
+            assert stn is not node.stn
+            shared.append((stn, stn.dist.tobytes()))
             seen["expansions"] += 1
             seen["siblings"] += len(starts) > 1
         return children
 
     monkeypatch.setattr(engine, "expand", checked_expand)
-    monkeypatch.setattr(engine, "_pin", counting_pin)
+    monkeypatch.setattr(engine, "_pin", checked_pin)
     cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", "bench.json"))
     for task in benchmark_tasks(cfg)[:10]:
@@ -525,7 +538,7 @@ def test_start_siblings_share_one_network_never_written(monkeypatch):
             run_search(task, mode=mode, speed=cfg.speeds[0],
                        dispatch_params=cfg.dispatch_params(),
                        max_expansions=cfg.max_expansions)
-            assert all(base.dist.tobytes() == before for base, before in shared)
+            assert all(stn.dist.tobytes() == before for stn, before in shared)
     assert min(seen.values()) > 0, seen
 
 
@@ -533,8 +546,9 @@ def test_decisions_match_per_node_references(monkeypatch):
     """Every _argmax_q, _chain_log_failure and _decide call while planning
     shipped tasks in both modes at speeds 6 and 100 returns what the
     references return, which rebuild every profile, table, suffix minimum
-    and lpf value per node and per call."""
+    and lpf value per node and per call from the reference's start tmaxes."""
     argmax, chain, decide = engine._argmax_q, engine._chain_log_failure, engine._decide
+    _check_tighten_against_reference(monkeypatch, [])
     seen = {"argmax": 0, "chain": 0, "dispatch": 0, "focus": 0, None: 0}
 
     def checked_argmax(pool, m, t_now, speed, stats, dda, profiles):
@@ -843,7 +857,7 @@ def _dispatch_a_against_a_pruned_duplicate(task, t_now):
         dup = make_child(task, dup, step, tick=1)
     assert memo[dup.key()] == owner.prefix
     pruned = {dup.key(): [dup]}
-    before = reference_kernels.node_network(dup)
+    before = (dup.stn, dup.stn.edges, dup.stn.dist.tobytes())
     node = make_child(task, root, ("start", "a"), tick=1)
     memo[node.key()] = node.prefix
     open_list, executed, records = [node], [], []
@@ -863,14 +877,14 @@ def test_pins_in_a_dispatch_match_the_grown_and_checked_reference(monkeypatch, t
                                                                   dup_network):
     """_apply_dispatch, with _commit's pins and _repin's, leaves what it
     leaves when each pin grows and checks the pinned network before tighten
-    (reference_kernels.pin): the same verdicts, the same start tmaxes and
-    suffix minima on every node, the same open list, records, memo and
-    kept duplicates. The three dispatch times revive the duplicate, refuse
+    (reference_kernels.pin): the same verdicts, the same networks and
+    suffix minima of start tmaxes on every node, the same open list,
+    records, memo and kept duplicates. The three dispatch times revive the duplicate, refuse
     it because its chain no longer fits after a consistent pin, and refuse
     it because the pin breaks its network; the last two keep it unrevived."""
     task = window_task()
     runs = {}
-    for label, pin in (("pending edges", engine._pin), ("reference", reference_kernels.pin)):
+    for label, pin in (("engine", engine._pin), ("reference", reference_kernels.pin)):
         verdicts = []
 
         def noting(task, node, pos, when, pin=pin, verdicts=verdicts):
@@ -881,20 +895,21 @@ def test_pins_in_a_dispatch_match_the_grown_and_checked_reference(monkeypatch, t
         monkeypatch.setattr(engine, "_pin", noting)
         dup, before, open_list, executed, records, memo, pruned = (
             _dispatch_a_against_a_pruned_duplicate(task, t_now))
-        if label == "pending edges" and dup_network != "revived":
+        if label == "engine" and dup_network != "revived":
             # a refused pin leaves the duplicate's network as it was
             after = dup.stn
-            assert (after.edges, after.dist.tobytes()) == (before.edges, before.dist.tobytes())
+            assert (after, after.edges, after.dist.tobytes()) == before
         nodes = [dup] + open_list
         runs[label] = (
             verdicts,
-            [(nd.prefix, nd.start_tmaxes, list(nd.latest)) for nd in nodes],
+            [(nd.prefix, nd.stn.edges, nd.stn.dist.tobytes(), list(nd.latest))
+             for nd in nodes],
             [nd.prefix for nd in open_list],
             executed, records, memo,
             {key: [nd.prefix for nd in dups] for key, dups in pruned.items()},
         )
-    assert runs["pending edges"] == runs["reference"]
-    verdicts, _, opened, executed, records, memo, kept = runs["pending edges"]
+    assert runs["engine"] == runs["reference"]
+    verdicts, _, opened, executed, records, memo, kept = runs["engine"]
     assert executed == [(("start", "a"), t_now)]
     assert records == [(t_now, "a", t_now)]
     dup_prefix = (("start", "a"), ("end", "a", 0), ("start", "b"), ("end", "b", 2))

@@ -526,7 +526,7 @@ def test_probe_matches_recompute_of_the_grown_network(net, n_new, data):
 def test_one_call_probe_matches_extend_then_probe(net, n_chain, data):
     """Probing a network with a child's edges (over its events and the
     child's) and then a chain's, in one call, equals growing the child's
-    network and probing that with the chain, bit for bit; and the matrix
+    network and probing that with the chain, bit for bit; and the network
     the probe keeps for the child equals the child's grown network."""
     base = _network(*net)
     n = len(base.dist)
@@ -541,11 +541,13 @@ def test_one_call_probe_matches_extend_then_probe(net, n_chain, data):
     child = data.draw(edge_lists(n, 4))
     chain = data.draw(edge_lists(n + n_chain, 8))
     got = base.probe(1 + n_chain, child + chain, 1, len(child))
-    want = reference_kernels.extend_then_probe(base, child, n_chain, chain)
+    want = reference_kernels.extend_then_probe(base, 1, child, n_chain, chain)
     assert (got is None) == (want is None)
     if got is not None:
         assert got[0].tobytes() == want.tobytes()
-        assert got[1].tobytes() == base.extend(1, child).dist.tobytes()
+        grown = base.extend(1, child)
+        assert (got[1].edges, got[1].consistent) == (grown.edges, True)
+        assert got[1].dist.tobytes() == grown.dist.tobytes()
 
 
 @st.composite

@@ -181,8 +181,8 @@ def test_probe_matches_step_by_step_growth():
         assert (got is None) == (not want.consistent)
         if want.consistent:
             assert np.array_equal(got[0], want.dist[0])
-            # nothing kept: the kept block is this network's own matrix
-            assert got[1].tobytes() == base.dist.tobytes()
+            # nothing kept: the kept network is this network itself
+            assert got[1] is base
         outcomes[want.consistent] += 1
         assert np.array_equal(base.dist, before)
     assert min(outcomes.values()) > 30
@@ -245,12 +245,12 @@ def test_probe_skips_the_row_only_tail_exactly():
 
 
 def test_probe_keeps_the_network_that_step_by_step_growth_builds():
-    """The block a probe keeps, wrapped, is the network that adding the kept
-    events and then the kept edges one at a time builds, in edge log, dist
-    (signs of zero too) and flag, and the probe's origin row is
-    unchanged by keeping it. The draws cover kept edges that are row-only
-    and lie past the last full relaxation, a kept part with no edge, and
-    probes that fail in the kept part or only in the chain."""
+    """The network a probe keeps is the one that adding the kept events and
+    then the kept edges one at a time builds, in edge log, dist (signs of
+    zero too) and flag, and the probe's origin row is unchanged by keeping
+    it. The draws cover kept edges that are row-only and lie past the last
+    full relaxation, a kept part with no edge, and probes that fail in the
+    kept part or only in the chain."""
     rng = np.random.default_rng(34)
     seen = {"row-only kept tail past the cut": 0, "no kept edge": 0,
             "kept part inconsistent": 0, "chain inconsistent": 0, "consistent": 0}
@@ -295,7 +295,7 @@ def test_probe_keeps_the_network_that_step_by_step_growth_builds():
             seen["chain inconsistent" if part.consistent else "kept part inconsistent"] += 1
             continue
         assert got[0].tobytes() == plain[0].tobytes() == whole.dist[0].tobytes()
-        network = base.wrap(kept_new, kept, got[1])
+        network = got[1]
         assert network.edges == part.edges
         assert network.consistent and part.consistent
         assert network.dist.tobytes() == part.dist.tobytes()
@@ -329,19 +329,20 @@ def test_probe_answers_without_growing_the_network():
     s = s.stn
     edges = s.edges
     row, kept = s.probe(0, [])
-    assert np.array_equal(row, s.dist[0]) and kept is s.dist
+    assert np.array_equal(row, s.dist[0]) and kept is s
     # x0 >= a + 1 and x1 >= x0 + 2 leave every upper bound where it was
     row, kept = s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)])
     assert np.array_equal(row, [0.0, 4.5, math.inf, math.inf])
     # keeping x0 and its edge: the network extend builds from them
     row, kept = s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)], 1, 1)
     assert np.array_equal(row, [0.0, 4.5, math.inf, math.inf])
-    assert np.array_equal(kept, s.extend(1, [(2, 1, -1.0)]).dist)
+    grown = s.extend(1, [(2, 1, -1.0)])
+    assert np.array_equal(kept.dist, grown.dist) and kept.edges == grown.edges
     # a chain edge that relaxes the whole matrix, nothing kept: the kept
-    # block is the network's own matrix, not a copy, and stays as it was
+    # network is this one, not a copy, and its matrix stays as it was
     before = s.dist.tobytes()
     row, kept = s.probe(1, [(2, 1, -1.0), (0, 2, 10.0)])
-    assert np.array_equal(row, [0.0, 4.5, 10.0]) and kept is s.dist
+    assert np.array_equal(row, [0.0, 4.5, 10.0]) and kept is s
     assert s.dist.tobytes() == before
     # x0 >= a + 1 >= 3 cannot also sit at or before 1
     assert s.probe(1, [(2, 1, -1.0), (0, 2, 1.0)]) is None
