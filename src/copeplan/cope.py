@@ -101,19 +101,7 @@ class InitiationFunction:
             clock = s + action.duration
 
 
-@dataclass
-class EffectiveDeadlines:
-    values: list[int]
-
-
-def consistent(prefix_a, executed) -> bool:
-    """True iff the executed action ids form a prefix of prefix_a's ids."""
-    ids = [a.action_id for a in prefix_a]
-    done = [aid for aid, _ in executed]
-    return len(done) <= len(ids) and ids[: len(done)] == done
-
-
-def effective_deadlines(inst, f: InitiationFunction) -> EffectiveDeadlines:
+def effective_deadlines(inst, f: InitiationFunction) -> list[int]:
     """Computation deadline per process under initiation function f.
 
     For each process: the zero-slack bound ID_i - (undispatched prefix
@@ -145,14 +133,14 @@ def effective_deadlines(inst, f: InitiationFunction) -> EffectiveDeadlines:
                 bound = 0  # chain cannot finish inside ID_i even instantly
         d = bound if violation is None else min(bound, violation)
         out.append(max(0, min(d, proc.induced_deadline)))
-    return EffectiveDeadlines(out)
+    return out
 
 
 def reduce_to_kds(inst, f: InitiationFunction) -> KdsInstance:
     """Known-deadline scheduling instance equivalent to the f-restricted problem."""
-    eff = effective_deadlines(inst, f)
     procs = [
-        KdsProcess(p.profile, d) for p, d in zip(inst.processes, eff.values)
+        KdsProcess(p.profile, d)
+        for p, d in zip(inst.processes, effective_deadlines(inst, f))
     ]
     return KdsInstance(procs, inst.horizon)
 

@@ -88,20 +88,6 @@ class CopemInstance:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """Remaining computation time reported for one process."""
-
-    process_index: int
-    remaining_time: int
-
-    def __post_init__(self):
-        if self.process_index < 0:
-            raise ValueError("process index must be nonnegative")
-        if self.remaining_time < 0:
-            raise ValueError("remaining time must be nonnegative")
-
-
-@dataclass(frozen=True)
 class BranchOutcome:
     """Follow-up for one observation value: continuation value and schedule."""
 

@@ -42,13 +42,14 @@ def _integer(value, where):
 def _number(value, where):
     """value as a finite float. Booleans, non-numbers, NaN and infinities
     (which Python's JSON reader accepts) and integers too large for a float
-    raise FormatError."""
+    raise FormatError, which shows the value as JSON spells it (NaN, true)."""
     try:
         if not isinstance(value, bool) and math.isfinite(value):
             return float(value)
     except (TypeError, OverflowError):
         pass
-    raise FormatError(f"{where}: expected a finite number, got {value!r}")
+    raise FormatError(f"{where}: expected a finite number, "
+                      f"got {json.dumps(value, default=repr)}")
 
 
 def _flag(value, where):
@@ -72,7 +73,7 @@ def _pmf_to_json(dist):
 def _pmf_from_json(pairs, where):
     try:
         return DiscreteDistribution.from_pairs(
-            [(_integer(t, "time"), p) for t, p in pairs])
+            [(_integer(t, "time"), _number(p, "mass")) for t, p in pairs])
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{where}: bad pmf ({exc})") from exc
 
@@ -119,7 +120,8 @@ def _cope_processes_from_json(items, where):
     for k, p in enumerate(items):
         loc = f"{where} process {k}"
         prefix = tuple(
-            PrefixAction(str(aid), _integer(dur, f"{loc} prefix duration"))
+            PrefixAction(_string(aid, f"{loc} prefix action id"),
+                         _integer(dur, f"{loc} prefix duration"))
             for aid, dur in _require(p, "prefix", loc)
         )
         procs.append(CopeProcess(
@@ -166,7 +168,8 @@ def _copem_from_dict(doc) -> CopemInstance:
                                  "copem dispatch_budget"),
         observation_budget=_integer(_require(doc, "observation_budget", "copem"),
                                     "copem observation_budget"),
-        measurement_model=str(doc.get("measurement_model", "perfect")),
+        measurement_model=_string(doc.get("measurement_model", "perfect"),
+                                  "copem measurement_model"),
         horizon=_integer(_require(doc, "horizon", "copem"), "copem horizon"),
     )
 
@@ -264,9 +267,9 @@ def _bench_from_dict(doc) -> BenchmarkConfig:
     kwargs.update((key, _integer(doc[key], f"bench {key}"))
                   for key in ("instances", "t_wait", "seed", "max_expansions") if key in doc)
     if "modes" in doc:
-        kwargs["modes"] = tuple(doc["modes"])
-    return BenchmarkConfig(speeds=tuple(_require(doc, "speeds", "bench")),
-                           generator=generator, **kwargs)
+        kwargs["modes"] = tuple(_string(m, "bench modes") for m in doc["modes"])
+    speeds = tuple(_number(s, "bench speeds") for s in _require(doc, "speeds", "bench"))
+    return BenchmarkConfig(speeds=speeds, generator=generator, **kwargs)
 
 
 # -- dispatch ----------------------------------------------------------------

@@ -41,8 +41,8 @@ def simulate_policy(inst, policy, samples: int, seed: int) -> float:
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
     if isinstance(inst, KdsInstance) and isinstance(policy, KdsSolution):
+        rng = np.random.default_rng(seed)
         draws = [p.profile.sample(rng, samples) for p in inst.processes]
         success = np.zeros(samples, dtype=bool)
         _simulate_blocks(inst, policy.blocks, draws, np.ones(samples, bool), success)
@@ -52,12 +52,12 @@ def simulate_policy(inst, policy, samples: int, seed: int) -> float:
         sol = solve_kds_dp(reduced)
         return simulate_policy(reduced, sol, samples, seed)
     if isinstance(inst, CopemInstance) and isinstance(policy, MetaPolicy):
-        return _simulate_meta(inst, policy, samples, rng)
+        return _simulate_meta(inst, policy, samples, seed)
     raise TypeError(
         f"no simulation for {type(policy).__name__} on {type(inst).__name__}")
 
 
-def _simulate_meta(inst, policy, samples, rng):
+def _simulate_meta(inst, policy, samples, seed):
     # the measured process is resolved exactly by its own observation, so
     # each observation value maps to one fixed reduced instance and schedule
     first = policy.first_step
@@ -67,13 +67,11 @@ def _simulate_meta(inst, policy, samples, rng):
         measured, dispatched, disp_time = first[1], None, 1
     else:
         measured, dispatched, disp_time = policy.compute_after_dispatch, first[1], 0
-    draws = [p.profile.sample(rng, samples) for p in inst.processes]
     if measured is None:
-        reduced = reduce_to_kds(inst, _dispatch_f(inst, dispatched, 0))
-        sol = solve_kds_dp(reduced)
-        success = np.zeros(samples, dtype=bool)
-        _simulate_blocks(reduced, sol.blocks, draws, np.ones(samples, bool), success)
-        return float(success.mean())
+        # nothing observed: the dispatch's own reduction and schedule
+        return simulate_policy(inst, _dispatch_f(inst, dispatched, 0), samples, seed)
+    rng = np.random.default_rng(seed)
+    draws = [p.profile.sample(rng, samples) for p in inst.processes]
     obs = draws[measured]
     success = np.zeros(samples, dtype=bool)
     for o, branch in sorted(policy.second_step.items()):

@@ -13,13 +13,13 @@ search actually finished.
 Scoring reads what the loop already knows. Each node carries the suffix
 minima of its start tmaxes, so latest_start is a lookup. run_search keeps one
 memo per burst that maps h to a _Scores: the completion profile, its
-expected effort, q_known's whole-support tables and lpf's values by success
-index. Step pos is event pos + 1 of a node's network; networks hold
-positions only, no event names. The start children of one expansion share
-one network, built once by expand. A pin's two edges are kept by the
-tighten that probes the node's network with them and the node's chain
-after them, and the pinned network becomes the node's; no network is
-changed in place, so a shared one stays as its siblings read it.
+expected effort, q_known's whole-support tables and values by deadline, and
+lpf's values by success index. Step pos is event pos + 1 of a node's
+network; networks hold positions only, no event names. The start children
+of one expansion share one network, built once by expand. A pin's two edges
+are kept by the tighten that probes the node's network with them and the
+node's chain after them, and the pinned network becomes the node's; no
+network is changed in place, so a shared one stays as its siblings read it.
 _try_finish extends a node's network by one edge per uncommitted start.
 """
 
@@ -75,17 +75,23 @@ class PlanResult:
     reason: str = ""
 
 
+# the delay-damage scoring's allocation chunk t_u and discount gamma
+DDA_PARAMS = DdaParams()
+
+
 class _Scores:
     """The completion profile of nodes at one h, its expected effort e, and
-    what scoring reads of it: q_known's tables, built on first use, and
-    lpf's value by the clipped success index it reads."""
+    what scoring reads of it: q_known's tables, built on first use, its
+    value by deadline, and lpf's value by the clipped success index it
+    reads."""
 
-    __slots__ = ("profile", "e", "tables", "lpf")
+    __slots__ = ("profile", "e", "tables", "q", "lpf")
 
     def __init__(self, profile):
         self.profile = profile
         self.e = max(1, round(profile.mean()))
         self.tables = None
+        self.q = {}
         self.lpf = {}
 
 
@@ -98,18 +104,17 @@ def _profile(nd, stats, profiles):
     return entry
 
 
-def _argmax_q(pool, m, t_now, speed, stats, dda, profiles):
-    q_cache = {}
+def _argmax_q(pool, m, t_now, speed, stats, profiles):
     best = None
     best_q = -INF
     for nd in pool:
         d = deadline_steps(latest_start(nd, m), t_now, speed)
-        q = q_cache.get((nd.h, d))
+        entry = _profile(nd, stats, profiles)
+        q = entry.q.get(d)
         if q is None:
-            entry = _profile(nd, stats, profiles)
             if entry.tables is None:
                 entry.tables = q_tables(entry.profile)
-            q = q_cache[(nd.h, d)] = q_known(entry.profile, d, dda, entry.tables)
+            q = entry.q[d] = q_known(entry.profile, d, DDA_PARAMS, entry.tables)
         if best is None or q > best_q or (q == best_q and nd.generation_tick < best.generation_tick):
             best = nd
             best_q = q
@@ -331,7 +336,7 @@ def _try_finish(task, node, executed, records, stats, t_now):
 
 
 def run_search(task, mode="nodisp", speed=100.0, dispatch_params=None,
-               dda_params=None, max_expansions=200000):
+               max_expansions=200000):
     """Plan for `task` at the given search speed (expansions per second).
 
     `mode` picks the decision rule from `MODES`: "nodisp" schedules only
@@ -343,7 +348,6 @@ def run_search(task, mode="nodisp", speed=100.0, dispatch_params=None,
         raise ValueError(f"unknown mode {mode!r}")
     rule = globals()[MODES[mode]]
     dparams = dispatch_params if dispatch_params is not None else DispatchParams()
-    dda = dda_params if dda_params is not None else DdaParams()
     stats = SearchStats()
     executed = []
     records = []
@@ -374,7 +378,7 @@ def run_search(task, mode="nodisp", speed=100.0, dispatch_params=None,
                 pool = sub
             else:
                 focus_step = None
-        chosen = _argmax_q(pool, m, t_now, speed, stats, dda, profiles)
+        chosen = _argmax_q(pool, m, t_now, speed, stats, profiles)
         open_list.remove(chosen)
         goal_node, leftovers = _burst(task, chosen, m, stats, memo, pruned_dups,
                                       counts, dparams.t_wait)

@@ -40,13 +40,13 @@ class SearchStats:
     """Running aggregates the estimator feeds on.
 
     expansion_delay is the mean number of expansions a node waits between
-    generation and expansion; the one-step error tracker accumulates how far
-    each expansion moves the heuristic from the ideal decrease of exactly 1.
+    generation and expansion, delay_sum over expansions; the one-step error
+    tracker accumulates how far each expansion moves the heuristic from the
+    ideal decrease of exactly 1.
     """
 
     expansions: int = 0
     delay_sum: float = 0.0
-    delay_count: int = 0
     err_count: int = 0
     err_mean: float = 0.0
     err_m2: float = 0.0
@@ -54,7 +54,6 @@ class SearchStats:
     def note_expansion(self, generation_tick: int):
         self.expansions += 1
         self.delay_sum += self.expansions - generation_tick
-        self.delay_count += 1
 
     def note_h_step(self, parent_h: float, child_h: float):
         if math.isinf(parent_h) or math.isinf(child_h):
@@ -66,9 +65,9 @@ class SearchStats:
         self.err_m2 += d * (x - self.err_mean)
 
     def expansion_delay(self) -> float:
-        if self.delay_count == 0:
+        if self.expansions == 0:
             return 1.0
-        return max(1.0, self.delay_sum / self.delay_count)
+        return max(1.0, self.delay_sum / self.expansions)
 
     def h_error_std(self) -> float:
         if self.err_count < 2:
@@ -183,17 +182,20 @@ def tighten(task, node: SearchNode, base: Stn, pending=0, own=()):
     """
     edges = list(own)
     eps = EPSILON_SEPARATION
-    future = task.tils[node.til_count:]
+    # the upcoming timed deletions, in time order
+    deletions = [(lit.time, task.bit[lit.prop])
+                 for lit in task.tils[node.til_count:] if not lit.add]
     last = len(node.prefix)
     ev = last + 1
     for a in node.chain:
         edges.append((ev, last, -eps))
+        m = task.masks[a.name]
         bound = INF
-        for lit in future:
-            if not lit.add and lit.prop in a.conds:
-                cut = lit.time - eps
-                if lit.prop in a.cond_over or lit.prop in a.cond_end:
-                    cut = lit.time - a.duration
+        for time, bit in deletions:
+            if bit & m.conds:
+                cut = time - eps
+                if bit & (m.cond_over | m.cond_end):
+                    cut = time - a.duration
                 bound = min(bound, cut)
         if bound < INF:
             edges.append((0, ev, bound))
@@ -201,9 +203,9 @@ def tighten(task, node: SearchNode, base: Stn, pending=0, own=()):
         last = ev + 1
         ev += 2
     goal_cut = INF
-    for lit in future:
-        if not lit.add and lit.prop in task.goal:
-            goal_cut = min(goal_cut, lit.time - eps)
+    for time, bit in deletions:
+        if bit & task.goal_mask:
+            goal_cut = min(goal_cut, time - eps)
     if node.opens or goal_cut < INF:
         edges.append((ev, last, 0.0))
         for name, pos in node.opens:

@@ -22,16 +22,11 @@ class DurativeAction:
     del_start: frozenset = frozenset()
     add_end: frozenset = frozenset()
     del_end: frozenset = frozenset()
-    # every condition, derived once for tighten's scan of timed deletions
-    conds: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # a chained comparison, so that NaN fails too
         if not 0 < self.duration < math.inf:
             raise ValueError(f"action {self.name!r} needs a positive finite duration")
-        conds = self.cond_start | self.cond_over | self.cond_end
-        # equal sets share one object, so most actions pay no memory for it
-        object.__setattr__(self, "conds", self.cond_start if conds == self.cond_start else conds)
 
 
 class ActionMasks(NamedTuple):
@@ -96,7 +91,8 @@ class Task:
             raise ValueError("duplicate action names")
         self.by_name = {a.name: a for a in self.actions}
         for a in self.actions:
-            used = a.conds | a.add_start | a.add_end | a.del_start | a.del_end
+            used = (a.cond_start | a.cond_over | a.cond_end | a.add_start
+                    | a.add_end | a.del_start | a.del_end)
             if not used <= self.propositions:
                 raise ValueError(f"action {a.name!r} uses unknown propositions")
         for group, label in ((self.init, "init"), (self.goal, "goal")):

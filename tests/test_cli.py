@@ -125,6 +125,24 @@ def test_solve_copem11_prints_the_measurement_after_a_dispatch(tmp_path, capsys)
     assert solve11(inst).value == pytest.approx(expectimax_oracle(inst), abs=1e-12)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("prefix", [[7, 1]]),
+    ("pmf", [[1, "1.0"]]),
+    ("pmf", [[1, True]]),
+    ("measurement_model", 1),
+], ids=["prefix-id-number", "mass-string", "mass-bool", "model-number"])
+def test_solve_copem_refuses_fields_it_would_coerce(tmp_path, capsys, field, value):
+    doc = json.loads(json.dumps(DISPATCH_FIRST))
+    if field == "measurement_model":
+        doc[field] = value
+    else:
+        doc["processes"][0][field] = value
+    out = tmp_path / "copem.json"
+    out.write_text(json.dumps(doc))
+    assert main(["solve", "copem11", str(out)]) == 2
+    assert _one_error_line(capsys)
+
+
 def _emptied_copem(tmp_path):
     doc = json.loads(open(path("copem_worked.json"), encoding="utf-8").read())
     doc["processes"] = []
@@ -393,13 +411,18 @@ _BENCH_DOC = ('{"format": "bench", "version": 1, "speeds": [100.0], '
     (["bench"], {}, '"generator": {"goals": 1, "width": 1, "duration_range": "13"}}'),
     (["bench"], {}, '"frontier_min_1": "yes", "generator": {"goals": 1, "width": 1}}'),
     (["bench"], {}, '"sft_1": 1, "generator": {"goals": 1, "width": 1}}'),
+    # a repeated key replaces _BENCH_DOC's value: JSON's reader keeps the last
+    (["bench"], {}, '"speeds": [true], "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"speeds": ["100"], "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"modes": [["nodisp"]], "generator": {"goals": 1, "width": 1}}'),
 ], ids=["plan-dt", "plan-dt-nan", "plan-speed-inf", "plan-env-mode", "bench-dt",
         "bench-seed", "bench-instances", "bench-budget", "bench-t-wait",
         "bench-goals", "bench-width", "bench-dt-bool", "bench-dt-string",
         "bench-dt-nan", "bench-dt-null", "bench-sft-bool", "bench-sft-inf",
         "bench-tau-bool", "bench-tau-inf", "bench-tau-overflow",
         "bench-duration-bool", "bench-duration-string", "bench-duration-short",
-        "bench-duration-text", "bench-frontier-string", "bench-sft1-number"])
+        "bench-duration-text", "bench-frontier-string", "bench-sft1-number",
+        "bench-speed-bool", "bench-speed-string", "bench-mode-list"])
 def test_bad_settings_exit_2(tmp_path, capsys, monkeypatch, argv, env, doc):
     for name, value in env.items():
         monkeypatch.setenv(name, value)

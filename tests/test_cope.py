@@ -7,7 +7,6 @@ from copeplan.cope import (
     InitiationFunction,
     PrefixAction,
     brute_force_cope,
-    consistent,
     effective_deadlines,
     enumerate_initiation_functions,
     reduce_to_kds,
@@ -22,14 +21,6 @@ from helpers import random_cope_instance
 
 def proc(profile, prefix, induced):
     return CopeProcess(profile, tuple(prefix), induced)
-
-
-def test_consistent_prefix_matching():
-    h = [PrefixAction("a", 1), PrefixAction("b", 1)]
-    assert consistent(h, [("a", 0)])
-    assert not consistent(h, [("c", 0)])
-    assert consistent([PrefixAction("a", 1)], [])
-    assert not consistent([PrefixAction("a", 1)], [("a", 0), ("b", 2)])
 
 
 def test_enumeration_skips_functions_that_validate_refuses():
@@ -56,7 +47,7 @@ def test_effective_deadlines_no_dispatch():
         ]
     )
     eff = effective_deadlines(inst, InitiationFunction.empty())
-    assert eff.values == [3, 4]  # ID minus undispatched prefix duration
+    assert eff == [3, 4]  # ID minus undispatched prefix duration
 
 
 def test_effective_deadlines_own_dispatch_relaxes():
@@ -64,7 +55,7 @@ def test_effective_deadlines_own_dispatch_relaxes():
         [proc(DiscreteDistribution.delta(1), [PrefixAction("a", 2)], 5)]
     )
     f = InitiationFunction(0, {"a": 0})
-    assert effective_deadlines(inst, f).values == [5]
+    assert effective_deadlines(inst, f) == [5]
 
 
 def test_effective_deadlines_inconsistent_dispatch_caps():
@@ -76,8 +67,8 @@ def test_effective_deadlines_inconsistent_dispatch_caps():
     )
     f = InitiationFunction(0, {"a": 3})
     eff = effective_deadlines(inst, f)
-    assert eff.values[0] == 8
-    assert eff.values[1] == min(8 - 2, 3)
+    assert eff[0] == 8
+    assert eff[1] == min(8 - 2, 3)
 
 
 def test_effective_deadlines_infeasible_chain_collapses():
@@ -86,7 +77,7 @@ def test_effective_deadlines_infeasible_chain_collapses():
         [proc(DiscreteDistribution.delta(1), [PrefixAction("a", 3)], 5)]
     )
     f = InitiationFunction(0, {"a": 4})
-    assert effective_deadlines(inst, f).values == [0]
+    assert effective_deadlines(inst, f) == [0]
 
 
 def test_shared_first_action_not_invalidated():
@@ -99,8 +90,8 @@ def test_shared_first_action_not_invalidated():
     )
     f = InitiationFunction(0, {"a": 0})
     eff = effective_deadlines(inst, f)
-    assert eff.values[0] == 6       # fully dispatched
-    assert eff.values[1] == 6 - 1   # b still pending, a no longer counted
+    assert eff[0] == 6       # fully dispatched
+    assert eff[1] == 6 - 1   # b still pending, a no longer counted
 
 
 def test_initiation_function_validation():
@@ -133,7 +124,7 @@ def test_simulation_cutoff_matches_formula():
             eff = effective_deadlines(inst, f)
             executed = f.dispatch_sequence(inst)
             sim = [simulate_completion_cutoff(p, executed) for p in inst.processes]
-            assert sim == eff.values, (inst, f)
+            assert sim == eff, (inst, f)
 
 
 def test_appending_inconsistent_dispatch_never_raises_deadlines():

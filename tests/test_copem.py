@@ -12,7 +12,6 @@ from copeplan.cope import CopeInstance, CopeProcess, PrefixAction, reduce_to_kds
 from copeplan.copem import (
     CopemInstance,
     MetaPolicy,
-    Observation,
     expectimax_oracle,
     solve00,
     solve01,
@@ -50,10 +49,6 @@ def test_instance_validation():
     two = (PrefixAction("a", 1), PrefixAction("b", 1))
     with pytest.raises(ValueError):
         CopemInstance([CopeProcess(delta(1), two, 5)])
-    with pytest.raises(ValueError):
-        Observation(-1, 0)
-    with pytest.raises(ValueError):
-        Observation(0, -1)
     with pytest.raises(ValueError):
         MetaPolicy(1.5, ("compute", 0), None, {})
 

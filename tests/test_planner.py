@@ -174,7 +174,7 @@ def test_discretized_lognormal_matches_moments():
 
 def test_estimate_completion_uses_delay_and_dispersion():
     stats = SearchStats()
-    stats.delay_sum, stats.delay_count = 20.0, 10
+    stats.delay_sum, stats.expansions = 20.0, 10
     root = make_root(micro_task())
     root.h = 3.0
     est = estimate_completion(root, stats)
@@ -344,6 +344,46 @@ def test_tighten_matches_persistent_network_reference(monkeypatch):
     verdicts = _tighten_verdicts_against_reference(
         monkeypatch, benchmark_tasks(cfg)[:10], cfg.dispatch_params(), cfg.max_expansions)
     assert True in verdicts and False in verdicts
+
+
+_EPS = search.EPSILON_SEPARATION
+
+
+@pytest.mark.parametrize("conds,goal,tils,latest", [
+    # a start-only condition must hold until just before the deletion
+    ({"cond_start": fs("c")}, fs("done"), [(10.0, False)], 10.0 - 2 * _EPS),
+    # the earliest of two deletions bounds it
+    ({"cond_start": fs("c")}, fs("done"), [(10.0, False), (12.0, False)], 10.0 - 2 * _EPS),
+    # an over-all or end condition must hold until the action ends
+    ({"cond_over": fs("c")}, fs("done"), [(10.0, False)], 8.0 - _EPS),
+    ({"cond_end": fs("c")}, fs("done"), [(10.0, False)], 8.0 - _EPS),
+    # a goal must hold when the chain is done
+    ({}, fs("done", "c"), [(10.0, False)], 8.0 - 2 * _EPS),
+    # an adding literal bounds nothing; only the start's own edge remains
+    ({"cond_start": fs("c"), "cond_over": fs("c")}, fs("done", "c"), [(10.0, True)],
+     10.0 - _EPS),
+], ids=["start-only", "start-only-twice", "over-all", "end-only", "goal", "adding"])
+def test_tighten_bounds_the_chain_by_each_kind_of_timed_deletion(conds, goal, tils, latest):
+    """After `w` starts, the relaxed chain is action `a` (duration 2), which
+    timed literals on `c` bound according to where `a` needs `c`; the bound
+    reaches `w`'s latest start through the chain. tighten gives the
+    reference's verdict, network and start tmaxes bit for bit."""
+    task = Task(
+        propositions=fs("c", "done"),
+        actions=(DurativeAction("w", 1.0),
+                 DurativeAction("a", 2.0, add_end=fs("done"), **conds)),
+        init=fs("c"),
+        goal=goal,
+        tils=tuple(TimedLiteral(time, "c", add) for time, add in tils),
+    )
+    node = make_child(task, make_root(task), ("start", "w"), 1)
+    assert [a.name for a in node.chain] == ["a"]
+    ref = copy.copy(node)
+    assert search.tighten(task, node, node.stn) is True
+    assert reference_kernels.tighten(task, ref, node.stn) is True
+    assert node.stn.dist.tobytes() == ref.stn.dist.tobytes()
+    assert node.latest == [reference_kernels.latest_start(ref, c) for c in (0, 1)]
+    assert node.latest[0] == pytest.approx(latest, abs=1e-12)
 
 
 def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
@@ -551,9 +591,10 @@ def test_decisions_match_per_node_references(monkeypatch):
     _check_tighten_against_reference(monkeypatch, [])
     seen = {"argmax": 0, "chain": 0, "dispatch": 0, "focus": 0, None: 0}
 
-    def checked_argmax(pool, m, t_now, speed, stats, dda, profiles):
-        got = argmax(pool, m, t_now, speed, stats, dda, profiles)
-        assert got is reference_kernels.argmax_q(pool, m, t_now, speed, stats, dda)
+    def checked_argmax(pool, m, t_now, speed, stats, profiles):
+        got = argmax(pool, m, t_now, speed, stats, profiles)
+        assert got is reference_kernels.argmax_q(pool, m, t_now, speed, stats,
+                                                 engine.DDA_PARAMS)
         seen["argmax"] += 1
         return got
 
