@@ -37,8 +37,17 @@ EXIT_PARSE = 2
 EXIT_MODEL = 3
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _bool(text) -> bool:
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
+    """A yes/no setting in any case; other text raises ValueError."""
+    try:
+        return _BOOLS[str(text).strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a yes/no setting (1/true/yes/on or 0/false/no/off), "
+                         f"got {text!r}") from None
 
 
 def _setting(args, name, cast, config_value):
@@ -205,7 +214,8 @@ def _effective_bench_config(args) -> BenchmarkConfig:
 def cmd_bench(args) -> int:
     cfg = _usage(lambda: _effective_bench_config(args))
     rows = run_benchmark(cfg)
-    echo = json.dumps(cfg.to_dict(), sort_keys=True)
+    doc = fileio.to_dict(cfg)
+    echo = json.dumps(doc, sort_keys=True)
     csv_text = "# config " + echo + "\n" + rows_to_csv(rows)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -214,7 +224,7 @@ def cmd_bench(args) -> int:
         sys.stdout.write(csv_text)
     if args.jsonl:
         with open(args.jsonl, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"config": cfg.to_dict()}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"config": doc}, sort_keys=True) + "\n")
             fh.write(rows_to_jsonl(rows))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:

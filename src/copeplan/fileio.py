@@ -1,13 +1,21 @@
 """Tagged JSON document formats for instances, tasks, and benchmark configs.
 
 Every document carries a format tag and version so files identify their own
-kind. Distributions serialize as sparse [time, probability] pairs. Parsing
-raises FormatError with the offending field named; parse -> serialize ->
-parse is the identity for every shipped file.
+kind. Each format is one table of fields, walked by one reader (`_read`) and
+one writer (`_write`). A field names its JSON key, its kind, the model
+attribute it fills when that differs from the key, and whether the key may
+be absent, in which case the model's own default applies. The tables check
+only JSON kinds and presence, and refuse unknown keys at every level; value
+ranges stay in the model constructors. Distributions serialize as sparse
+[time, probability] pairs. Parsing raises FormatError with the offending
+field named; parse -> serialize -> parse is the identity for every shipped
+file.
 """
 
 import json
 import math
+from dataclasses import astuple
+from typing import NamedTuple
 
 from .cope import CopeInstance, CopeProcess, PrefixAction
 from .copem import CopemInstance
@@ -23,10 +31,46 @@ class FormatError(ValueError):
     pass
 
 
-def _require(doc, key, where):
-    if key not in doc:
-        raise FormatError(f"{where}: missing field {key!r}")
-    return doc[key]
+# -- kinds -------------------------------------------------------------------
+
+class Field(NamedTuple):
+    """One key of a JSON object: its kind, the model attribute it fills (the
+    key itself when None), and whether the key may be absent."""
+
+    key: str
+    kind: object
+    attr: str = None
+    optional: bool = False
+
+
+class Obj(NamedTuple):
+    """A JSON object of these fields, read as model(**fields)."""
+
+    model: type
+    fields: tuple
+
+
+class Many(NamedTuple):
+    """A JSON list of one kind, read as model(items). Items are named in the
+    singular: the list "task actions" holds "task action 0", ..."""
+
+    item: object
+    label: str
+    model: type = tuple
+
+
+class Row(NamedTuple):
+    """A JSON list of fixed length whose entries are (label, kind) pairs,
+    read as model(*values), or as a plain tuple when model is None."""
+
+    model: object
+    items: tuple
+
+
+class Maybe(NamedTuple):
+    """A kind, or JSON null for None."""
+
+    kind: object
 
 
 def _integer(value, where):
@@ -52,13 +96,6 @@ def _number(value, where):
                       f"got {json.dumps(value, default=repr)}")
 
 
-def _flag(value, where):
-    """value when it is a JSON boolean; anything else raises FormatError."""
-    if not isinstance(value, bool):
-        raise FormatError(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
 def _string(value, where):
     """value when it is a JSON string; anything else raises FormatError."""
     if not isinstance(value, str):
@@ -66,144 +103,11 @@ def _string(value, where):
     return value
 
 
-def _pmf_to_json(dist):
-    return [[t, p] for t, p in dist.pairs()]
-
-
-def _pmf_from_json(pairs, where):
-    try:
-        return DiscreteDistribution.from_pairs(
-            [(_integer(t, "time"), _number(p, "mass")) for t, p in pairs])
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise FormatError(f"{where}: bad pmf ({exc})") from exc
-
-
-# -- abstract instances ------------------------------------------------------
-
-def kds_to_dict(inst: KdsInstance) -> dict:
-    return {
-        "format": "kds",
-        "version": VERSION,
-        "horizon": inst.horizon,
-        "processes": [
-            {"pmf": _pmf_to_json(p.profile), "deadline": p.deadline}
-            for p in inst.processes
-        ],
-    }
-
-
-def _kds_from_dict(doc) -> KdsInstance:
-    procs = []
-    for k, p in enumerate(_require(doc, "processes", "kds")):
-        where = f"kds process {k}"
-        procs.append(KdsProcess(
-            profile=_pmf_from_json(_require(p, "pmf", where), where),
-            deadline=_integer(_require(p, "deadline", where), f"{where} deadline"),
-        ))
-    return KdsInstance(
-        procs, horizon=_integer(_require(doc, "horizon", "kds"), "kds horizon"))
-
-
-def _cope_processes_to_json(processes):
-    out = []
-    for p in processes:
-        out.append({
-            "pmf": _pmf_to_json(p.profile),
-            "prefix": [[a.action_id, a.duration] for a in p.prefix],
-            "induced_deadline": p.induced_deadline,
-        })
-    return out
-
-
-def _cope_processes_from_json(items, where):
-    procs = []
-    for k, p in enumerate(items):
-        loc = f"{where} process {k}"
-        prefix = tuple(
-            PrefixAction(_string(aid, f"{loc} prefix action id"),
-                         _integer(dur, f"{loc} prefix duration"))
-            for aid, dur in _require(p, "prefix", loc)
-        )
-        procs.append(CopeProcess(
-            profile=_pmf_from_json(_require(p, "pmf", loc), loc),
-            prefix=prefix,
-            induced_deadline=_integer(_require(p, "induced_deadline", loc),
-                                      f"{loc} induced_deadline"),
-        ))
-    return procs
-
-
-def cope_to_dict(inst: CopeInstance) -> dict:
-    return {
-        "format": "cope",
-        "version": VERSION,
-        "horizon": inst.horizon,
-        "processes": _cope_processes_to_json(inst.processes),
-    }
-
-
-def _cope_from_dict(doc) -> CopeInstance:
-    return CopeInstance(
-        _cope_processes_from_json(_require(doc, "processes", "cope"), "cope"),
-        horizon=_integer(_require(doc, "horizon", "cope"), "cope horizon"),
-    )
-
-
-def copem_to_dict(inst: CopemInstance) -> dict:
-    return {
-        "format": "copem",
-        "version": VERSION,
-        "horizon": inst.horizon,
-        "dispatch_budget": inst.dispatch_budget,
-        "observation_budget": inst.observation_budget,
-        "measurement_model": inst.measurement_model,
-        "processes": _cope_processes_to_json(inst.processes),
-    }
-
-
-def _copem_from_dict(doc) -> CopemInstance:
-    return CopemInstance(
-        _cope_processes_from_json(_require(doc, "processes", "copem"), "copem"),
-        dispatch_budget=_integer(_require(doc, "dispatch_budget", "copem"),
-                                 "copem dispatch_budget"),
-        observation_budget=_integer(_require(doc, "observation_budget", "copem"),
-                                    "copem observation_budget"),
-        measurement_model=_string(doc.get("measurement_model", "perfect"),
-                                  "copem measurement_model"),
-        horizon=_integer(_require(doc, "horizon", "copem"), "copem horizon"),
-    )
-
-
-# -- planning tasks ----------------------------------------------------------
-
-def task_to_dict(task: Task) -> dict:
-    def sets(a):
-        return {
-            "cond_start": sorted(a.cond_start),
-            "cond_over": sorted(a.cond_over),
-            "cond_end": sorted(a.cond_end),
-            "add_start": sorted(a.add_start),
-            "del_start": sorted(a.del_start),
-            "add_end": sorted(a.add_end),
-            "del_end": sorted(a.del_end),
-        }
-
-    return {
-        "format": "task",
-        "version": VERSION,
-        "propositions": sorted(task.propositions),
-        "actions": [
-            {"name": a.name, "duration": a.duration, **sets(a)}
-            for a in task.actions
-        ],
-        "init": sorted(task.init),
-        "goal": sorted(task.goal),
-        "tils": [[lit.time, lit.prop, lit.add] for lit in task.tils],
-    }
-
-
-_ACTION_SETS = ("cond_start", "cond_over", "cond_end",
-                "add_start", "del_start", "add_end", "del_end")
+def _flag(value, where):
+    """value when it is a JSON boolean; anything else raises FormatError."""
+    if not isinstance(value, bool):
+        raise FormatError(f"{where}: expected true or false, got {value!r}")
+    return value
 
 
 def _propositions(value, where):
@@ -214,106 +118,176 @@ def _propositions(value, where):
     return frozenset(value)
 
 
-def _task_from_dict(doc) -> Task:
-    actions = []
-    for k, a in enumerate(_require(doc, "actions", "task")):
-        where = f"task action {k}"
-        if not isinstance(a, dict):
-            raise FormatError(f"{where}: not a JSON object")
-        kwargs = {key: _propositions(a.get(key, []), f"{where} {key}") for key in _ACTION_SETS}
-        actions.append(DurativeAction(
-            name=_string(_require(a, "name", where), f"{where} name"),
-            duration=_number(_require(a, "duration", where), f"{where} duration"),
-            **kwargs,
-        ))
-    tils = tuple(
-        TimedLiteral(time=_number(t, f"task timed literal {k} time"),
-                     prop=_string(p, f"task timed literal {k} proposition"),
-                     add=_flag(add, f"task timed literal {k} add"))
-        for k, (t, p, add) in enumerate(doc.get("tils", ()))
-    )
-    propositions = _propositions(_require(doc, "propositions", "task"), "task propositions")
-    init = _propositions(_require(doc, "init", "task"), "task init")
-    goal = _propositions(doc.get("goal", []), "task goal")
+_PAIR = Row(None, (("time", "integer"), ("mass", "number")))
+
+
+def _pmf(value, where):
+    """A DiscreteDistribution from a list of [time, mass] pairs."""
     try:
-        return Task(propositions=propositions, actions=tuple(actions), init=init,
-                    goal=goal, tils=tils)
+        if not isinstance(value, list):
+            raise FormatError(f"expected a list of [time, mass] pairs, got {value!r}")
+        return DiscreteDistribution.from_pairs(
+            [_read(_PAIR, pair, f"pair {k}") for k, pair in enumerate(value)])
     except ValueError as exc:
-        raise FormatError(f"task: {exc}") from exc
+        raise FormatError(f"{where}: bad pmf ({exc})") from exc
 
 
-# -- benchmark configs -------------------------------------------------------
-
-def _bench_from_dict(doc) -> BenchmarkConfig:
-    gen = doc.get("generator", {})
-    if not isinstance(gen, dict):
-        raise FormatError("bench: generator is not a JSON object")
-    defaults = GeneratorParams()
-    span = gen.get("duration_range", defaults.duration_range)
-    if not isinstance(span, (list, tuple)) or len(span) != 2:
-        raise FormatError(f"bench generator duration_range: expected two numbers, got {span!r}")
-    generator = GeneratorParams(
-        goals=_integer(gen.get("goals", defaults.goals), "bench generator goals"),
-        duration_range=tuple(_number(x, "bench generator duration_range") for x in span),
-        tau=_number(gen.get("tau", defaults.tau), "bench generator tau"),
-        width=_integer(gen.get("width", defaults.width), "bench generator width"),
-    )
-    kwargs = {key: _flag(doc[key], f"bench {key}")
-              for key in ("frontier_min_1", "sft_1") if key in doc}
-    if "dt" in doc:
-        kwargs["dt"] = _number(doc["dt"], "bench dt")
-    if doc.get("sft") is not None:  # null keeps the default, half of dt
-        kwargs["sft"] = _number(doc["sft"], "bench sft")
-    kwargs.update((key, _integer(doc[key], f"bench {key}"))
-                  for key in ("instances", "t_wait", "seed", "max_expansions") if key in doc)
-    if "modes" in doc:
-        kwargs["modes"] = tuple(_string(m, "bench modes") for m in doc["modes"])
-    speeds = tuple(_number(s, "bench speeds") for s in _require(doc, "speeds", "bench"))
-    return BenchmarkConfig(speeds=speeds, generator=generator, **kwargs)
+_SCALARS = {"integer": _integer, "number": _number, "string": _string,
+            "flag": _flag, "propositions": _propositions, "pmf": _pmf}
 
 
-# -- dispatch ----------------------------------------------------------------
+# -- the walkers ---------------------------------------------------------------
 
-_WRITERS = {
-    KdsInstance: kds_to_dict,
-    CopeInstance: cope_to_dict,
-    CopemInstance: copem_to_dict,
-    Task: task_to_dict,
-    BenchmarkConfig: BenchmarkConfig.to_dict,
+def _build(model, where, *args, **kwargs):
+    """model(*args, **kwargs), its refusal raised as a FormatError at where."""
+    try:
+        return model(*args, **kwargs)
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def _read(kind, value, where):
+    """value, checked against kind and built into its model; where names
+    value in errors. A kind is a scalar's name in _SCALARS, or an Obj, Many,
+    Row or Maybe."""
+    if isinstance(kind, str):
+        return _SCALARS[kind](value, where)
+    if isinstance(kind, Maybe):
+        return None if value is None else _read(kind.kind, value, where)
+    if isinstance(kind, Many):
+        if not isinstance(value, list):
+            raise FormatError(f"{where}: expected a list, got {value!r}")
+        outer = where.rpartition(" ")[0]
+        return kind.model(_read(kind.item, v, f"{outer} {kind.label} {k}")
+                          for k, v in enumerate(value))
+    if isinstance(kind, Row):
+        labels = [label for label, _ in kind.items]
+        if not isinstance(value, list) or len(value) != len(labels):
+            raise FormatError(f"{where}: expected [{', '.join(labels)}], got {value!r}")
+        values = [_read(k, v, f"{where} {label}") for (label, k), v in zip(kind.items, value)]
+        return tuple(values) if kind.model is None else _build(kind.model, where, *values)
+    if not isinstance(value, dict):
+        raise FormatError(f"{where}: expected an object, got {value!r}")
+    unknown = value.keys() - {f.key for f in kind.fields}
+    if unknown:
+        raise FormatError(f"{where}: unknown field {min(unknown)!r}")
+    args = {}
+    for f in kind.fields:
+        if f.key in value:
+            args[f.attr or f.key] = _read(f.kind, value[f.key], f"{where} {f.key}")
+        elif not f.optional:
+            raise FormatError(f"{where}: missing field {f.key!r}")
+    return _build(kind.model, where, **args)
+
+
+def _write(kind, value):
+    """The JSON form of value, a model of kind."""
+    if kind == "propositions":
+        return sorted(value)
+    if kind == "pmf":
+        return [[t, p] for t, p in value.pairs()]
+    if isinstance(kind, str):
+        return value
+    if isinstance(kind, Maybe):
+        return None if value is None else _write(kind.kind, value)
+    if isinstance(kind, Many):
+        return [_write(kind.item, v) for v in value]
+    if isinstance(kind, Row):
+        values = value if kind.model is None else astuple(value)
+        return [_write(k, v) for (_, k), v in zip(kind.items, values)]
+    return {f.key: _write(f.kind, getattr(value, f.attr or f.key)) for f in kind.fields}
+
+
+# -- the formats -------------------------------------------------------------
+
+_KDS_PROCESS = Obj(KdsProcess, (Field("pmf", "pmf", "profile"),
+                                Field("deadline", "integer")))
+
+_COPE_PROCESS = Obj(CopeProcess, (
+    Field("pmf", "pmf", "profile"),
+    Field("prefix", Many(Row(PrefixAction, (("id", "string"), ("duration", "integer"))),
+                         "prefix action")),
+    Field("induced_deadline", "integer"),
+))
+
+_ACTION_SETS = ("cond_start", "cond_over", "cond_end",
+                "add_start", "del_start", "add_end", "del_end")
+
+_ACTION = Obj(DurativeAction, (
+    Field("name", "string"),
+    Field("duration", "number"),
+    *(Field(key, "propositions", optional=True) for key in _ACTION_SETS),
+))
+
+_TIMED_LITERAL = Row(TimedLiteral, (("time", "number"), ("proposition", "string"),
+                                    ("add", "flag")))
+
+_GENERATOR = Obj(GeneratorParams, tuple(Field(key, kind, optional=True) for key, kind in (
+    ("goals", "integer"),
+    ("duration_range", Row(None, (("low", "number"), ("high", "number")))),
+    ("tau", "number"),
+    ("width", "integer"),
+)))
+
+_FORMATS = {
+    "kds": Obj(KdsInstance, (Field("horizon", "integer"),
+                             Field("processes", Many(_KDS_PROCESS, "process", list)))),
+    "cope": Obj(CopeInstance, (Field("horizon", "integer"),
+                               Field("processes", Many(_COPE_PROCESS, "process", list)))),
+    "copem": Obj(CopemInstance, (
+        Field("horizon", "integer"),
+        Field("dispatch_budget", "integer"),
+        Field("observation_budget", "integer"),
+        Field("measurement_model", "string", optional=True),
+        Field("processes", Many(_COPE_PROCESS, "process", list)),
+    )),
+    "task": Obj(Task, (
+        Field("propositions", "propositions"),
+        Field("actions", Many(_ACTION, "action")),
+        Field("init", "propositions"),
+        Field("goal", "propositions", optional=True),
+        Field("tils", Many(_TIMED_LITERAL, "timed literal"), optional=True),
+    )),
+    "bench": Obj(BenchmarkConfig, (
+        Field("speeds", Many("number", "speed")),
+        *(Field(key, kind, optional=True) for key, kind in (
+            ("modes", Many("string", "mode")),
+            ("instances", "integer"),
+            ("dt", "number"),
+            ("sft", Maybe("number")),  # null keeps the default, half of dt
+            ("t_wait", "integer"),
+            ("frontier_min_1", "flag"),
+            ("sft_1", "flag"),
+            ("seed", "integer"),
+            ("max_expansions", "integer"),
+            ("generator", _GENERATOR),
+        )),
+    )),
 }
 
-_READERS = {
-    "kds": _kds_from_dict,
-    "cope": _cope_from_dict,
-    "copem": _copem_from_dict,
-    "task": _task_from_dict,
-    "bench": _bench_from_dict,
-}
 
+# -- documents ---------------------------------------------------------------
 
 def to_dict(obj) -> dict:
-    writer = _WRITERS.get(type(obj))
-    if writer is None:
-        raise FormatError(f"cannot serialize {type(obj).__name__}")
-    return writer(obj)
+    for tag, kind in _FORMATS.items():
+        if type(obj) is kind.model:
+            return {"format": tag, "version": VERSION, **_write(kind, obj)}
+    raise FormatError(f"cannot serialize {type(obj).__name__}")
 
 
 def from_dict(doc):
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
-    tag = _require(doc, "format", "document")
+    if "format" not in doc:
+        raise FormatError("document: missing field 'format'")
+    tag = doc["format"]
     version = _integer(doc.get("version", 0), "document version")
     if version != VERSION:
         raise FormatError(f"document: unsupported version {version}")
-    reader = _READERS.get(tag)
-    if reader is None:
+    if not isinstance(tag, str) or tag not in _FORMATS:
         raise FormatError(f"document: unknown format {tag!r}")
-    try:
-        return reader(doc)
-    except FormatError:
-        raise
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
-        raise FormatError(f"{tag}: {exc}") from exc
+    body = {key: value for key, value in doc.items() if key not in ("format", "version")}
+    return _read(_FORMATS[tag], body, tag)
 
 
 def dumps(obj) -> str:

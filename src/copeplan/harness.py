@@ -213,8 +213,12 @@ class BenchmarkConfig:
     generator: GeneratorParams = field(default_factory=GeneratorParams)
 
     def __post_init__(self):
-        if not self.speeds:
-            raise ValueError("need at least one speed")
+        for name, values in (("speed", self.speeds), ("mode", self.modes)):
+            if not values:
+                raise ValueError(f"need at least one {name}")
+            # a repeat would run and count every row once per repeat
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name}s repeat a value")
         if self.instances < 1:
             raise ValueError("need at least one instance")
         if not all(0 < s < math.inf for s in self.speeds):
@@ -233,28 +237,6 @@ class BenchmarkConfig:
             minimums = {"min_subtree_expansions": 1, "min_sim_open": 1}
         return DispatchParams(dt=self.dt, sft=1.0 if self.sft_1 else self.sft,
                               t_wait=self.t_wait, **minimums)
-
-    def to_dict(self) -> dict:
-        return {
-            "format": "bench",
-            "version": 1,
-            "speeds": list(self.speeds),
-            "modes": list(self.modes),
-            "instances": self.instances,
-            "dt": self.dt,
-            "sft": self.sft,
-            "t_wait": self.t_wait,
-            "frontier_min_1": self.frontier_min_1,
-            "sft_1": self.sft_1,
-            "seed": self.seed,
-            "max_expansions": self.max_expansions,
-            "generator": {
-                "goals": self.generator.goals,
-                "duration_range": list(self.generator.duration_range),
-                "tau": self.generator.tau,
-                "width": self.generator.width,
-            },
-        }
 
 
 def benchmark_tasks(config: BenchmarkConfig) -> list:

@@ -261,7 +261,7 @@ def test_c08_benchmark_csv_byte_deterministic(tmp_path):
 
 def test_c08_shipped_bench_matches_golden_digest(shipped_bench):
     cfg, runs = shipped_bench
-    text = ("# config " + json.dumps(cfg.to_dict(), sort_keys=True) + "\n"
+    text = ("# config " + json.dumps(fileio.to_dict(cfg), sort_keys=True) + "\n"
             + rows_to_csv([row for row, _, _ in runs]))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_BENCH_SHA256
     print("PASS golden digest: shipped benchmark table unchanged")

@@ -316,6 +316,20 @@ def test_plan_rejects_proposition_fields_that_are_not_lists_of_strings(
     assert captured.err.startswith("error:") and f"{field}: expected a list" in captured.err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["actions"].append(dict(doc["actions"][0])),
+    lambda doc: doc["actions"][0].update(add_end=["nowhere"]),
+    lambda doc: doc["init"].append("nowhere"),
+    lambda doc: doc["goal"].append("nowhere"),
+    lambda doc: doc["tils"][0].__setitem__(1, "nowhere"),
+], ids=["duplicate-action", "action-unknown", "init-unknown", "goal-unknown", "til-unknown"])
+def test_plan_refuses_tasks_the_model_rejects(tmp_path, capsys, edit):
+    assert main(["plan", _demo_task_with(tmp_path, edit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: task: ")
+
+
 def test_wrong_document_kind_exits_3(capsys):
     assert main(["solve", "kds", path("demo_task.json")]) == 3
     assert "expected a kds document" in capsys.readouterr().err
@@ -415,6 +429,18 @@ _BENCH_DOC = ('{"format": "bench", "version": 1, "speeds": [100.0], '
     (["bench"], {}, '"speeds": [true], "generator": {"goals": 1, "width": 1}}'),
     (["bench"], {}, '"speeds": ["100"], "generator": {"goals": 1, "width": 1}}'),
     (["bench"], {}, '"modes": [["nodisp"]], "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"max_expansion": 3, "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"generator": {"goals": 1, "width": 1, "seed": 3}}'),
+    (["bench"], {}, '"speeds": [100.0, 100.0], "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"modes": ["nodisp", "nodisp"], "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"modes": [], "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"speeds": [], "generator": {"goals": 1, "width": 1}}'),
+    (["bench"], {}, '"instances": 0, "generator": {"goals": 1, "width": 1}}'),
+    (["bench", path("bench.json"), "--speeds", "5,5"], {}, None),
+    (["bench", path("bench.json"), "--modes", "nodisp,nodisp"], {}, None),
+    (["plan", path("demo_task.json"), "--config"], {}, '"modes": []}'),
+    (["plan", path("demo_task.json")], {"COPEPLAN_SFT_1": "maybe"}, None),
+    (["bench", path("bench.json")], {"COPEPLAN_FRONTIER_MIN_1": "ture"}, None),
 ], ids=["plan-dt", "plan-dt-nan", "plan-speed-inf", "plan-env-mode", "bench-dt",
         "bench-seed", "bench-instances", "bench-budget", "bench-t-wait",
         "bench-goals", "bench-width", "bench-dt-bool", "bench-dt-string",
@@ -422,7 +448,12 @@ _BENCH_DOC = ('{"format": "bench", "version": 1, "speeds": [100.0], '
         "bench-tau-bool", "bench-tau-inf", "bench-tau-overflow",
         "bench-duration-bool", "bench-duration-string", "bench-duration-short",
         "bench-duration-text", "bench-frontier-string", "bench-sft1-number",
-        "bench-speed-bool", "bench-speed-string", "bench-mode-list"])
+        "bench-speed-bool", "bench-speed-string", "bench-mode-list",
+        "bench-unknown-key", "bench-generator-unknown-key", "bench-speeds-repeated",
+        "bench-modes-repeated", "bench-modes-empty", "bench-speeds-empty",
+        "bench-instances-zero", "bench-flag-speeds-repeated",
+        "bench-flag-modes-repeated", "plan-config-modes-empty", "plan-env-bool",
+        "bench-env-bool"])
 def test_bad_settings_exit_2(tmp_path, capsys, monkeypatch, argv, env, doc):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -480,6 +511,12 @@ def test_env_overrides_and_flag_precedence(capsys, monkeypatch):
                  "--speed", "31"]) == 0
     echo = json.loads(capsys.readouterr().out.splitlines()[0][len("# config "):])
     assert echo["speed"] == 31.0 and echo["dt"] == 0.25
+    # a yes/no setting reads its spellings in any case
+    for text, sft in (("Yes", 1.0), ("OFF", 0.125)):
+        monkeypatch.setenv("COPEPLAN_SFT_1", text)
+        assert main(["plan", path("demo_task.json"), "--mode", "nodisp"]) == 0
+        echo = json.loads(capsys.readouterr().out.splitlines()[0][len("# config "):])
+        assert echo["sft"] == sft
 
 
 def _clear_env(monkeypatch):

@@ -56,7 +56,39 @@ def test_save_load_file(tmp_path):
     assert fileio.dumps(fileio.load(path)) == fileio.dumps(inst)
 
 
+_KDS = '{"format": "kds", "version": 1, "horizon": 3, '
+_PROCESS = '{"pmf": [[1, 1.0]], "deadline": 1'
+_TASK = '{"format": "task", "version": 1, "propositions": ["p"], "init": [], '
+_BENCH = '{"format": "bench", "version": 1, "speeds": [1.0], '
+
+# a malformed document and its whole error message, which names the field
+_SCHEMA_ERRORS = [
+    (_KDS + '"processes": [], "horizn": 3}', "kds: unknown field 'horizn'"),
+    (_KDS + '"processes": [' + _PROCESS + ', "deadlin": 1}]}',
+     "kds process 0: unknown field 'deadlin'"),
+    (_TASK + '"actions": [{"name": "a", "duration": 1, "cond_strat": ["p"]}]}',
+     "task action 0: unknown field 'cond_strat'"),
+    (_BENCH + '"generator": {"goals": 1, "seed": 3}}', "bench generator: unknown field 'seed'"),
+    (_KDS + '"processes": [5]}', "kds process 0: expected an object, got 5"),
+    (_KDS + '"processes": [{"pmf": [[1]], "deadline": 1}]}',
+     "kds process 0 pmf: bad pmf (pair 0: expected [time, mass], got [1])"),
+    (_KDS + '"processes": [{"pmf": 1.0, "deadline": 1}]}',
+     "kds process 0 pmf: bad pmf (expected a list of [time, mass] pairs, got 1.0)"),
+    ('{"format": "cope", "version": 1, "horizon": 3, "processes": [{"pmf": [[1, 1.0]], '
+     '"prefix": [["a"]], "induced_deadline": 1}]}',
+     "cope process 0 prefix action 0: expected [id, duration], got ['a']"),
+    (_TASK + '"actions": [], "tils": [[1.0, "p"]]}',
+     "task timed literal 0: expected [time, proposition, add], got [1.0, 'p']"),
+    (_BENCH + '"generator": {"duration_range": [1.0]}}',
+     "bench generator duration_range: expected [low, high], got [1.0]"),
+]
+
+
 def test_format_errors_name_the_problem():
+    for text, message in _SCHEMA_ERRORS:
+        with pytest.raises(fileio.FormatError) as exc:
+            fileio.loads(text)
+        assert str(exc.value) == message
     with pytest.raises(fileio.FormatError, match="not a JSON object"):
         fileio.from_dict([1, 2])
     with pytest.raises(fileio.FormatError, match="missing field 'format'"):
@@ -68,7 +100,7 @@ def test_format_errors_name_the_problem():
     with pytest.raises(fileio.FormatError, match="kds process 0"):
         fileio.from_dict({"format": "kds", "version": 1, "horizon": 3,
                           "processes": [{"deadline": 1}]})
-    with pytest.raises(fileio.FormatError, match="task action 0: not a JSON object"):
+    with pytest.raises(fileio.FormatError, match="task actions: expected a list"):
         fileio.from_dict({"format": "task", "version": 1, "propositions": [],
                           "init": [], "actions": "abc"})
     with pytest.raises(fileio.FormatError, match="bad pmf"):

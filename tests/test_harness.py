@@ -168,9 +168,9 @@ def test_benchmark_config_round_trips():
     cfg = BenchmarkConfig(speeds=(4.0, 9.0), instances=5, dt=0.25, seed=3,
                           frontier_min_1=True,
                           generator=GeneratorParams(goals=4, tau=1.1, width=3))
-    doc = cfg.to_dict()
+    doc = fileio.to_dict(cfg)
     again = fileio.from_dict(doc)
-    assert again.to_dict() == doc
+    assert fileio.to_dict(again) == doc
     assert len(benchmark_tasks(cfg)) == 5
     bare = fileio.from_dict({"format": "bench", "version": 1, "speeds": [4.0]})
     assert bare.generator == GeneratorParams() and bare.modes == ("disp", "nodisp")
