@@ -1,25 +1,30 @@
 """Command-line front end for the solvers, planner, generator, and benchmarks.
 
-Settings resolve in priority order: explicit flag, then a COPEPLAN_<FLAG>
-environment variable, then the config file named by --config (a benchmark
-document), then the built-in default. Exit codes: 0 success, 2 parse or
-config error (a file that cannot be read or written included), 3 model
-violation (wrong document kind, invalid plan).
+A setting is a field of the bench document. Each command starts from the
+document named by --config or COPEPLAN_CONFIG (the bench positional for
+`bench`), or from the built-in defaults, writes each setting it has, flag or
+else COPEPLAN_<FLAG>, at that setting's place in it, and reads the whole
+document back with fileio's bench table: a bad setting is refused with its
+field named, as the file's own field would be. Exit codes: 0 success, 2
+parse or config error (a file that cannot be read or written, a config of
+another document kind and a bad setting included), 3 model violation (a
+solve or plan input of the wrong document kind, an invalid plan).
 """
 
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import replace
+from functools import reduce
 
 from . import fileio
 from .cope import CopeInstance, solve_kidcope
 from .copem import CopemInstance, solve00, solve11
 from .harness import (
     BenchmarkConfig,
-    GeneratorParams,
     plot_svg,
     generate_instance,
     rows_to_csv,
@@ -41,30 +46,52 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def _bool(text) -> bool:
-    """A yes/no setting in any case; other text raises ValueError."""
+def _value(raw):
+    """Text as the JSON value it spells, else as a string."""
     try:
-        return _BOOLS[str(text).strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected a yes/no setting (1/true/yes/on or 0/false/no/off), "
-                         f"got {text!r}") from None
+        return json.loads(raw)
+    except (ValueError, RecursionError):
+        return raw
 
 
-def _setting(args, name, cast, config_value):
-    """flag > COPEPLAN_<NAME> > config value; None stays None.
+def _one(raw):
+    return [_value(raw)]
 
-    The config value is the config file's, or the built-in default's when no
-    file is named. Only raw strings (env values, list-like flags) are cast;
-    values that arrive already typed pass through untouched.
-    """
-    value = getattr(args, name, None)
-    if value is None:
-        env = os.environ.get(ENV_PREFIX + name.upper())
-        if env is not None:
-            value = env
-    if value is None:
-        value = config_value
-    return cast(value) if isinstance(value, str) else value
+
+def _list(raw):
+    return [_value(item) for item in raw.split(",")]
+
+
+def _yes_no(raw):
+    """A yes/no spelling in any case as a JSON boolean; other text stays a
+    string, which the bench table refuses."""
+    return _BOOLS.get(str(raw).strip().lower(), raw)
+
+
+# each setting: its place in the bench document, the reader that turns its
+# raw text into JSON there, and its flag's help
+_SETTINGS = {
+    "speed": (("speeds",), _one, "expansions per second"),
+    "mode": (("modes",), _one, "one of " + ", ".join(MODES)),
+    "speeds": (("speeds",), _list, "comma-separated speed overrides"),
+    "modes": (("modes",), _list, "comma-separated mode overrides"),
+    "instances": (("instances",), _value, "instances per speed and mode"),
+    "seed": (("seed",), _value, "master seed"),
+    "dt": (("dt",), _value, "dispatch threshold"),
+    "sft": (("sft",), _value, "subtree focus threshold (default dt/2)"),
+    "t_wait": (("t_wait",), _value, "expansions per decision cycle"),
+    "frontier_min_1": (("frontier_min_1",), _yes_no,
+                       "ablation: drop dispatch evidence minimums to 1"),
+    "sft_1": (("sft_1",), _yes_no, "ablation: force the focus threshold to 1"),
+    "max_expansions": (("max_expansions",), _value, "search budget per run"),
+    "goals": (("generator", "goals"), _value, "goals per task"),
+    "width": (("generator", "width"), _value, "shortcut actions per goal"),
+    "tau": (("generator", "tau"), _value, "window length over the witness busy time"),
+    "duration_lo": (("generator", "duration_range", 0), _value, "least step duration"),
+    "duration_hi": (("generator", "duration_range", 1), _value, "greatest step duration"),
+}
+
+_DISPATCH_SETTINGS = ("dt", "sft", "t_wait", "frontier_min_1", "sft_1", "max_expansions")
 
 
 def _expect(obj, kinds, label):
@@ -73,32 +100,28 @@ def _expect(obj, kinds, label):
     return obj
 
 
-def _load_config(args) -> BenchmarkConfig:
-    """The config named by --config or COPEPLAN_CONFIG; without one, the
-    built-in defaults for a single run of the first mode (disp) at speed 10."""
-    path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
+def _config(args) -> BenchmarkConfig:
+    """The bench document named by --config or COPEPLAN_CONFIG (without one,
+    the built-in defaults for a single run of the first mode at speed 10),
+    with each of the command's settings, flag or else COPEPLAN_<NAME>, written
+    at its place and the whole read back by the bench table."""
+    path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if path is None:
-        return BenchmarkConfig(speeds=(10.0,), modes=tuple(MODES)[:1])
-    return _expect(fileio.load(path), BenchmarkConfig, "benchmark config")
-
-
-def _usage(build) -> BenchmarkConfig:
-    """build(). A bad setting is a usage problem, not a model violation, so
-    ValueError and TypeError become FormatError."""
-    try:
-        return build()
-    except (ValueError, TypeError) as exc:
-        raise fileio.FormatError(str(exc)) from exc
-
-
-# the settings that `plan` and `bench` share, with the cast for raw strings
-_RUN_SETTINGS = {"dt": float, "sft": float, "t_wait": int, "frontier_min_1": _bool,
-                 "sft_1": _bool, "max_expansions": int}
-
-
-def _settings(args, cfg, casts) -> dict:
-    return {name: _setting(args, name, cast, getattr(cfg, name))
-            for name, cast in casts.items()}
+        base = BenchmarkConfig(speeds=(10.0,), modes=tuple(MODES)[:1])
+    else:
+        base = fileio.load(path)
+        if not isinstance(base, BenchmarkConfig):
+            raise fileio.FormatError(
+                f"{path}: expected a bench document, found {type(base).__name__}")
+    doc = fileio.to_dict(base)
+    for name in args.settings:
+        raw = getattr(args, name)
+        if raw is None:
+            raw = os.environ.get(ENV_PREFIX + name.upper())
+        if raw is not None:
+            (*keys, last), read, _ = _SETTINGS[name]
+            reduce(operator.getitem, keys, doc)[last] = read(raw)
+    return fileio.from_dict(doc)
 
 
 def _fmt_time(t: float) -> str:
@@ -158,14 +181,8 @@ def cmd_solve(args) -> int:
 
 def cmd_plan(args) -> int:
     task = _expect(fileio.load(args.task), Task, "task")
-    base = _load_config(args)
-    cfg = _usage(lambda: replace(
-        base,
-        speeds=(_setting(args, "speed", float, sorted(base.speeds)[0]),),
-        modes=(_setting(args, "mode", str, base.modes[0]),),
-        **_settings(args, base, _RUN_SETTINGS),
-    ))
-    (mode,), (speed,) = cfg.modes, cfg.speeds
+    cfg = _config(args)
+    mode, speed = cfg.modes[0], min(cfg.speeds)
     params = cfg.dispatch_params()
     echo = {"mode": mode, "speed": speed, "dt": params.dt, "sft": params.sft,
             "t_wait": params.t_wait, "max_expansions": cfg.max_expansions}
@@ -188,31 +205,8 @@ def cmd_plan(args) -> int:
 
 # -- bench ---------------------------------------------------------------------
 
-def _effective_bench_config(args) -> BenchmarkConfig:
-    cfg = _expect(fileio.load(args.config), BenchmarkConfig, "benchmark config")
-    gen = cfg.generator
-    gen = replace(
-        gen,
-        goals=_setting(args, "goals", int, gen.goals),
-        width=_setting(args, "width", int, gen.width),
-        tau=_setting(args, "tau", float, gen.tau),
-    )
-    speeds = _setting(args, "speeds",
-                      lambda s: tuple(float(x) for x in str(s).split(",")),
-                      cfg.speeds)
-    modes = _setting(args, "modes",
-                     lambda s: tuple(str(s).split(",")), cfg.modes)
-    return replace(
-        cfg,
-        speeds=tuple(speeds),
-        modes=tuple(modes),
-        generator=gen,
-        **_settings(args, cfg, {"instances": int, "seed": int, **_RUN_SETTINGS}),
-    )
-
-
 def cmd_bench(args) -> int:
-    cfg = _usage(lambda: _effective_bench_config(args))
+    cfg = _config(args)
     rows = run_benchmark(cfg)
     doc = fileio.to_dict(cfg)
     echo = json.dumps(doc, sort_keys=True)
@@ -235,17 +229,8 @@ def cmd_bench(args) -> int:
 # -- gen -----------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    cfg = _load_config(args)
-    gen = cfg.generator
-    lo = _setting(args, "duration_lo", float, gen.duration_range[0])
-    hi = _setting(args, "duration_hi", float, gen.duration_range[1])
-    params = GeneratorParams(
-        goals=_setting(args, "goals", int, gen.goals),
-        duration_range=(lo, hi),
-        tau=_setting(args, "tau", float, gen.tau),
-        width=_setting(args, "width", int, gen.width),
-        seed=_setting(args, "seed", int, cfg.seed),
-    )
+    cfg = _config(args)
+    params = replace(cfg.generator, seed=cfg.seed)
     text = fileio.dumps(generate_instance(params))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -270,18 +255,13 @@ def cmd_validate(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
-def _add_dispatch_flags(sub):
-    sub.add_argument("--dt", type=float, help="dispatch threshold")
-    sub.add_argument("--sft", type=float, help="subtree focus threshold (default dt/2)")
-    sub.add_argument("--t-wait", dest="t_wait", type=int,
-                     help="expansions per decision cycle")
-    sub.add_argument("--frontier-min-1", dest="frontier_min_1",
-                     action="store_true", default=None,
-                     help="ablation: drop dispatch evidence minimums to 1")
-    sub.add_argument("--sft-1", dest="sft_1", action="store_true", default=None,
-                     help="ablation: force the focus threshold to 1")
-    sub.add_argument("--max-expansions", dest="max_expansions", type=int,
-                     help="search budget per run")
+def _add_settings(sub, *names):
+    """One flag per setting; the yes/no settings are bare switches."""
+    for name in names:
+        _, read, help_text = _SETTINGS[name]
+        switch = {"action": "store_true", "default": None} if read is _yes_no else {}
+        sub.add_argument("--" + name.replace("_", "-"), help=help_text, **switch)
+    sub.set_defaults(settings=names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,12 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="run the planner on a task file")
     p.add_argument("task")
-    p.add_argument("--mode", choices=tuple(MODES))
-    p.add_argument("--speed", type=float, help="expansions per second")
     p.add_argument("--config", help="benchmark document supplying defaults")
     p.add_argument("--plan-out", dest="plan_out",
                    help="write the happenings stream to this file")
-    _add_dispatch_flags(p)
+    _add_settings(p, "mode", "speed", *_DISPATCH_SETTINGS)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("bench", help="run a benchmark config")
@@ -311,25 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write the table here instead of stdout")
     p.add_argument("--jsonl", help="also write rows as JSON lines")
     p.add_argument("--svg", help="also write a solved-counts plot")
-    p.add_argument("--speeds", help="comma-separated speed overrides")
-    p.add_argument("--modes", help="comma-separated mode overrides")
-    p.add_argument("--instances", type=int)
-    p.add_argument("--goals", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--seed", type=int, help="master seed")
-    _add_dispatch_flags(p)
+    _add_settings(p, "speeds", "modes", "instances", "goals", "width", "tau", "seed",
+                  *_DISPATCH_SETTINGS)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="generate a deadline task file")
-    p.add_argument("--goals", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--duration-lo", dest="duration_lo", type=float)
-    p.add_argument("--duration-hi", dest="duration_hi", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--config", help="benchmark document supplying defaults")
     p.add_argument("--out", help="output path (default stdout)")
+    _add_settings(p, "goals", "width", "tau", "duration_lo", "duration_hi", "seed")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("validate", help="check a plan file against a task")

@@ -56,8 +56,6 @@ class SearchStats:
         self.delay_sum += self.expansions - generation_tick
 
     def note_h_step(self, parent_h: float, child_h: float):
-        if math.isinf(parent_h) or math.isinf(child_h):
-            return
         x = child_h + 1.0 - parent_h
         self.err_count += 1
         d = x - self.err_mean

@@ -10,8 +10,8 @@ import pytest
 from copeplan import fileio
 from copeplan.cli import main
 from copeplan.copem import expectimax_oracle, solve11
-from copeplan.harness import GeneratorParams, generate_instance
-from copeplan.planner import Task
+from copeplan.harness import GeneratorParams, generate_instance, witness_plan
+from copeplan.planner import PlanResult, Task
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -441,6 +441,17 @@ _BENCH_DOC = ('{"format": "bench", "version": 1, "speeds": [100.0], '
     (["plan", path("demo_task.json"), "--config"], {}, '"modes": []}'),
     (["plan", path("demo_task.json")], {"COPEPLAN_SFT_1": "maybe"}, None),
     (["bench", path("bench.json")], {"COPEPLAN_FRONTIER_MIN_1": "ture"}, None),
+    (["plan", path("demo_task.json"), "--dt", "inf"], {}, None),
+    (["plan", path("demo_task.json"), "--sft", "inf"], {}, None),
+    (["gen", "--tau", "inf"], {}, None),
+    (["gen"], {"COPEPLAN_GOALS": "abc"}, None),
+    (["gen", "--duration-lo", "5", "--duration-hi", "1"], {}, None),
+    (["gen", "--width", "-1"], {}, None),
+    (["bench", path("bench.json"), "--tau", "inf"], {}, None),
+    (["bench", path("bench.json"), "--instances", "abc"], {}, None),
+    (["plan", path("demo_task.json"), "--config", path("demo_task.json")], {}, None),
+    (["gen", "--config", path("demo_task.json")], {}, None),
+    (["plan", path("demo_task.json"), "--dt", "[" * 100_000], {}, None),
 ], ids=["plan-dt", "plan-dt-nan", "plan-speed-inf", "plan-env-mode", "bench-dt",
         "bench-seed", "bench-instances", "bench-budget", "bench-t-wait",
         "bench-goals", "bench-width", "bench-dt-bool", "bench-dt-string",
@@ -453,7 +464,10 @@ _BENCH_DOC = ('{"format": "bench", "version": 1, "speeds": [100.0], '
         "bench-modes-repeated", "bench-modes-empty", "bench-speeds-empty",
         "bench-instances-zero", "bench-flag-speeds-repeated",
         "bench-flag-modes-repeated", "plan-config-modes-empty", "plan-env-bool",
-        "bench-env-bool"])
+        "bench-env-bool", "plan-flag-dt-inf", "plan-flag-sft-inf", "gen-flag-tau-inf",
+        "gen-env-goals-string", "gen-flag-duration-reversed", "gen-flag-width-negative",
+        "bench-flag-tau-inf", "bench-flag-instances-string", "plan-config-task",
+        "gen-config-task", "plan-flag-dt-nested"])
 def test_bad_settings_exit_2(tmp_path, capsys, monkeypatch, argv, env, doc):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -462,6 +476,17 @@ def test_bad_settings_exit_2(tmp_path, capsys, monkeypatch, argv, env, doc):
         argv = argv + [str(tmp_path / "bench.json")]
     assert main(argv) == 2
     assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["plan", path("demo_task.json"), "--dt", "abc"], {}),
+    (["plan", path("demo_task.json")], {"COPEPLAN_DT": "abc"}),
+], ids=["flag", "env"])
+def test_bad_setting_error_names_the_field(capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == 'error: bench dt: expected a finite number, got "abc"\n'
 
 
 def test_bench_reads_whole_floats_as_integers(tmp_path, capsys):
@@ -492,13 +517,25 @@ def test_plan_has_no_seed_flag(capsys):
     capsys.readouterr()
 
 
+def _decided_after_start(task, **_):
+    # the witness plan is valid, so only the record's order is at fault
+    return PlanResult(solved=True, expansions=1, dispatches=1, first_dispatch_time=0.0,
+                      completion_time=1.0, records=[(1.0, "setup", 0.0)],
+                      happenings=witness_plan(task))
+
+
 def test_bench_invalid_plan_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr("copeplan.harness.validate_plan",
-                        lambda task, happenings: (False, "x"))
-    assert main(["bench", path("bench.json"), "--instances", "1",
-                 "--speeds", "100"]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: invalid plan")
+    for target, stub, message in (
+            ("copeplan.harness.validate_plan", lambda task, happenings: (False, "x"),
+             "error: invalid plan"),
+            ("copeplan.harness.run_search", _decided_after_start,
+             "error: decision after start")):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, stub)
+            assert main(["bench", path("bench.json"), "--instances", "1",
+                         "--speeds", "100"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
 
 
 def test_env_overrides_and_flag_precedence(capsys, monkeypatch):

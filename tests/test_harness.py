@@ -220,6 +220,10 @@ def test_plot_svg_escapes_its_description_as_before():
         'stroke-width="2"/>\n'
         '<text x="156" y="48.0" font-size="11" fill="#2c3e50">nodisp</text>\n'
         '</svg>\n')
+    # a single speed has its one tick at the centre of the axis
+    svg = plot_svg(rows[:2], width=200, height=120)
+    assert '<text x="100.0" y="88" text-anchor="middle" font-size="10">2.000000</text>' in svg
+    assert '<polyline points="100.0,48.0" ' in svg
 
 
 def test_ablation_flags_set_dispatch_params():
