@@ -8,7 +8,8 @@ document back with fileio's bench table: a bad setting is refused with its
 field named, as the file's own field would be. Exit codes: 0 success, 2
 parse or config error (a file that cannot be read or written, a config of
 another document kind and a bad setting included), 3 model violation (a
-solve or plan input of the wrong document kind, an invalid plan).
+solve or plan input of the wrong document kind, an invalid plan). A failure
+prints one `error: ...` line on stderr, a parse error included.
 """
 
 import argparse
@@ -264,8 +265,17 @@ def _add_settings(sub, *names):
     sub.set_defaults(settings=names)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports a parse error as one `error: ...` line and exit
+    code 2, without the usage block; subparsers are built from this class
+    too."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="copeplan",
         description="Deadline-aware metareasoning solvers and a planner "
                     "that can dispatch actions while it searches.")
@@ -311,10 +321,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except fileio.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (fileio.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, TypeError, RuntimeError) as exc:

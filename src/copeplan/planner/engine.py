@@ -16,11 +16,11 @@ memo per burst that maps h to a _Scores: the completion profile, its
 expected effort, q_known's whole-support tables and values by deadline, and
 lpf's values by success index. Step pos is event pos + 1 of a node's
 network; networks hold positions only, no event names. The start children
-of one expansion share one network, built once by expand. A pin's two edges
-are kept by the tighten that probes the node's network with them and the
-node's chain after them, and the pinned network becomes the node's; no
-network is changed in place, so a shared one stays as its siblings read it.
-_try_finish extends a node's network by one edge per uncommitted start.
+of one expansion share one network, built once by expand. A pin extends the
+node's network by its two edges, and tighten makes the pinned network the
+node's once its chain still fits; no network is changed in place, so a
+shared one stays as its siblings read it. _try_finish extends a node's
+network by one edge per uncommitted start.
 """
 
 import math
@@ -212,12 +212,14 @@ MODES = {"disp": "_decide", "nodisp": "_never_commit"}
 
 def _pin(task, node, pos, when):
     """Fix t(step pos) = when in the node's network; None if that breaks it
-    or the node's chain no longer fits. tighten's one probe of the node's
-    network checks the pin's two edges and the chain after them, and keeps
-    the pinned network as the node's own; the old one is never written.
-    A refused pin leaves the node as it was."""
+    or the node's chain no longer fits. The node's network is extended by
+    the pin's two edges and refused at once when inconsistent; otherwise
+    tighten probes the pinned network with the chain and makes it the
+    node's. The old network is never written, and a refused pin leaves the
+    node as it was."""
     ev = pos + 1
-    if not tighten(task, node, node.stn, 0, ((0, ev, when), (ev, 0, -when))):
+    stn = node.stn.extend(0, ((0, ev, when), (ev, 0, -when)))
+    if not stn.consistent or not tighten(task, node, stn):
         return None
     return node
 

@@ -13,14 +13,14 @@ A node's state is a bitmask over the task's numbered propositions
 integer & and | on the masks Task compiles once.
 
 Events are positions, never names: a network holds the origin, then one
-event per step in prefix order, so step pos is event pos + 1. A start leaves
-til_count as it was, so every start child of one expansion has the same own
-edges: the first that passes its condition checks extends the parent's
-network once, and its siblings take that network as their own, so tighten
-probes only their chains. An end or timed-literal child's tighten probes its
-parent's network with the child's event and edges, kept as the child's
-network, and the chain after them in one call. No network is grown twice
-and no shared matrix is written in place.
+event per step in prefix order, so step pos is event pos + 1. Every child's
+network is its parent's extended by the child's event and edges, and a
+child whose network is inconsistent is refused before its relaxed plan. A
+start leaves til_count as it was, so every start child of one expansion has
+the same own edges: the first that passes its condition checks extends the
+parent's network once, and its siblings take that network as their own.
+tighten then probes the child's network with its chain alone. No network is
+grown twice and no shared matrix is written in place.
 """
 
 import math
@@ -161,24 +161,19 @@ def relaxed_plan(task, props, opens, til_count):
     return chain
 
 
-def tighten(task, node: SearchNode, base: Stn, pending=0, own=()):
-    """Set the node's network and latest feasible starts against the relaxed
-    chain.
+def tighten(task, node: SearchNode, base: Stn):
+    """Make `base` the node's network and set its latest feasible starts
+    against the relaxed chain.
 
-    The node's network is `base` extended by `pending` new events (1 for an
-    end or timed-literal child's own, else 0) and then the (u, v, b) edges
-    `own` (such a child's edges, or a pin's). The chain actions are laid out
-    sequentially after the last step, bounded by upcoming timed deletions of
-    their conditions (and of goal facts); open intervals bound the chain's
-    finish from below. One Stn.probe of `base` takes `own` and then the
-    chain, which is never added to any network; the probe keeps the node's
-    network (`base` itself when there is nothing to add, as for a start
-    child, whose probe relaxes only its chain), and its origin row gives the
-    prefix tmax values. Returns False when `own`, or even the optimistic chain
-    after it, cannot fit, which callers treat as a dead end; the node is
-    then left as it was.
+    The chain actions are laid out sequentially after the last step, bounded
+    by upcoming timed deletions of their conditions (and of goal facts);
+    open intervals bound the chain's finish from below. One Stn.probe of
+    `base` with the chain, which is never added to any network, gives the
+    prefix tmax values in its origin row. Returns False when even the
+    optimistic chain cannot fit, which callers treat as a dead end; the node
+    is then left as it was.
     """
-    edges = list(own)
+    edges = []
     eps = EPSILON_SEPARATION
     # the upcoming timed deletions, in time order
     deletions = [(lit.time, task.bit[lit.prop])
@@ -211,10 +206,10 @@ def tighten(task, node: SearchNode, base: Stn, pending=0, own=()):
         if goal_cut < INF:
             edges.append((0, ev, goal_cut))
         ev += 1
-    probed = base.probe(ev - len(base.dist), edges, pending, len(own))
-    if probed is None:
+    tmax = base.probe(ev - len(base.dist), edges)
+    if tmax is None:
         return False
-    tmax, node.stn = probed
+    node.stn = base
     tmax = tmax.tolist()
     # suffix minima of the start tmaxes; of equal values the earlier is
     # kept, as min over the list in position order would
@@ -235,16 +230,14 @@ def make_child(task, parent: SearchNode, step, tick: int, shared=None):
     hold there), as `candidate_steps` only offers such starts; an end step's
     conditions are checked here.
 
-    The child's event is k + 1 for a prefix of length k. A start child's
-    network is the parent's extended by that event and its edges, which are
-    the same for every start child of the parent. `shared` is a list that
-    holds that network once built: expand passes one per expansion, so the
-    first start child that passes its condition checks builds it and its
-    siblings reuse it; when it is inconsistent every start child is None
-    before its relaxed plan. Without `shared` the network is built for this
-    child alone. An end or timed-literal child's network is kept by
-    tighten's probe of the parent's network with the child's event and
-    edges."""
+    The child's event is k + 1 for a prefix of length k, and the child's
+    network is the parent's extended by that event and its edges; when that
+    network is inconsistent the child is None before its relaxed plan. A
+    start child's edges are the same for every start child of the parent.
+    `shared` is a list that holds their network once built: expand passes
+    one per expansion, so the first start child that passes its condition
+    checks builds it and its siblings reuse it. Without `shared` the network
+    is built for this child alone."""
     eps = EPSILON_SEPARATION
     k = len(parent.prefix)
     til_count = parent.til_count
@@ -282,16 +275,14 @@ def make_child(task, parent: SearchNode, step, tick: int, shared=None):
     if step[0] != "til" and til_count < len(task.tils):
         edges.append((0, new, task.tils[til_count].time - eps))
 
-    if step[0] == "start":
-        if shared is None:
-            shared = []
-        if not shared:
-            shared.append(parent.stn.extend(1, edges))
-        base, pending, edges = shared[0], 0, ()
-        if not base.consistent:
-            return None
+    if step[0] == "start" and shared:
+        stn = shared[0]
     else:
-        base, pending = parent.stn, 1
+        stn = parent.stn.extend(1, edges)
+        if step[0] == "start" and shared is not None:
+            shared.append(stn)
+    if not stn.consistent:
+        return None
 
     chain = relaxed_plan(task, props, opens, til_count)
     if chain is None:
@@ -306,7 +297,7 @@ def make_child(task, parent: SearchNode, step, tick: int, shared=None):
         chain=tuple(chain),
         generation_tick=tick,
     )
-    if not tighten(task, node, base, pending, edges):
+    if not tighten(task, node, stn):
         return None
     return node
 

@@ -2,23 +2,23 @@
 
 Events are positions: the origin is event 0 and each new event takes the
 next position. A constraint (u, v, b) encodes t(v) - t(u) <= b. Every event
-is implicitly at or after the origin. Networks are persistent: extend
-returns a new network, so search nodes can share history safely. Each
-network logs its (u, v, b) edges, an (e, 0, 0.0) entry per event included;
-recompute() closes that log from scratch, the oracle for the claim that the
-incremental all-pairs matrix is exact (a single new edge can only improve a
-shortest path once when no negative cycle exists).
+is implicitly at or after the origin. Networks are persistent: extend is the
+one way a network grows, and it returns a new network, so search nodes can
+share history safely. Each network logs its (u, v, b) edges, an (e, 0, 0.0)
+entry per event included, as a cell (the parent's log, its own entries), so
+no network copies its parent's log; recompute() closes that log from
+scratch, the oracle for the claim that the incremental all-pairs matrix is
+exact (a single new edge can only improve a shortest path once when no
+negative cycle exists).
 
-A network grows in one body: it copies the matrix into one scratch matrix of
-the final size, gives each new event the origin row and relaxes the new
-edges in place, each through the same formula. extend keeps the result as a
-new network; add_event and add_constraint are extend with one event or one
-edge. probe reads the origin row and the diagonal, so tentative events never
-enter the network, and it stops after the last edge that relaxes the whole
-matrix: every edge past it writes only the row of a new event, which nothing
-reads. probe also keeps a leading part of its events and edges as a new
-network, the one extend would build from that part, without relaxing
-anything again.
+A network grows in one body: extend copies the matrix into one scratch
+matrix of the final size, gives each new event the origin row and relaxes
+the new edges in place, each through the same formula; add_event and
+add_constraint are extend with one event or one edge. probe does the same
+for tentative events and edges that never enter the network: it returns
+only the origin row, and stops after the last edge that relaxes the whole
+matrix, since every edge past it writes only the row of a new event, which
+nothing reads.
 """
 
 import math
@@ -31,12 +31,23 @@ EPSILON_SEPARATION = 0.001
 
 
 class Stn:
-    __slots__ = ("dist", "edges", "consistent")
+    __slots__ = ("dist", "log", "consistent")
 
     def __init__(self):
         self.dist = np.zeros((1, 1))
-        self.edges = ()
+        # the edge log as nested cells (parent's log, own entries)
+        self.log = None
         self.consistent = True
+
+    @property
+    def edges(self):
+        """The whole edge log in order, walked back through the cells."""
+        parts = []
+        cell = self.log
+        while cell is not None:
+            cell, own = cell
+            parts.append(own)
+        return tuple(e for own in reversed(parts) for e in own)
 
     def add_event(self) -> "Stn":
         return self.extend(1, ())
@@ -49,83 +60,49 @@ class Stn:
         len(self.dist), then the sequence of (u, v, b) edges added in order.
         Nothing changes in this network. IndexError if an edge names an
         event outside the new network, consistent or not."""
-        n = len(self.dist) + n_new
+        m = len(self.dist)
+        n = m + n_new
         for u, v, _ in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexError(f"edge ({u}, {v}) outside events 0..{n - 1}")
-        dist = self._grow(n_new)
-        consistent = self.consistent
-        if consistent:
-            _relax(dist, edges, _row_only(len(self.dist), edges))
-            consistent = _consistent(dist)
-        return self._wrap(n_new, edges, dist, consistent)
-
-    def _wrap(self, n_new, edges, dist, consistent=True) -> "Stn":
-        """The network extend(n_new, edges) builds, around a matrix already
-        computed for it; no edge is relaxed again."""
-        m = len(self.dist)
         s = Stn.__new__(Stn)
-        s.dist = dist
-        s.consistent = consistent
-        s.edges = (
-            self.edges
-            + tuple((e, 0, 0.0) for e in range(m, m + n_new))
-            + tuple((u, v, float(b)) for u, v, b in edges)
-        )
+        s.dist = self._grow(n_new)
+        s.consistent = self.consistent
+        if s.consistent:
+            _relax(s.dist, edges, _row_only(m, edges))
+            s.consistent = _consistent(s.dist)
+        s.log = (self.log, tuple((e, 0, 0.0) for e in range(m, n))
+                 + tuple((u, v, float(b)) for u, v, b in edges))
         return s
 
-    def probe(self, n_new, edges, kept_new=0, kept_edges=0):
-        """(origin row, kept network) after adding n_new events and then
-        the edges, or None when the result is inconsistent. Nothing is added
-        to this network, and its matrix is never written.
+    def probe(self, n_new, edges):
+        """The origin row after adding n_new events and then the edges, or
+        None when the result is inconsistent. Nothing is added to this
+        network, and its matrix is never written; unlike extend, probe
+        checks no event index. The planner probes a node's network with the
+        node's relaxed chain, whose events never enter any network.
 
-        The planner probes an end or timed-literal child's parent network
-        with the child's event and edges kept and its chain after them, and
-        a pinned node's network with the pin's edges kept. A start child's
-        network is already its own (the one its siblings share), so its
-        probe keeps nothing and relaxes only the chain. With nothing kept,
-        the kept network is this one itself. Unlike extend, probe checks no
-        event index.
-
-        The kept network is extend(the first kept_new new events,
-        edges[:kept_edges]), bit for bit. Those edges may name only this
-        network's events and the kept ones, the first k events of the
-        matrix; an edge among the first k events reads and writes only the
-        top-left k x k block, and every later event keeps the origin row and
-        an empty column until an edge enters it. So the block is copied out
-        of the one matrix once the kept edges are relaxed. It is consistent
-        whenever the whole is, since relaxation never raises a diagonal
-        entry.
-
-        Past the kept edges, only the edges up to the last one that relaxes
-        the whole matrix are relaxed. Each edge after it is row-only (see
-        _row_only): it writes the row of a new event, never the origin row,
-        and leaves that row's diagonal at 0, since its column holds nothing
-        else. So neither the origin row nor the consistency check can see
-        it. Kept edges are relaxed all the same, as the block needs them.
-        With no edge to relax and nothing kept, the answer is the origin row
-        with an unbounded entry for each new event, and no matrix is built;
-        a kept edge without a kept event names only this network's events,
-        so it is never row-only.
+        Only the edges up to the last one that relaxes the whole matrix are
+        relaxed. Each edge after it is row-only (see _row_only): it writes
+        the row of a new event, never the origin row, and leaves that row's
+        diagonal at 0, since its column holds nothing else. So neither the
+        origin row nor the consistency check can see it. With no edge to
+        relax, the answer is the origin row with an unbounded entry for each
+        new event, and no matrix is built.
         """
         if not self.consistent:
             return None
-        m = len(self.dist)
-        row_only = _row_only(m, edges)
+        row_only = _row_only(len(self.dist), edges)
         cut = len(edges)
         while cut and row_only[cut - 1]:
             cut -= 1
-        if cut == 0 and kept_new == 0:
-            return np.concatenate((self.dist[0], np.full(n_new, INF))), self
+        if cut == 0:
+            return np.concatenate((self.dist[0], np.full(n_new, INF)))
         dist = self._grow(n_new)
-        _relax(dist, edges[:kept_edges], row_only)
-        size = m + kept_new
-        block = dist[:size, :size].copy() if kept_new or kept_edges else None
-        _relax(dist, edges[kept_edges:cut], row_only[kept_edges:])
+        _relax(dist, edges[:cut], row_only)
         if not _consistent(dist):
             return None
-        kept = self if block is None else self._wrap(kept_new, edges[:kept_edges], block)
-        return dist[0], kept
+        return dist[0]
 
     def _grow(self, n_new):
         """A fresh matrix: this network's, grown by n_new events before any

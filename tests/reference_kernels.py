@@ -3,8 +3,8 @@ the temporal network's growth in copeplan.stn, the planner's per-node
 kernels in copeplan.planner.search (with the relaxed plan on proposition
 sets, its set algebra rebuilt on every test, and child networks grown
 eagerly with every event looked up by name through helpers.NamedStn),
-copeplan.planner.engine's pin as a network grown and checked before
-tighten, the decision cycle's scoring in copeplan.planner.engine (every
+copeplan.planner.engine's pin as a network grown one edge at a time and
+checked before tighten, the decision cycle's scoring in copeplan.planner.engine (every
 quantity recomputed per node and per call), the KDS dynamic program in
 copeplan.kds, both as a loop and as one layer over every (time, block
 length) cell, and copeplan.copem's measurement solvers with one DP per
@@ -59,9 +59,10 @@ def add_constraint(stn, u, v, bound):
 
 
 def _network(dist, edges, consistent):
+    """A network holding its whole edge log in one cell."""
     s = Stn.__new__(Stn)
     s.dist = dist
-    s.edges = edges
+    s.log = (None, edges)
     s.consistent = consistent
     return s
 
@@ -91,14 +92,6 @@ def prefix_network(stn, k):
     """A prefix's network under the names the references use: the origin,
     then s0..s{k-1}, one event per step in prefix order."""
     return NamedStn(stn, [f"s{pos}" for pos in range(k)])
-
-
-def extend_then_probe(parent, n_child, child_edges, n_chain, chain_edges):
-    """Grow a node's network with its n_child events and its edges, then
-    probe it with the chain: tighten as two calls. The origin row, or
-    None."""
-    probed = parent.extend(n_child, child_edges).probe(n_chain, chain_edges)
-    return None if probed is None else probed[0]
 
 
 def child_network(task, parent_stn, k, step, til_count):
@@ -190,13 +183,12 @@ def relaxed_plan(task, props, opens, til_count):
     return [a for a in applied if a.name in selected]
 
 
-def tighten(task, node, base, pending=0, own=()):
-    """search.tighten with the node's network grown from `base` one event or
-    edge at a time, then the relaxed chain appended to a copy of it the same
-    way; on success the node takes the grown network and its (pos, tmax)
-    per start step as `start_tmaxes`."""
-    stn = grow(base, pending, own)
-    net = prefix_network(stn, len(node.prefix))
+def tighten(task, node, base):
+    """search.tighten with the relaxed chain appended to `base` one event or
+    edge at a time, every event looked up by name; on success the node takes
+    `base` as its network and its (pos, tmax) per start step as
+    `start_tmaxes`."""
+    net = prefix_network(base, len(node.prefix))
     eps = EPSILON_SEPARATION
     future = task.tils[node.til_count:]
     prev = f"s{len(node.prefix) - 1}" if node.prefix else ORIGIN
@@ -233,7 +225,7 @@ def tighten(task, node, base, pending=0, own=()):
             net = add_named_constraint(net, ORIGIN, g, goal_cut)
     if not net.stn.consistent:
         return False
-    node.stn = stn
+    node.stn = base
     node.start_tmaxes = tuple(
         (pos, net.tmax(f"s{pos}"))
         for pos, step in enumerate(node.prefix)
@@ -243,12 +235,11 @@ def tighten(task, node, base, pending=0, own=()):
 
 
 def pin(task, node, pos, when):
-    """engine._pin as a network grown and checked on its own: extend the
-    node's network by the pin, refuse it if inconsistent, then tighten
-    against it with nothing more to add (which may still refuse the node,
-    leaving it as it was)."""
+    """engine._pin with the pinned network grown one edge at a time: refuse
+    it if inconsistent, then tighten against it (which may still refuse the
+    node, leaving it as it was)."""
     ev = pos + 1
-    stn = node.stn.extend(0, [(0, ev, when), (ev, 0, -when)])
+    stn = grow(node.stn, 0, [(0, ev, when), (ev, 0, -when)])
     if not stn.consistent or not tighten_search(task, node, stn):
         return None
     return node

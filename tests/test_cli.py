@@ -510,11 +510,24 @@ def test_bench_without_csv_writes_it_to_stdout(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_plan_has_no_seed_flag(capsys):
+@pytest.mark.parametrize("argv", [
+    ["plan", "demo_task.json", "--seed", "3"],
+    # argparse reads -4,5 as an option, not as the flag's value
+    ["bench", "bench.json", "--speeds", "-4,5"],
+    ["plan", "demo_task.json", "--no-such-flag"],
+    ["validate", "demo_task.json"],
+    ["solve", "nope", "x"],
+], ids=["plan-seed", "negative-speeds", "unknown-flag", "missing-positional",
+        "unknown-kind"])
+def test_plan_has_no_seed_flag(capsys, argv):
+    """A parse error exits 2 with one `error:` line and no usage block."""
+    argv = [path(a) if a.endswith(".json") else a for a in argv]
     with pytest.raises(SystemExit) as exc:
-        main(["plan", path("demo_task.json"), "--seed", "3"])
+        main(argv)
     assert exc.value.code == 2
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def _decided_after_start(task, **_):

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,16 +294,14 @@ def _check_tighten_against_reference(monkeypatch, verdicts):
     reads; a refused node keeps its network and everything else."""
     real = search.tighten
 
-    def checked(task, node, base, pending=0, own=()):
+    def checked(task, node, base):
         ref = copy.copy(node)
-        want = reference_kernels.tighten(task, ref, base, pending, own)
+        want = reference_kernels.tighten(task, ref, base)
         before = copy.copy(node)
-        got = real(task, node, base, pending, own)
+        got = real(task, node, base)
         assert got == want
         if got:
-            # the node's network, grown one event or edge at a time
-            assert (node.stn.edges, node.stn.consistent) == (ref.stn.edges, True)
-            assert node.stn.dist.tobytes() == ref.stn.dist.tobytes()
+            assert node.stn is base
             # suffix minima against the list form, also past the prefix
             cs = range(len(node.prefix) + 3)
             assert node.latest == [reference_kernels.latest_start(ref, c)
@@ -386,46 +385,72 @@ def test_tighten_bounds_the_chain_by_each_kind_of_timed_deletion(conds, goal, ti
     assert node.latest[0] == pytest.approx(latest, abs=1e-12)
 
 
+def _exact_least_cycle(stn):
+    """The least diagonal entry of the Floyd-Warshall closure of the
+    network's edge log in exact rational arithmetic."""
+    n = len(stn.dist)
+    dist = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
+    for u, v, b in stn.edges:
+        if dist[u][v] is None or Fraction(b) < dist[u][v]:
+            dist[u][v] = Fraction(b)
+    for k in range(n):
+        for row in dist:
+            if row[k] is None:
+                continue
+            for j, via in enumerate(dist[k]):
+                if via is not None and (row[j] is None or row[k] + via < row[j]):
+                    row[j] = row[k] + via
+    return min(dist[i][i] for i in range(n))
+
+
 def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
     """Every network the planner builds on shipped tasks, in both modes and
-    at two speeds, equals the reference that adds one event or edge at a
-    time: the ones a probe keeps (a child's own, and pinned ones), and the
-    ones extend grows (a shared start network, and _try_finish's). Each also
-    agrees with the Floyd-Warshall closure of its edge log: the same flag,
-    and bounds within 1e-9, as that closure sums paths in another order."""
-    real_probe, real_extend = Stn.probe, Stn.extend
-    seen = {"child": 0, "pin": 0, "extend": 0, "inconsistent": 0}
+    at two speeds, is built by extend and equals the reference that adds one
+    event or edge at a time: a child's (shared by start siblings), a pinned
+    one and _try_finish's. Each also agrees with the Floyd-Warshall closure
+    of its edge log: the same flag, and bounds within 1e-9, as that closure
+    sums paths in another order; the flags differ only on a cycle of weight
+    exactly 0 in rational arithmetic, which each order may round to either
+    side. Every child's network also equals the one grown eagerly by event
+    name, in edge log, dist and flag."""
+    real_extend, real_make_child = Stn.extend, search.make_child
+    seen = {"child": 0, "pin or finish": 0, "inconsistent": 0, "named child": 0}
 
-    def check(got, base, n_new, edges):
-        want = reference_kernels.grow(base, n_new, edges)
+    def checked_extend(self, n_new, edges):
+        got = real_extend(self, n_new, edges)
+        want = reference_kernels.grow(self, n_new, edges)
         assert got.consistent == want.consistent
         assert got.edges == want.edges
         if want.consistent:
             # equal values and equal signs of zero
             assert got.dist.tobytes() == want.dist.tobytes()
         consistent, tmin, tmax = recompute(got)
-        assert consistent == got.consistent
-        if consistent:
+        if consistent != got.consistent:
+            # rounding decides a cycle that weighs exactly 0, as an end's
+            # +-duration edges or a pin at a time read off another node's
+            # matrix close
+            assert _exact_least_cycle(got) == 0
+        elif consistent:
             _, got_min, got_max = solve(got)
             assert np.allclose(got_min, tmin, rtol=0.0, atol=1e-9)
             assert np.allclose(got_max, tmax, rtol=0.0, atol=1e-9)
-
-    def checked_probe(self, n_new, edges, kept_new=0, kept_edges=0):
-        got = real_probe(self, n_new, edges, kept_new, kept_edges)
-        if got is not None and (kept_new or kept_edges):
-            check(got[1], self, kept_new, edges[:kept_edges])
-            seen["child" if kept_new else "pin"] += 1
-        return got
-
-    def checked_extend(self, n_new, edges):
-        got = real_extend(self, n_new, edges)
-        check(got, self, n_new, edges)
-        seen["extend"] += 1
+        seen["child" if n_new else "pin or finish"] += 1
         seen["inconsistent"] += not got.consistent
         return got
 
-    monkeypatch.setattr(Stn, "probe", checked_probe)
+    def checked_make_child(task, parent, step, tick, shared=None):
+        child = real_make_child(task, parent, step, tick, shared)
+        if child is not None:
+            want = reference_kernels.child_network(task, parent.stn, len(parent.prefix),
+                                                   step, child.til_count)
+            got = child.stn
+            assert (got.edges, got.consistent) == (want.edges, want.consistent)
+            assert got.dist.tobytes() == want.dist.tobytes()
+            seen["named child"] += 1
+        return child
+
     monkeypatch.setattr(Stn, "extend", checked_extend)
+    monkeypatch.setattr(search, "make_child", checked_make_child)
     cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", "bench.json"))
     for task in benchmark_tasks(cfg)[:10]:
@@ -437,99 +462,76 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
-def test_one_call_probe_and_node_network_match_eager_growth(monkeypatch):
-    """On every tighten that adds to a network while planning shipped
-    tasks in both modes (an end or timed-literal child's event and edges,
-    or a pin's edges), the one probe of that network with those edges and
-    then the chain equals growing the node's network and probing it after,
-    bit for bit, and the network the probe keeps equals that grown network.
-    On every new start child's tighten, the probe of the network its
-    siblings share with the chain alone equals extending the parent by the
-    child's edges and probing that, and keeps the shared network itself.
-    Every child's network equals the one grown eagerly by event name, in
-    edge log, dist and flag."""
-    real_make_child, real_tighten, real_probe = search.make_child, search.tighten, Stn.probe
-    adding = []
-    # the parent's network while make_child runs, and a start child's node
-    # while its tighten runs
-    making = []
-    starting = []
-    seen = {"child probe": 0, "pin probe": 0, "dead end": 0, "child": 0, "start probe": 0}
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the
+    list whose length is the count."""
+    real = getattr(module, name)
+    calls = []
 
-    def checked_tighten(task, node, base, pending=0, own=()):
-        if pending or own:
-            adding.append((pending, len(own)))
-        elif making:
-            assert node.prefix[-1][0] == "start"
-            starting.append(node)
-        try:
-            return real_tighten(task, node, base, pending, own)
-        finally:
-            adding.clear()
-            starting.clear()
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    def checked_probe(self, n_new, edges, kept_new=0, kept_edges=0):
-        got = real_probe(self, n_new, edges, kept_new, kept_edges)
-        if starting:
-            starting.pop()
-            parent_stn = making[-1]
-            assert (kept_new, kept_edges) == (0, 0)
-            # the shared network's log: the parent's, the child's event,
-            # then the child's own edges
-            m = len(parent_stn.edges)
-            assert self.edges[:m + 1] == parent_stn.edges + ((len(parent_stn.dist), 0, 0.0),)
-            want = reference_kernels.extend_then_probe(parent_stn, 1, self.edges[m + 1:],
-                                                       n_new, edges)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got[0].tobytes() == want.tobytes()
-                assert got[1] is self
-            seen["start probe"] += 1
-        if adding:
-            # popped first: the reference's own probe is not checked again
-            pending, k = adding.pop()
-            assert (kept_new, kept_edges) == (pending, k)
-            want = reference_kernels.extend_then_probe(self, pending, edges[:k],
-                                                       n_new - pending, edges[k:])
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got[0].tobytes() == want.tobytes()
-                grown = reference_kernels.grow(self, pending, edges[:k])
-                assert grown.consistent
-                assert (got[1].edges, got[1].consistent) == (grown.edges, True)
-                assert got[1].dist.tobytes() == grown.dist.tobytes()
-            seen["child probe" if pending else "pin probe"] += 1
-            seen["dead end"] += got is None
-        return got
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
-    def checked_make_child(task, parent, step, tick, shared=None):
-        parent_stn = parent.stn
-        making.append(parent_stn)
-        try:
-            child = real_make_child(task, parent, step, tick, shared)
-        finally:
-            making.pop()
-        if child is not None:
-            want = reference_kernels.child_network(task, parent_stn, len(parent.prefix),
-                                                   step, child.til_count)
-            got = child.stn
-            assert (got.edges, got.consistent) == (want.edges, want.consistent)
-            assert got.dist.tobytes() == want.dist.tobytes()
-            seen["child"] += 1
-        return child
 
-    monkeypatch.setattr(search, "make_child", checked_make_child)
-    monkeypatch.setattr(search, "tighten", checked_tighten)
-    monkeypatch.setattr(engine, "tighten", checked_tighten)
-    monkeypatch.setattr(Stn, "probe", checked_probe)
-    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
-                                   "configs", "bench.json"))
-    for task in benchmark_tasks(cfg)[:10]:
-        for mode in ("disp", "nodisp"):
-            run_search(task, mode=mode, speed=cfg.speeds[0],
-                       dispatch_params=cfg.dispatch_params(),
-                       max_expansions=cfg.max_expansions)
-    assert min(seen.values()) > 0
+def _late_task():
+    """Action `a` lasts 10 and must start before two timed literals at 5,
+    so it cannot end before the first of them, and the second cannot
+    follow the first at the same time."""
+    return Task(
+        propositions=fs("x", "y", "g"),
+        actions=(DurativeAction("a", 10.0, add_end=fs("g")),),
+        init=fs(),
+        goal=fs("g"),
+        tils=(TimedLiteral(5.0, "x", True), TimedLiteral(5.0, "y", True)),
+    )
+
+
+@pytest.mark.parametrize("steps", [
+    (("start", "a"), ("end", "a", 0)),
+    (("til", 0), ("til", 1)),
+], ids=["end", "til"])
+def test_child_with_inconsistent_own_edges_never_reaches_relaxed_plan(monkeypatch, steps):
+    """A child whose own edges break its network is refused before
+    relaxed_plan or tighten runs: the end of `a` cannot precede the timed
+    literal at 5, and a timed literal cannot sit eps after another at the
+    same time."""
+    task = _late_task()
+    parent = make_child(task, make_root(task), steps[0], 1)
+    assert parent is not None
+    planned = _counting(monkeypatch, search, "relaxed_plan")
+    tightened = _counting(monkeypatch, search, "tighten")
+    assert make_child(task, parent, steps[1], 2) is None
+    assert planned == [] and tightened == []
+
+
+def test_pin_that_breaks_the_network_never_reaches_tighten(monkeypatch):
+    """A pin that breaks the node's network is refused before tighten runs
+    and leaves the node as it was: `a` must start before 5."""
+    task = _late_task()
+    node = make_child(task, make_root(task), ("start", "a"), 1)
+    before = copy.copy(node)
+    tightened = _counting(monkeypatch, engine, "tighten")
+    assert engine._pin(task, node, 0, 7.0) is None
+    assert tightened == [] and vars(node) == vars(before)
+    assert engine._pin(task, node, 0, 1.0) is node and len(tightened) == 1
+
+
+def test_end_child_refused_when_its_end_condition_fails():
+    """`a` needs p at its end, which only `b` adds: ending `a` right after
+    starting it fails the end condition."""
+    task = Task(
+        propositions=fs("p", "g"),
+        actions=(DurativeAction("a", 1.0, cond_end=fs("p"), add_end=fs("g")),
+                 DurativeAction("b", 1.0, add_end=fs("p"))),
+        init=fs(),
+        goal=fs("g"),
+    )
+    started = make_child(task, make_root(task), ("start", "a"), 1)
+    assert started is not None
+    assert make_child(task, started, ("end", "a", 0), 2) is None
 
 
 def test_start_siblings_share_one_network_never_written(monkeypatch):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from copeplan import stn as stn_module
 from copeplan.stn import EPSILON_SEPARATION, Stn, recompute
 
 import reference_kernels
@@ -180,9 +179,7 @@ def test_probe_matches_step_by_step_growth():
         want = reference_kernels.grow(base, n_new, edges)
         assert (got is None) == (not want.consistent)
         if want.consistent:
-            assert np.array_equal(got[0], want.dist[0])
-            # nothing kept: the kept network is this network itself
-            assert got[1] is base
+            assert np.array_equal(got, want.dist[0])
         outcomes[want.consistent] += 1
         assert np.array_equal(base.dist, before)
     assert min(outcomes.values()) > 30
@@ -233,7 +230,7 @@ def test_probe_skips_the_row_only_tail_exactly():
         want = reference_kernels.grow(base, n_new, edges)
         assert (got is None) == (not want.consistent)
         if want.consistent:
-            assert np.array_equal(got[0], want.dist[0])
+            assert np.array_equal(got, want.dist[0])
         if not base.consistent:
             seen["inconsistent base"] += 1
         elif tail == len(edges):
@@ -242,71 +239,6 @@ def test_probe_skips_the_row_only_tail_exactly():
             seen["cut tail"] += 1
         seen["consistent" if want.consistent else "inconsistent"] += 1
     assert min(seen.values()) > 20, seen
-
-
-def test_probe_keeps_the_network_that_step_by_step_growth_builds():
-    """The network a probe keeps is the one that adding the kept events and
-    then the kept edges one at a time builds, in edge log, dist (signs of
-    zero too) and flag, and the probe's origin row is unchanged by keeping
-    it. The draws cover kept edges that are row-only and lie past the last
-    full relaxation, a kept part with no edge, and probes that fail in the
-    kept part or only in the chain."""
-    rng = np.random.default_rng(34)
-    seen = {"row-only kept tail past the cut": 0, "no kept edge": 0,
-            "kept part inconsistent": 0, "chain inconsistent": 0, "consistent": 0}
-    for trial in range(400):
-        base = random_network(rng, max_events=14)
-        if not base.consistent:
-            continue
-        m = len(base.dist)
-        kept_new = int(rng.integers(0, 3))
-        n_new = kept_new + int(rng.integers(0, 5))
-        kept = []
-        for _ in range(int(rng.integers(0, 4))):
-            u = int(rng.integers(0, m + kept_new))
-            v = int(rng.integers(0, m + kept_new - 1))
-            kept.append((u, v + (v >= u), float(rng.uniform(-3.0, 12.0))))
-        if kept_new and trial % 3 == 0:
-            # a kept event's own row-only edge at the end, as a child's
-            # (new, k, -eps) edge is
-            entered = {v for _, v, _ in kept}
-            u = m + kept_new - 1
-            if u not in entered:
-                kept.append((u, int(rng.integers(0, m)), float(rng.uniform(-3.0, 3.0))))
-        chain = []
-        full = trial % 2 == 0
-        for _ in range(int(rng.integers(0, 2 * (n_new - kept_new) + 2))):
-            if n_new == kept_new:
-                break
-            u = m + kept_new + int(rng.integers(0, n_new - kept_new))
-            v = int(rng.integers(0, m + n_new - 1))
-            v += v >= u
-            chain.append((u, v, float(rng.uniform(-6.0, 12.0))))
-        if full and chain:
-            chain.insert(int(rng.integers(0, len(chain))),
-                         (0, int(rng.integers(1, m + n_new)), float(rng.uniform(-1.0, 12.0))))
-        edges = kept + chain
-        got = base.probe(n_new, edges, kept_new, len(kept))
-        plain = base.probe(n_new, edges)
-        part = reference_kernels.grow(base, kept_new, kept)
-        whole = reference_kernels.grow(base, n_new, edges)
-        assert (got is None) == (plain is None) == (not whole.consistent)
-        if got is None:
-            seen["chain inconsistent" if part.consistent else "kept part inconsistent"] += 1
-            continue
-        assert got[0].tobytes() == plain[0].tobytes() == whole.dist[0].tobytes()
-        network = got[1]
-        assert network.edges == part.edges
-        assert network.consistent and part.consistent
-        assert network.dist.tobytes() == part.dist.tobytes()
-        row_only = stn_module._row_only(m, edges)
-        cut = len(edges)
-        while cut and row_only[cut - 1]:
-            cut -= 1
-        seen["consistent"] += 1
-        seen["no kept edge"] += not kept
-        seen["row-only kept tail past the cut"] += cut < len(kept)
-    assert min(seen.values()) > 5, seen
 
 
 def test_extend_matches_step_by_step_growth():
@@ -328,27 +260,38 @@ def test_probe_answers_without_growing_the_network():
     s = NamedStn().add_event("a").add_constraint(ORIGIN, "a", 4.5).add_constraint("a", ORIGIN, -2.0)
     s = s.stn
     edges = s.edges
-    row, kept = s.probe(0, [])
-    assert np.array_equal(row, s.dist[0]) and kept is s
+    assert np.array_equal(s.probe(0, []), s.dist[0])
     # x0 >= a + 1 and x1 >= x0 + 2 leave every upper bound where it was
-    row, kept = s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)])
+    row = s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)])
     assert np.array_equal(row, [0.0, 4.5, math.inf, math.inf])
-    # keeping x0 and its edge: the network extend builds from them
-    row, kept = s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)], 1, 1)
-    assert np.array_equal(row, [0.0, 4.5, math.inf, math.inf])
-    grown = s.extend(1, [(2, 1, -1.0)])
-    assert np.array_equal(kept.dist, grown.dist) and kept.edges == grown.edges
-    # a chain edge that relaxes the whole matrix, nothing kept: the kept
-    # network is this one, not a copy, and its matrix stays as it was
+    # a chain edge that relaxes the whole matrix: this network's matrix
+    # stays as it was
     before = s.dist.tobytes()
-    row, kept = s.probe(1, [(2, 1, -1.0), (0, 2, 10.0)])
-    assert np.array_equal(row, [0.0, 4.5, 10.0]) and kept is s
+    row = s.probe(1, [(2, 1, -1.0), (0, 2, 10.0)])
+    assert np.array_equal(row, [0.0, 4.5, 10.0])
     assert s.dist.tobytes() == before
     # x0 >= a + 1 >= 3 cannot also sit at or before 1
     assert s.probe(1, [(2, 1, -1.0), (0, 2, 1.0)]) is None
     # a self-loop below 0 is a negative cycle even at the tail of the edges
     assert s.probe(1, [(0, 1, 3.0), (2, 2, -1.0)]) is None
     assert len(s.dist) == 2 and s.edges == edges
+
+
+def test_edge_log_links_to_the_parent_log_without_copying_it():
+    """A grown network's log is a cell holding its parent's log and its own
+    entries; edges walks the cells in order, and no network is kept alive
+    by a child's log."""
+    base = Stn().extend(2, [(0, 1, 3.0)])
+    child = base.extend(1, [(3, 1, -1.0)])
+    assert child.log[0] is base.log
+    assert child.log[1] == ((3, 0, 0.0), (3, 1, -1.0))
+    assert child.edges == base.edges + child.log[1]
+    assert base.edges == ((1, 0, 0.0), (2, 0, 0.0), (0, 1, 3.0))
+    assert Stn().edges == () and Stn().extend(0, ()).edges == ()
+    cell = child.log
+    while cell is not None:
+        assert not any(isinstance(part, Stn) for part in cell)
+        cell = cell[0]
 
 
 def test_epsilon_separation_is_small_and_positive():
