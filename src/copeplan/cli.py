@@ -17,6 +17,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from dataclasses import replace
 from functools import reduce
@@ -268,7 +269,12 @@ def _add_settings(sub, *names):
 class _Parser(argparse.ArgumentParser):
     """argparse that reports a parse error as one `error: ...` line and exit
     code 2, without the usage block; subparsers are built from this class
-    too."""
+    too. An argument that starts with a minus and a digit is a value, so
+    `--speeds -4,5` reaches the bench table (no flag starts with a digit)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(EXIT_PARSE, f"error: {message}\n")

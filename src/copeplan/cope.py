@@ -49,17 +49,27 @@ class CopeProcess:
         object.__setattr__(self, "prefix", tuple(self.prefix))
 
 
+def checked_horizon(processes, horizon: int) -> int:
+    """The horizon of an instance over `processes`: 0 means the largest
+    induced deadline (at least 1); a negative horizon, or one below an
+    induced deadline, is refused."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    ids = max((p.induced_deadline for p in processes), default=0)
+    if horizon == 0:
+        return max(ids, 1)
+    if horizon < ids:
+        raise ValueError("horizon below an induced deadline")
+    return horizon
+
+
 @dataclass
 class CopeInstance:
     processes: list[CopeProcess]
     horizon: int = 0
 
     def __post_init__(self) -> None:
-        ids = max((p.induced_deadline for p in self.processes), default=0)
-        if self.horizon <= 0:
-            self.horizon = max(ids, 1)
-        elif self.horizon < ids:
-            raise ValueError("horizon below an induced deadline")
+        self.horizon = checked_horizon(self.processes, self.horizon)
 
 
 @dataclass
@@ -247,10 +257,11 @@ def simulate_completion_cutoff(proc: CopeProcess, executed) -> int:
             return False
         return c < proc.induced_deadline
 
-    for c in range(proc.induced_deadline + 1):
-        if not succeeds(c):
-            return c
-    return proc.induced_deadline
+    # no completion at the induced deadline succeeds, so the scan stops there
+    c = 0
+    while succeeds(c):
+        c += 1
+    return c
 
 
 def brute_force_cope(inst, f: InitiationFunction, start_time: int = 0) -> float:

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 from .cope import (
     InitiationFunction,
+    checked_horizon,
     reduce_to_kds,
     simulate_completion_cutoff,
 )
@@ -80,11 +81,7 @@ class CopemInstance:
         for p in self.processes:
             if len(p.prefix) > 1:
                 raise ValueError("at most one prefix action per process is supported")
-        max_id = max((p.induced_deadline for p in self.processes), default=0)
-        if self.horizon == 0:
-            self.horizon = max(max_id, 1)
-        elif self.horizon < max_id:
-            raise ValueError("horizon below an induced deadline")
+        self.horizon = checked_horizon(self.processes, self.horizon)
 
 
 @dataclass(frozen=True)

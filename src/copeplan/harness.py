@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cope import CopeInstance, InitiationFunction, reduce_to_kds
-from .copem import CopemInstance, MetaPolicy, _dispatch_f, _posterior, _with_profile
+from .copem import CopemInstance, MetaPolicy, _dispatch_f
 from .kds import KdsInstance, KdsSolution, solve_kds_dp
 from .planner.engine import MODES, DispatchParams, run_search
 from .planner.task import DurativeAction, Task, TimedLiteral
@@ -76,11 +76,10 @@ def _simulate_meta(inst, policy, samples, seed):
     success = np.zeros(samples, dtype=bool)
     for o, branch in sorted(policy.second_step.items()):
         mask = obs == o
-        if not mask.any():
-            continue
         disp = branch.dispatch if first[0] == "compute" else dispatched
-        reduced = _with_profile(reduce_to_kds(inst, _dispatch_f(inst, disp, disp_time)),
-                                measured, _posterior(o))
+        # the replay reads only deadlines, which the measurement leaves as
+        # the dispatch's reduction sets them
+        reduced = reduce_to_kds(inst, _dispatch_f(inst, disp, disp_time))
         # measurement pins the measured process's remaining time exactly
         branch_draws = list(draws)
         branch_draws[measured] = np.full(samples, max(o - 1, 0))
@@ -221,6 +220,8 @@ class BenchmarkConfig:
                 raise ValueError(f"{name}s repeat a value")
         if self.instances < 1:
             raise ValueError("need at least one instance")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not all(0 < s < math.inf for s in self.speeds):
             raise ValueError("speeds must be positive and finite")
         for m in self.modes:

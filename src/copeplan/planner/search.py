@@ -21,6 +21,10 @@ the same own edges: the first that passes its condition checks extends the
 parent's network once, and its siblings take that network as their own.
 tighten then probes the child's network with its chain alone. No network is
 grown twice and no shared matrix is written in place.
+
+One constructor, _node, makes the root (the initial state on an empty
+network) and every child (make_child's state on its extended network): it
+refuses an inconsistent network, scores the relaxed chain and tightens.
 """
 
 import math
@@ -223,6 +227,21 @@ def tighten(task, node: SearchNode, base: Stn):
     return True
 
 
+def _node(task, prefix, props, opens, til_count, tick, stn):
+    """The node of a state whose network is `stn`, tightened against its
+    relaxed chain; None when `stn` is inconsistent, when no relaxed plan
+    reaches the goal or when the chain does not fit. The root and every
+    child are made here."""
+    if not stn.consistent:
+        return None
+    chain = relaxed_plan(task, props, opens, til_count)
+    if chain is None:
+        return None
+    node = SearchNode(prefix, props, opens, til_count, h=float(2 * len(chain) + len(opens)),
+                      chain=tuple(chain), generation_tick=tick)
+    return node if tighten(task, node, stn) else None
+
+
 def make_child(task, parent: SearchNode, step, tick: int, shared=None):
     """Apply one snap step; None when conditions or time make it impossible.
 
@@ -236,70 +255,50 @@ def make_child(task, parent: SearchNode, step, tick: int, shared=None):
     start child's edges are the same for every start child of the parent.
     `shared` is a list that holds their network once built: expand passes
     one per expansion, so the first start child that passes its condition
-    checks builds it and its siblings reuse it. Without `shared` the network
-    is built for this child alone."""
+    checks builds it and its siblings reuse it, building no edges. Without
+    `shared` the network is built for this child alone."""
     eps = EPSILON_SEPARATION
     k = len(parent.prefix)
-    til_count = parent.til_count
-    props = parent.props
+    new = k + 1
+    kind, what = step[0], step[1]
+    props, opens, til_count = parent.props, parent.opens, parent.til_count
     masks = task.masks
-    if step[0] == "start":
-        m = masks[step[1]]
-        props = (props & ~m.del_start) | m.add_start
-        opens = parent.opens + ((step[1], k),)
-    elif step[0] == "end":
-        m = masks[step[1]]
-        if m.cond_end & ~props:
-            return None
-        props = (props & ~m.del_end) | m.add_end
-        opens = tuple(o for o in parent.opens if o != (step[1], step[2]))
-    else:
-        lit = task.tils[step[1]]
+    # own: the step's edges past its separation from the last step; only
+    # start children share a network, so the other kinds drop `shared`
+    if kind == "til":
+        lit = task.tils[what]
         bit = task.bit[lit.prop]
         props = (props | bit) if lit.add else (props & ~bit)
-        opens = parent.opens
-        til_count = step[1] + 1
+        til_count = what + 1
+        own = [(0, new, lit.time), (new, 0, -lit.time)]
+        shared = None
+    else:
+        m = masks[what]
+        if kind == "start":
+            props = (props & ~m.del_start) | m.add_start
+            opens += ((what, k),)
+            own = []
+        else:
+            if m.cond_end & ~props:
+                return None
+            props = (props & ~m.del_end) | m.add_end
+            opens = tuple(o for o in opens if o != (what, step[2]))
+            d = task.by_name[what].duration
+            own = [(step[2] + 1, new, d), (new, step[2] + 1, -d)]
+            shared = None
+        # a start or end comes before the next timed literal
+        if not shared and til_count < len(task.tils):
+            own.append((0, new, task.tils[til_count].time - eps))
     for name, _ in opens:
         if masks[name].cond_over & ~props:
             return None
-
-    new = k + 1
-    edges = [(new, k, -eps)] if k > 0 else []
-    if step[0] == "end":
-        start = step[2] + 1
-        a = task.by_name[step[1]]
-        edges += [(start, new, a.duration), (new, start, -a.duration)]
-    elif step[0] == "til":
-        t = task.tils[step[1]].time
-        edges += [(0, new, t), (new, 0, -t)]
-    if step[0] != "til" and til_count < len(task.tils):
-        edges.append((0, new, task.tils[til_count].time - eps))
-
-    if step[0] == "start" and shared:
+    if shared:
         stn = shared[0]
     else:
-        stn = parent.stn.extend(1, edges)
-        if step[0] == "start" and shared is not None:
+        stn = parent.stn.extend(1, ([(new, k, -eps)] if k else []) + own)
+        if shared is not None:
             shared.append(stn)
-    if not stn.consistent:
-        return None
-
-    chain = relaxed_plan(task, props, opens, til_count)
-    if chain is None:
-        return None
-    h = 2 * len(chain) + len(opens)
-    node = SearchNode(
-        prefix=parent.prefix + (step,),
-        props=props,
-        opens=opens,
-        til_count=til_count,
-        h=float(h),
-        chain=tuple(chain),
-        generation_tick=tick,
-    )
-    if not tighten(task, node, stn):
-        return None
-    return node
+    return _node(task, parent.prefix + (step,), props, opens, til_count, tick, stn)
 
 
 def candidate_steps(task, node: SearchNode):
@@ -327,22 +326,7 @@ def expand(task, node: SearchNode, tick: int):
 
 
 def make_root(task):
-    props = task.mask(task.init)
-    chain = relaxed_plan(task, props, (), 0)
-    if chain is None:
-        return None
-    node = SearchNode(
-        prefix=(),
-        props=props,
-        opens=(),
-        til_count=0,
-        h=float(2 * len(chain)),
-        chain=tuple(chain),
-        generation_tick=0,
-    )
-    if not tighten(task, node, Stn()):
-        return None
-    return node
+    return _node(task, (), task.mask(task.init), (), 0, 0, Stn())
 
 
 def is_goal(task, node: SearchNode) -> bool:

@@ -512,13 +512,10 @@ def test_bench_without_csv_writes_it_to_stdout(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["plan", "demo_task.json", "--seed", "3"],
-    # argparse reads -4,5 as an option, not as the flag's value
-    ["bench", "bench.json", "--speeds", "-4,5"],
     ["plan", "demo_task.json", "--no-such-flag"],
     ["validate", "demo_task.json"],
     ["solve", "nope", "x"],
-], ids=["plan-seed", "negative-speeds", "unknown-flag", "missing-positional",
-        "unknown-kind"])
+], ids=["plan-seed", "unknown-flag", "missing-positional", "unknown-kind"])
 def test_plan_has_no_seed_flag(capsys, argv):
     """A parse error exits 2 with one `error:` line and no usage block."""
     argv = [path(a) if a.endswith(".json") else a for a in argv]
@@ -528,6 +525,38 @@ def test_plan_has_no_seed_flag(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+_NEGATIVE_HORIZON = {
+    "format": "cope", "version": 1, "horizon": -5,
+    "processes": [{"pmf": [[1, 1.0]], "prefix": [], "induced_deadline": 3}],
+}
+
+
+@pytest.mark.parametrize("argv,env,doc,message", [
+    # a list whose first item is negative is the flag's value, not an option
+    (["bench", path("bench.json"), "--speeds", "-4,5"], {}, None,
+     "bench: speeds must be positive and finite"),
+    (["gen", "--seed", "-3"], {}, None, "bench: seed must be >= 0"),
+    (["gen"], {"COPEPLAN_SEED": "-2"}, None, "bench: seed must be >= 0"),
+    (["bench"], {}, dict(json.loads(_BENCH_DOC + '"instances": 1}'), seed=-1),
+     "bench: seed must be >= 0"),
+    (["solve", "kidcope"], {}, _NEGATIVE_HORIZON, "cope: horizon must be >= 0"),
+    (["solve", "copem00"], {}, dict(DISPATCH_FIRST, horizon=-5),
+     "copem: horizon must be >= 0"),
+], ids=["negative-speeds", "gen-flag-seed", "gen-env-seed", "bench-file-seed",
+        "cope-horizon", "copem-horizon"])
+def test_refusal_names_the_field(tmp_path, capsys, monkeypatch, argv, env, doc, message):
+    """A bad value from a flag, a COPEPLAN_* variable or a document exits 2
+    with one line that names its field."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if doc is not None:
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        argv = argv + [str(tmp_path / "doc.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def _decided_after_start(task, **_):

@@ -13,6 +13,7 @@ from copeplan.cope import (
     simulate_completion_cutoff,
     solve_kidcope,
 )
+from copeplan.copem import CopemInstance
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import solve_kds_dp
 
@@ -105,6 +106,33 @@ def test_initiation_function_validation():
         InitiationFunction(0, {"a": 0}).validate(inst)  # missing action
     with pytest.raises(ValueError):
         InitiationFunction(None, {"a": 0}).validate(inst)
+    assert InitiationFunction.empty().validate(inst) is None
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: PrefixAction("a", -1), "duration must be >= 0"),
+    (lambda: proc(DiscreteDistribution.delta(1), [], -1), "induced deadline must be >= 0"),
+], ids=["prefix-duration", "induced-deadline"])
+def test_processes_refuse_negative_times(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("horizon,expect", [
+    (-5, "horizon must be >= 0"), (-1, "horizon must be >= 0"),
+    (0, 4), (3, "horizon below an induced deadline"), (4, 4), (6, 6),
+])
+@pytest.mark.parametrize("model", [CopeInstance, CopemInstance])
+def test_cope_and_copem_share_one_horizon_rule(model, horizon, expect):
+    """0 means the largest induced deadline; a negative horizon, or one
+    below an induced deadline, is refused."""
+    procs = [proc(DiscreteDistribution.delta(1), [PrefixAction("a", 1)], 4),
+             proc(DiscreteDistribution.delta(2), [], 2)]
+    if isinstance(expect, str):
+        with pytest.raises(ValueError, match=expect):
+            model(procs, horizon=horizon)
+    else:
+        assert model(procs, horizon=horizon).horizon == expect
 
 
 def test_reduce_empty_prefix_passthrough():

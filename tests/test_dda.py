@@ -18,6 +18,15 @@ def test_params_validation():
     assert DdaParams().gamma == 1.0
 
 
+@pytest.mark.parametrize("score,match", [
+    (lambda p: lpf(p, 3, 0, 0), "t must be >= 1"),
+    (lambda p: effective_time(p, 3, -1), "t_b must be >= 0"),
+], ids=["lpf-length", "effective-time-offset"])
+def test_scores_refuse_out_of_range_arguments(score, match):
+    with pytest.raises(ValueError, match=match):
+        score(DiscreteDistribution.delta(1))
+
+
 def test_lpf_values():
     # deterministic failure: s = 0, log 1 = 0
     assert lpf(DiscreteDistribution.delta(5), 2, 3, 0) == 0.0

@@ -46,6 +46,28 @@ def test_from_pairs_refuses_times_past_the_support_cap_before_allocating():
     assert d.support_max == MAX_SUPPORT
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: DiscreteDistribution([]), "non-empty 1-d"),
+    (lambda: DiscreteDistribution([[1.0]]), "non-empty 1-d"),
+    (lambda: DiscreteDistribution.delta(-1), "delta time must be >= 0"),
+    (lambda: DiscreteDistribution.uniform([]), "non-empty set of times"),
+    (lambda: DiscreteDistribution.uniform([-1, 2]), "non-empty set of times"),
+    (lambda: DiscreteDistribution.from_pairs([]), "no \\(t, probability\\) pairs"),
+    (lambda: DiscreteDistribution.from_pairs([(-1, 0.5), (1, 0.5)]), "time must be >= 0"),
+], ids=["empty", "two-d", "delta-negative", "uniform-empty", "uniform-negative",
+        "pairs-empty", "pairs-negative"])
+def test_constructors_refuse_bad_shapes_and_times(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_queries_outside_the_support_and_foreign_comparisons():
+    d = DiscreteDistribution.from_pairs([(1, 0.5), (2, 0.5)])
+    assert [d.pmf(t) for t in (-1, 0, 1, 2, 3)] == [0.0, 0.0, 0.5, 0.5, 0.0]
+    assert d.__eq__([0.0, 0.5, 0.5]) is NotImplemented
+    assert d != [0.0, 0.5, 0.5]
+
+
 def test_nan_mass_is_rejected():
     # every comparison with NaN is false, so NaN must fail the check itself
     for probs in ([np.nan, 1.0], [1.0, np.nan], [0.5, np.nan, 0.5]):

@@ -712,6 +712,17 @@ def test_unreachable_goal_ends_before_any_expansion():
                 res.reason) == (False, 0, 0, [], "goal unreachable")
 
 
+@pytest.mark.parametrize("run,match", [
+    (lambda: DispatchParams(min_subtree_expansions=0), "exploration minimums"),
+    (lambda: DispatchParams(min_sim_open=0), "exploration minimums"),
+    (lambda: DispatchParams(t_wait=0), "t_wait must be at least 1"),
+    (lambda: run_search(micro_task(), mode="bogus"), "unknown mode 'bogus'"),
+], ids=["min-subtree", "min-open", "t-wait", "mode"])
+def test_search_settings_are_validated(run, match):
+    with pytest.raises(ValueError, match=match):
+        run()
+
+
 def test_nodisp_is_deterministic():
     a = run_search(micro_task(), mode="nodisp", speed=100.0)
     b = run_search(micro_task(), mode="nodisp", speed=100.0)
