@@ -109,7 +109,7 @@ def _config(args) -> BenchmarkConfig:
     at its place and the whole read back by the bench table."""
     path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if path is None:
-        base = BenchmarkConfig(speeds=(10.0,), modes=tuple(MODES)[:1])
+        base = BenchmarkConfig(speeds=(10.0,), modes=MODES[:1])
     else:
         base = fileio.load(path)
         if not isinstance(base, BenchmarkConfig):

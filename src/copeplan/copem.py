@@ -16,7 +16,7 @@ consistency checks. Instances whose profiles put no mass at 0 are unaffected.
 
 A perfect measurement leaves the measured process j a point mass delta(r),
 r = max(o - 1, 0), so each observation branch is settled without a DP of
-its own (`kds.point_mass_values` gives the proof). From s = min(1, T), with
+its own (`point_mass_values` gives the proof). From s = min(1, T), with
 d j's deadline in the branch's reduction:
 
 - if s + r < d, j surely completes in time, and the branch's value is
@@ -47,7 +47,6 @@ from .kds import (
     KdsProcess,
     KdsSolution,
     brute_force_kds,
-    point_mass_values,
     solve_kds_dp,
 )
 
@@ -202,8 +201,49 @@ def _supports(inst) -> list[list[tuple[int, float]]]:
 def _observed(kinst: KdsInstance, j: int, pairs: list, memo: dict) -> list[float]:
     """The value from time 1 after each observation o in `pairs` of process
     j, whose profile becomes _posterior(o)."""
-    return point_mass_values(kinst, j, [max(o - 1, 0) for o, _ in pairs], 1,
-                             memo=memo, solve=solve_kds_dp)
+    return point_mass_values(kinst, j, [max(o - 1, 0) for o, _ in pairs], 1, memo=memo)
+
+
+def point_mass_values(
+    instance: KdsInstance, j: int, remainings, start_time: int, *, memo: dict,
+) -> list[float]:
+    """For each r in `remainings`, the DP value from `start_time` of
+    `instance` with process j's profile replaced by the point mass delta(r),
+    equal bit for bit to `solve_kds_dp`'s on that instance.
+
+    Let s = min(start_time, T) and d be j's deadline.
+
+    - If s + r < d, the value is exactly 1.0: j's layer reaches -inf at s
+      through its sure column (column 0 when r = 0), every layer above
+      reaches that -inf at s through column 0, and 0.0 - expm1(-inf) is 1.0.
+    - Otherwise, at every time tau >= s that a solve reads it, j's layer has
+      only column 0 to scan, with lf -0.0: below d - tau <= r, delta(r)'s
+      running sum stays 0.0, and at or past d column 0 is the only one
+      (scanning change points only is exact on every layer, see
+      `kds._Layer`). So it returns -0.0 + next.at(tau), which equals
+      next.at(tau) bit for bit, and the value is that of the instance
+      without j, solved once for every such r.
+
+    `memo` is the layer memo those solves share with the caller's other
+    solves.
+    """
+    if start_time < 0:
+        raise ValueError("start_time must be >= 0")
+    procs = instance.processes
+    T = instance.horizon
+    s = min(start_time, T)
+    d = procs[j].deadline
+    rest = None
+    values = []
+    for r in remainings:
+        if s + r < d:
+            values.append(1.0)
+            continue
+        if rest is None:
+            others = KdsInstance([p for i, p in enumerate(procs) if i != j], T)
+            rest = solve_kds_dp(others, start_time, memo=memo).value
+        values.append(rest)
+    return values
 
 
 def _best_measurement(kinst: KdsInstance, memo: dict, supports: list):

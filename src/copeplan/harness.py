@@ -200,7 +200,7 @@ def witness_plan(task: Task) -> list:
 @dataclass
 class BenchmarkConfig:
     speeds: tuple
-    modes: tuple = tuple(MODES)
+    modes: tuple = MODES
     instances: int = 20
     dt: float = 0.1
     sft: float = None  # None means dt/2
@@ -222,6 +222,9 @@ class BenchmarkConfig:
             raise ValueError("need at least one instance")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # a budget below 1 expands nothing, so the run would measure nothing
+        if self.max_expansions < 1:
+            raise ValueError("max_expansions must be >= 1")
         if not all(0 < s < math.inf for s in self.speeds):
             raise ValueError("speeds must be positive and finite")
         for m in self.modes:

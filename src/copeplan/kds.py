@@ -21,10 +21,9 @@ reads pass a small cell budget solves its whole row with numpy instead, so
 dense profiles and long horizons cost what an eager DP does. Every value,
 sign of zero and block list equals the dense layer's.
 
-`point_mass_values` gives the value of an instance with one process's
-profile swapped for a point mass, as a perfect measurement leaves it:
-exactly 1.0 when the process surely completes in time, otherwise the value
-of the instance without that process.
+`copem.point_mass_values` gives the value of an instance with one
+process's profile swapped for a point mass, as a perfect measurement leaves
+it, and proves it exact from the layers' scan.
 """
 
 from __future__ import annotations
@@ -189,50 +188,6 @@ def solve_kds_dp(
             blocks.append(Block(k, time, t))
         time += t
     return KdsSolution(value, blocks)
-
-
-def point_mass_values(
-    instance: KdsInstance, j: int, remainings, start_time: int, *, memo: dict, solve,
-) -> list[float]:
-    """For each r in `remainings`, the DP value from `start_time` of
-    `instance` with process j's profile replaced by the point mass delta(r),
-    equal bit for bit to `solve_kds_dp`'s on that instance.
-
-    Let s = min(start_time, T) and d be j's deadline.
-
-    - If s + r < d, the value is exactly 1.0: j's layer reaches -inf at s
-      through its sure column (column 0 when r = 0), every layer above
-      reaches that -inf at s through column 0, and 0.0 - expm1(-inf) is 1.0.
-    - Otherwise, at every time tau >= s that a solve reads it, j's layer has
-      only column 0 to scan, with lf -0.0: below d - tau <= r, delta(r)'s
-      running sum stays 0.0, and at or past d column 0 is the only one
-      (scanning change points only is exact on every layer, see `_Layer`).
-      So it returns -0.0 + next.at(tau), which equals next.at(tau) bit for
-      bit, and the value is that of the instance without j, solved once
-      for every such r.
-
-    `solve` is the DP those solves call: `solve_kds_dp`, as the caller
-    looks it up, so that a wrapper around the caller's reference sees every
-    call. `memo` is the layer memo they share with the caller's other
-    solves.
-    """
-    if start_time < 0:
-        raise ValueError("start_time must be >= 0")
-    procs = instance.processes
-    T = instance.horizon
-    s = min(start_time, T)
-    d = procs[j].deadline
-    rest = None
-    values = []
-    for r in remainings:
-        if s + r < d:
-            values.append(1.0)
-            continue
-        if rest is None:
-            others = KdsInstance([p for i, p in enumerate(procs) if i != j], T)
-            rest = solve(others, start_time, memo=memo).value
-        values.append(rest)
-    return values
 
 
 def _order(processes: list) -> list:

@@ -205,9 +205,7 @@ def _never_commit(*_):
     return None, None
 
 
-# each mode names its decision rule; run_search looks the rule up when it
-# starts, so a replaced `_decide` takes effect
-MODES = {"disp": "_decide", "nodisp": "_never_commit"}
+MODES = ("disp", "nodisp")
 
 
 def _pin(task, node, pos, when):
@@ -341,14 +339,16 @@ def run_search(task, mode="nodisp", speed=100.0, dispatch_params=None,
                max_expansions=200000):
     """Plan for `task` at the given search speed (expansions per second).
 
-    `mode` picks the decision rule from `MODES`: "nodisp" schedules only
-    after search ends; "disp" may commit starts mid-search. Returns a
-    PlanResult whose records hold one (decision_time, action, start_time)
-    triple per start, decision never later than the start it schedules.
+    `mode`, one of `MODES`, picks the decision rule: "nodisp" schedules
+    only after search ends (`_never_commit`); "disp" may commit starts
+    mid-search (`_decide`, looked up when the search starts, so a replaced
+    `_decide` takes effect). Returns a PlanResult whose records hold one
+    (decision_time, action, start_time) triple per start, decision never
+    later than the start it schedules.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    rule = globals()[MODES[mode]]
+    rule = _decide if mode == "disp" else _never_commit
     dparams = dispatch_params if dispatch_params is not None else DispatchParams()
     stats = SearchStats()
     executed = []

@@ -4,12 +4,11 @@ Events are positions: the origin is event 0 and each new event takes the
 next position. A constraint (u, v, b) encodes t(v) - t(u) <= b. Every event
 is implicitly at or after the origin. Networks are persistent: extend is the
 one way a network grows, and it returns a new network, so search nodes can
-share history safely. Each network logs its (u, v, b) edges, an (e, 0, 0.0)
-entry per event included, as a cell (the parent's log, its own entries), so
-no network copies its parent's log; recompute() closes that log from
-scratch, the oracle for the claim that the incremental all-pairs matrix is
-exact (a single new edge can only improve a shortest path once when no
-negative cycle exists).
+share history safely. A network holds only its all-pairs matrix and its
+consistency flag, no edge log: the matrix is exact, since a single new edge
+can only improve a shortest path once when no negative cycle exists, and the
+tests check it against a from-scratch Floyd-Warshall closure of the edges
+they record.
 
 A network grows in one body: extend copies the matrix into one scratch
 matrix of the final size, gives each new event the origin row and relaxes
@@ -31,23 +30,11 @@ EPSILON_SEPARATION = 0.001
 
 
 class Stn:
-    __slots__ = ("dist", "log", "consistent")
+    __slots__ = ("dist", "consistent")
 
     def __init__(self):
         self.dist = np.zeros((1, 1))
-        # the edge log as nested cells (parent's log, own entries)
-        self.log = None
         self.consistent = True
-
-    @property
-    def edges(self):
-        """The whole edge log in order, walked back through the cells."""
-        parts = []
-        cell = self.log
-        while cell is not None:
-            cell, own = cell
-            parts.append(own)
-        return tuple(e for own in reversed(parts) for e in own)
 
     def add_event(self) -> "Stn":
         return self.extend(1, ())
@@ -71,8 +58,6 @@ class Stn:
         if s.consistent:
             _relax(s.dist, edges, _row_only(m, edges))
             s.consistent = _consistent(s.dist)
-        s.log = (self.log, tuple((e, 0, 0.0) for e in range(m, n))
-                 + tuple((u, v, float(b)) for u, v, b in edges))
         return s
 
     def probe(self, n_new, edges):
@@ -173,19 +158,3 @@ def _consistent(dist):
     inconsistent its matrix means nothing; only the flag is kept exact."""
     return not dist.diagonal().min() < 0
 
-
-def recompute(stn: Stn):
-    """From-scratch (consistent, tmin, tmax) for oracle comparisons: a full
-    Floyd-Warshall closure of the edge log, the bounds as lists by
-    position; they are empty when inconsistent."""
-    n = len(stn.dist)
-    dist = np.full((n, n), INF)
-    np.fill_diagonal(dist, 0.0)
-    for u, v, b in stn.edges:
-        if b < dist[u, v]:
-            dist[u, v] = b
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    if np.diagonal(dist).min() < 0:
-        return False, [], []
-    return True, (-dist[:, 0]).tolist(), dist[0].tolist()

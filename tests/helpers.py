@@ -6,6 +6,7 @@ from a single seed.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from copeplan.cope import CopeInstance, CopeProcess, PrefixAction
 from copeplan.copem import CopemInstance
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import KdsInstance, KdsProcess
-from copeplan.stn import Stn
+from copeplan.stn import INF, Stn
 
 
 def random_pmf(
@@ -90,12 +91,84 @@ def random_network(rng: np.random.Generator, max_events: int = 30,
 
 
 def solve(stn: Stn):
-    """The incremental network's (consistent, tmin, tmax) in
-    stn.recompute's form: bounds as lists by position, empty when
-    inconsistent."""
+    """The incremental network's (consistent, tmin, tmax) in recompute's
+    form: bounds as lists by position, empty when inconsistent."""
     if not stn.consistent:
         return False, [], []
     return True, (-stn.dist[:, 0]).tolist(), stn.dist[0].tolist()
+
+
+class LoggedStn(Stn):
+    """A network with the edge log the tests recorded for it: its parent's
+    log, an (e, 0, 0.0) entry for each new event e (every event is at or
+    after the origin), then its own (u, v, b) edges in order. Stn itself
+    keeps no log."""
+
+    __slots__ = ("edges",)
+
+
+def edges_of(stn: Stn) -> tuple:
+    """The recorded edge log of `stn`: () for a fresh Stn(), which has only
+    the origin. A network grown while no recorder was installed has none,
+    and asking for it is an error."""
+    if isinstance(stn, LoggedStn):
+        return stn.edges
+    if len(stn.dist) == 1 and stn.consistent:
+        return ()
+    raise LookupError("network grown while no edge recorder was installed")
+
+
+def logged(parent: Stn, n_new, edges, dist, consistent) -> Stn:
+    """The network (dist, consistent) that `parent` grew into by n_new
+    events and then `edges`, with parent's log and its own entries; a growth
+    of a network that has no log has none either."""
+    try:
+        log = edges_of(parent)
+    except LookupError:
+        s = Stn.__new__(Stn)
+    else:
+        m = len(parent.dist)
+        s = LoggedStn.__new__(LoggedStn)
+        s.edges = (log + tuple((e, 0, 0.0) for e in range(m, m + n_new))
+                   + tuple(edges))
+    s.dist, s.consistent = dist, consistent
+    return s
+
+
+@contextlib.contextmanager
+def recording():
+    """Record edge logs inside the block: every network Stn.extend returns
+    (add_event and add_constraint included) is logged, from the network it
+    grew."""
+    real = Stn.extend
+
+    def extend(self, n_new, edges):
+        got = real(self, n_new, edges)
+        return logged(self, n_new, edges, got.dist, got.consistent)
+
+    Stn.extend = extend
+    try:
+        yield
+    finally:
+        Stn.extend = real
+
+
+def recompute(stn: Stn):
+    """From-scratch (consistent, tmin, tmax) of the recorded edge log of
+    `stn`, in solve's form: a full Floyd-Warshall closure, independent of
+    the network's incremental matrix, the oracle for the claim that the
+    matrix is exact."""
+    n = len(stn.dist)
+    dist = np.full((n, n), INF)
+    np.fill_diagonal(dist, 0.0)
+    for u, v, b in edges_of(stn):
+        if b < dist[u, v]:
+            dist[u, v] = b
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    if np.diagonal(dist).min() < 0:
+        return False, [], []
+    return True, (-dist[:, 0]).tolist(), dist[0].tolist()
 
 
 ORIGIN = "origin"

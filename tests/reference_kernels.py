@@ -1,8 +1,9 @@
 """Straightforward forms of vectorised kernels, kept as exact references:
-the temporal network's growth in copeplan.stn, the planner's per-node
-kernels in copeplan.planner.search (with the relaxed plan on proposition
-sets, its set algebra rebuilt on every test, and child networks grown
-eagerly with every event looked up by name through helpers.NamedStn),
+the temporal network's growth in copeplan.stn (a growth of a network with
+a recorded edge log is logged too, see helpers.logged), the planner's
+per-node kernels in copeplan.planner.search (with the relaxed plan on
+proposition sets, its set algebra rebuilt on every test, and child networks
+grown eagerly with every event looked up by name through helpers.NamedStn),
 copeplan.planner.engine's pin as a network grown one edge at a time and
 checked before tighten, the decision cycle's scoring in copeplan.planner.engine (every
 quantity recomputed per node and per call), the KDS dynamic program in
@@ -29,9 +30,9 @@ from copeplan.planner.search import (
     estimate_completion,
     tighten as tighten_search,
 )
-from copeplan.stn import EPSILON_SEPARATION, Stn
+from copeplan.stn import EPSILON_SEPARATION
 
-from helpers import ORIGIN, NamedStn
+from helpers import ORIGIN, NamedStn, logged
 
 INF = math.inf
 
@@ -44,27 +45,18 @@ def add_event(stn):
     dist[: n - 1, : n - 1] = stn.dist
     dist[n - 1, n - 1] = 0.0
     dist[n - 1, : n - 1] = stn.dist[0, :]
-    return _network(dist, stn.edges + ((n - 1, 0, 0.0),), stn.consistent)
+    return logged(stn, 1, (), dist, stn.consistent)
 
 
 def add_constraint(stn, u, v, bound):
     """One new edge, relaxed over the whole matrix and checked at once; an
     inconsistent network only logs it."""
-    edges = stn.edges + ((u, v, float(bound)),)
+    edges = ((u, v, bound),)
     if not stn.consistent:
-        return _network(stn.dist, edges, False)
+        return logged(stn, 0, edges, stn.dist, False)
     d = stn.dist
     dist = np.minimum(d, d[:, u, None] + (bound + d[None, v, :]))
-    return _network(dist, edges, not np.diagonal(dist).min() < 0)
-
-
-def _network(dist, edges, consistent):
-    """A network holding its whole edge log in one cell."""
-    s = Stn.__new__(Stn)
-    s.dist = dist
-    s.log = (None, edges)
-    s.consistent = consistent
-    return s
+    return logged(stn, 0, edges, dist, not np.diagonal(dist).min() < 0)
 
 
 def grow(stn, n_new, edges):

@@ -35,13 +35,14 @@ from copeplan.harness import (
 )
 from copeplan.kds import Block, KdsInstance, KdsProcess, brute_force_kds, solve_kds_dp
 from copeplan.planner import validate_plan
-from copeplan.stn import recompute
 
 from helpers import (
     random_cope_instance,
     random_copem_instance,
     random_kds_instance,
     random_network,
+    recompute,
+    recording,
     solve,
 )
 
@@ -153,11 +154,13 @@ def test_c05_monte_carlo_calibration():
 
 
 def test_c06_stn_incremental_matches_recompute():
-    """tmin and tmax by position, incremental against Floyd-Warshall."""
+    """tmin and tmax by position, incremental against Floyd-Warshall over
+    the recorded edges."""
     rng = np.random.default_rng(606)
     inconsistent = 0
     for _ in range(500):
-        s = random_network(rng)
+        with recording():
+            s = random_network(rng)
         got = solve(s)
         want = recompute(s)
         assert got[0] == want[0]

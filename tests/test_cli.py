@@ -544,8 +544,16 @@ _NEGATIVE_HORIZON = {
     (["solve", "kidcope"], {}, _NEGATIVE_HORIZON, "cope: horizon must be >= 0"),
     (["solve", "copem00"], {}, dict(DISPATCH_FIRST, horizon=-5),
      "copem: horizon must be >= 0"),
+    # a budget below 1 expands nothing, so the run would measure nothing
+    (["plan", path("demo_task.json"), "--max-expansions", "-5"], {}, None,
+     "bench: max_expansions must be >= 1"),
+    (["plan", path("demo_task.json")], {"COPEPLAN_MAX_EXPANSIONS": "0"}, None,
+     "bench: max_expansions must be >= 1"),
+    (["bench"], {}, dict(json.loads(_BENCH_DOC + '"instances": 1}'), max_expansions=-1),
+     "bench: max_expansions must be >= 1"),
 ], ids=["negative-speeds", "gen-flag-seed", "gen-env-seed", "bench-file-seed",
-        "cope-horizon", "copem-horizon"])
+        "cope-horizon", "copem-horizon", "plan-flag-budget", "plan-env-budget",
+        "bench-file-budget"])
 def test_refusal_names_the_field(tmp_path, capsys, monkeypatch, argv, env, doc, message):
     """A bad value from a flag, a COPEPLAN_* variable or a document exits 2
     with one line that names its field."""

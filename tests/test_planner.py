@@ -31,10 +31,10 @@ from copeplan.planner import (
 from copeplan.planner import engine, search
 from copeplan.planner.engine import _apply_dispatch, _auto_advance
 from copeplan.planner.search import SearchStats, make_child, q_tables
-from copeplan.stn import Stn, recompute
+from copeplan.stn import Stn
 
 import reference_kernels
-from helpers import props_of, solve
+from helpers import edges_of, logged, props_of, recompute, recording, solve
 
 
 def fs(*names):
@@ -387,10 +387,10 @@ def test_tighten_bounds_the_chain_by_each_kind_of_timed_deletion(conds, goal, ti
 
 def _exact_least_cycle(stn):
     """The least diagonal entry of the Floyd-Warshall closure of the
-    network's edge log in exact rational arithmetic."""
+    network's recorded edge log in exact rational arithmetic."""
     n = len(stn.dist)
     dist = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
-    for u, v, b in stn.edges:
+    for u, v, b in edges_of(stn):
         if dist[u][v] is None or Fraction(b) < dist[u][v]:
             dist[u][v] = Fraction(b)
     for k in range(n):
@@ -408,19 +408,20 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
     at two speeds, is built by extend and equals the reference that adds one
     event or edge at a time: a child's (shared by start siblings), a pinned
     one and _try_finish's. Each also agrees with the Floyd-Warshall closure
-    of its edge log: the same flag, and bounds within 1e-9, as that closure
-    sums paths in another order; the flags differ only on a cycle of weight
-    exactly 0 in rational arithmetic, which each order may round to either
-    side. Every child's network also equals the one grown eagerly by event
+    of its edge log, recorded as extend runs: the same flag, and bounds
+    within 1e-9, as that closure sums paths in another order; the flags
+    differ only on a cycle of weight exactly 0 in rational arithmetic, which
+    each order may round to either side. Every child's network also equals the one grown eagerly by event
     name, in edge log, dist and flag."""
     real_extend, real_make_child = Stn.extend, search.make_child
     seen = {"child": 0, "pin or finish": 0, "inconsistent": 0, "named child": 0}
 
     def checked_extend(self, n_new, edges):
         got = real_extend(self, n_new, edges)
+        got = logged(self, n_new, edges, got.dist, got.consistent)
         want = reference_kernels.grow(self, n_new, edges)
         assert got.consistent == want.consistent
-        assert got.edges == want.edges
+        assert edges_of(got) == edges_of(want)
         if want.consistent:
             # equal values and equal signs of zero
             assert got.dist.tobytes() == want.dist.tobytes()
@@ -444,7 +445,7 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
             want = reference_kernels.child_network(task, parent.stn, len(parent.prefix),
                                                    step, child.til_count)
             got = child.stn
-            assert (got.edges, got.consistent) == (want.edges, want.consistent)
+            assert (edges_of(got), got.consistent) == (edges_of(want), want.consistent)
             assert got.dist.tobytes() == want.dist.tobytes()
             seen["named child"] += 1
         return child
@@ -911,7 +912,7 @@ def _dispatch_a_against_a_pruned_duplicate(task, t_now):
         dup = make_child(task, dup, step, tick=1)
     assert memo[dup.key()] == owner.prefix
     pruned = {dup.key(): [dup]}
-    before = (dup.stn, dup.stn.edges, dup.stn.dist.tobytes())
+    before = (dup.stn, edges_of(dup.stn), dup.stn.dist.tobytes())
     node = make_child(task, root, ("start", "a"), tick=1)
     memo[node.key()] = node.prefix
     open_list, executed, records = [node], [], []
@@ -947,16 +948,17 @@ def test_pins_in_a_dispatch_match_the_grown_and_checked_reference(monkeypatch, t
             return out
 
         monkeypatch.setattr(engine, "_pin", noting)
-        dup, before, open_list, executed, records, memo, pruned = (
-            _dispatch_a_against_a_pruned_duplicate(task, t_now))
+        with recording():
+            dup, before, open_list, executed, records, memo, pruned = (
+                _dispatch_a_against_a_pruned_duplicate(task, t_now))
         if label == "engine" and dup_network != "revived":
             # a refused pin leaves the duplicate's network as it was
             after = dup.stn
-            assert (after, after.edges, after.dist.tobytes()) == before
+            assert (after, edges_of(after), after.dist.tobytes()) == before
         nodes = [dup] + open_list
         runs[label] = (
             verdicts,
-            [(nd.prefix, nd.stn.edges, nd.stn.dist.tobytes(), list(nd.latest))
+            [(nd.prefix, edges_of(nd.stn), nd.stn.dist.tobytes(), list(nd.latest))
              for nd in nodes],
             [nd.prefix for nd in open_list],
             executed, records, memo,

@@ -10,8 +10,9 @@ orders that let a layer scan only change points (running sums and log
 failures, and the rows the DP computes); the point-mass shortcut for a
 measured process against the DP with that process swapped in; the
 incremental temporal network (both its persistent growth and probe)
-against the from-scratch Floyd-Warshall recompute; and the planner's
-relaxed plan on proposition bitmasks against its form on sets.
+against the from-scratch Floyd-Warshall recompute of its recorded edges;
+and the planner's relaxed plan on proposition bitmasks against its form on
+sets.
 """
 
 import math
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels
-from helpers import abstract_instances, props_of, solve
+from helpers import abstract_instances, props_of, recompute, recording, solve
 from copeplan import cope, copem, kds
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import (
@@ -37,7 +38,7 @@ from copeplan.kds import (
 )
 from copeplan.planner import DurativeAction, Task, TimedLiteral
 from copeplan.planner.search import relaxed_plan
-from copeplan.stn import Stn, recompute
+from copeplan.stn import Stn
 
 # derandomized and without an example database, so every run draws the
 # same examples and writes nothing
@@ -431,7 +432,7 @@ def _point_mass_case(deadlines, j, remainings, start, horizon):
 @example(_point_mass_case([2, 1], 0, [0, 1, 2], 1, 3))
 @pytest.mark.filterwarnings("error")
 def test_point_mass_values_match_the_dp(case):
-    """kds.point_mass_values equals solve_kds_dp on the instance with j's
+    """copem.point_mass_values equals solve_kds_dp on the instance with j's
     profile swapped for delta(r), bit for bit: 1.0 while s + r < d, else
     one solve without j for every such r."""
     inst, j, remainings, start = case
@@ -442,7 +443,8 @@ def test_point_mass_values_match_the_dp(case):
         solved.append(len(instance.processes))
         return solve_kds_dp(instance, start_time, memo=memo)
 
-    got = kds.point_mass_values(inst, j, remainings, start, memo={}, solve=solve)
+    with mock.patch.object(copem, "solve_kds_dp", solve):
+        got = copem.point_mass_values(inst, j, remainings, start, memo={})
     s = min(start, T)
     d = inst.processes[j].deadline
     for r, value in zip(remainings, got, strict=True):
@@ -460,7 +462,7 @@ def test_point_mass_values_match_the_dp(case):
 def test_point_mass_values_refuse_a_negative_start():
     inst = KdsInstance([KdsProcess(DiscreteDistribution.delta(1), 2)], 3)
     with pytest.raises(ValueError):
-        kds.point_mass_values(inst, 0, [0], -1, memo={}, solve=solve_kds_dp)
+        copem.point_mass_values(inst, 0, [0], -1, memo={})
 
 
 @st.composite
@@ -491,29 +493,31 @@ def _network(n, edges):
 @given(networks())
 def test_incremental_network_matches_recompute(net):
     n, edges = net
-    s = Stn()
-    for _ in range(n):
-        s = s.add_event()
-    for u, v, b in edges:
-        s = s.add_constraint(u, v, b)
-        assert solve(s) == recompute(s)
+    with recording():
+        s = Stn()
+        for _ in range(n):
+            s = s.add_event()
+        for u, v, b in edges:
+            s = s.add_constraint(u, v, b)
+            assert solve(s) == recompute(s)
 
 
 @SETTINGS
 @given(networks(), st.integers(0, 4), st.data())
 def test_probe_matches_recompute_of_the_grown_network(net, n_new, data):
-    base = _network(*net)
-    n = len(base.dist) + n_new
-    index = st.integers(0, n - 1)
-    extra = data.draw(st.lists(
-        st.tuples(index, index, st.integers(-16, 64).map(lambda k: k / 8.0))
-        .filter(lambda e: e[0] != e[1]),
-        max_size=8))
-    grown = base
-    for _ in range(n_new):
-        grown = grown.add_event()
-    for u, v, b in extra:
-        grown = grown.add_constraint(u, v, b)
+    with recording():
+        base = _network(*net)
+        n = len(base.dist) + n_new
+        index = st.integers(0, n - 1)
+        extra = data.draw(st.lists(
+            st.tuples(index, index, st.integers(-16, 64).map(lambda k: k / 8.0))
+            .filter(lambda e: e[0] != e[1]),
+            max_size=8))
+        grown = base
+        for _ in range(n_new):
+            grown = grown.add_event()
+        for u, v, b in extra:
+            grown = grown.add_constraint(u, v, b)
     consistent, _, tmax = recompute(grown)
     probed = base.probe(n_new, extra)
     assert (probed is not None) == consistent

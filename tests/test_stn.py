@@ -1,14 +1,27 @@
-"""Temporal network behavior and incremental-vs-recompute agreement."""
+"""Temporal network behavior and incremental-vs-recompute agreement.
+
+Every test here runs under helpers.recording(), so each network it grows
+carries the edge log that recompute closes."""
 
 import math
 
 import numpy as np
 import pytest
 
-from copeplan.stn import EPSILON_SEPARATION, Stn, recompute
+from copeplan.stn import EPSILON_SEPARATION, Stn
 
 import reference_kernels
-from helpers import ORIGIN, NamedStn, random_network, solve
+from helpers import (ORIGIN, NamedStn, edges_of, random_network, recompute, recording,
+                     solve)
+
+# Stn.extend with no recorder installed, as this module found it
+UNRECORDED_EXTEND = Stn.extend
+
+
+@pytest.fixture(autouse=True)
+def _recorded():
+    with recording():
+        yield
 
 
 def test_empty_network_everything_unbounded_above():
@@ -46,7 +59,7 @@ def test_contradiction_is_a_solve_result_not_an_error():
     s = NamedStn().add_event("a")
     s = s.add_constraint(ORIGIN, "a", 1)   # t(a) <= 1
     s = s.add_constraint("a", ORIGIN, -2)  # t(a) >= 2
-    assert s.stn.edges == ((1, 0, 0.0), (0, 1, 1.0), (1, 0, -2.0))
+    assert edges_of(s.stn) == ((1, 0, 0.0), (0, 1, 1.0), (1, 0, -2.0))
     assert solve(s.stn) == recompute(s.stn) == (False, [], [])
 
 
@@ -66,15 +79,15 @@ def test_unknown_event_raises():
         one.add_constraint(-1, 0, -1.0)
     with pytest.raises(IndexError):
         one.extend(1, [(2, -3, 0.0)])
-    assert one.edges == ((1, 0, 0.0),)
+    assert edges_of(one) == ((1, 0, 0.0),)
     # t(1) <= t(0) - 1 contradicts every event being at or after the origin;
     # an inconsistent network relaxes no further edge, but still refuses one
-    # into a position it lacks rather than log it for recompute to trip over
+    # into a position it lacks, as a consistent one does
     broken = one.add_constraint(0, 1, -1.0)
     assert not broken.consistent
     with pytest.raises(IndexError):
         broken.add_constraint(0, 7, 1.0)
-    assert broken.extend(1, [(0, 2, 1.0)]).edges[-1] == (0, 2, 1.0)
+    assert edges_of(broken.extend(1, [(0, 2, 1.0)]))[-1] == (0, 2, 1.0)
     assert recompute(broken) == (False, [], [])
     s = NamedStn()
     with pytest.raises(KeyError):
@@ -90,7 +103,7 @@ def test_value_semantics():
     assert tight.tmax("a") == 2.0
     other = base.stn.add_event()
     assert len(base.stn.dist) == 2 and len(other.dist) == 3
-    assert base.stn.edges == ((1, 0, 0.0),)
+    assert edges_of(base.stn) == ((1, 0, 0.0),)
 
 
 def test_incremental_matches_recompute_on_random_networks():
@@ -248,7 +261,7 @@ def test_extend_matches_step_by_step_growth():
         got = base.extend(n_new, edges)
         want = reference_kernels.grow(base, n_new, edges)
         assert got.consistent == want.consistent
-        assert got.edges == want.edges
+        assert edges_of(got) == edges_of(want)
         if want.consistent:
             assert np.array_equal(got.dist, want.dist)
         outcomes[want.consistent] += 1
@@ -259,7 +272,7 @@ def test_extend_matches_step_by_step_growth():
 def test_probe_answers_without_growing_the_network():
     s = NamedStn().add_event("a").add_constraint(ORIGIN, "a", 4.5).add_constraint("a", ORIGIN, -2.0)
     s = s.stn
-    edges = s.edges
+    edges = edges_of(s)
     assert np.array_equal(s.probe(0, []), s.dist[0])
     # x0 >= a + 1 and x1 >= x0 + 2 leave every upper bound where it was
     row = s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)])
@@ -274,24 +287,35 @@ def test_probe_answers_without_growing_the_network():
     assert s.probe(1, [(2, 1, -1.0), (0, 2, 1.0)]) is None
     # a self-loop below 0 is a negative cycle even at the tail of the edges
     assert s.probe(1, [(0, 1, 3.0), (2, 2, -1.0)]) is None
-    assert len(s.dist) == 2 and s.edges == edges
+    assert len(s.dist) == 2 and edges_of(s) == edges
 
 
-def test_edge_log_links_to_the_parent_log_without_copying_it():
-    """A grown network's log is a cell holding its parent's log and its own
-    entries; edges walks the cells in order, and no network is kept alive
-    by a child's log."""
-    base = Stn().extend(2, [(0, 1, 3.0)])
+def test_the_recorder_logs_each_network_from_its_parent():
+    """A network keeps only its matrix and its flag. The recorder logs a
+    grown network as its parent's log, an (e, 0, 0.0) entry per new event,
+    then its own edges, so siblings share their parent's log and keep their
+    own edges apart."""
+    assert Stn.__slots__ == ("dist", "consistent")
+    assert edges_of(Stn()) == () and edges_of(Stn().extend(0, ())) == ()
+    base = Stn().extend(2, [(0, 1, 3)])
+    assert edges_of(base) == ((1, 0, 0.0), (2, 0, 0.0), (0, 1, 3.0))
     child = base.extend(1, [(3, 1, -1.0)])
-    assert child.log[0] is base.log
-    assert child.log[1] == ((3, 0, 0.0), (3, 1, -1.0))
-    assert child.edges == base.edges + child.log[1]
-    assert base.edges == ((1, 0, 0.0), (2, 0, 0.0), (0, 1, 3.0))
-    assert Stn().edges == () and Stn().extend(0, ()).edges == ()
-    cell = child.log
-    while cell is not None:
-        assert not any(isinstance(part, Stn) for part in cell)
-        cell = cell[0]
+    assert edges_of(child) == edges_of(base) + ((3, 0, 0.0), (3, 1, -1.0))
+    sibling = base.add_constraint(1, 2, 4.0)
+    assert edges_of(sibling) == edges_of(base) + ((1, 2, 4.0),)
+    stepped = reference_kernels.grow(base, 1, [(3, 1, -1.0)])
+    assert edges_of(stepped) == edges_of(child)
+
+
+def test_a_network_grown_without_the_recorder_has_no_log():
+    """A network grown while no recorder was installed has no log, nor has
+    any network grown from it, so recompute refuses each of them rather
+    than close a log that starts part way."""
+    bare = UNRECORDED_EXTEND(Stn(), 1, [(0, 1, 2.0)])
+    for s in (bare, bare.add_constraint(1, 0, -1.0), bare.extend(1, ()),
+              reference_kernels.add_event(bare)):
+        with pytest.raises(LookupError):
+            recompute(s)
 
 
 def test_epsilon_separation_is_small_and_positive():
