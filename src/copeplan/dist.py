@@ -15,6 +15,17 @@ PMF_TOLERANCE = 1e-9
 MAX_SUPPORT = 1_000_000
 
 
+def check_mass(low, total) -> None:
+    """ValueError unless the least cell `low` is at least -PMF_TOLERANCE
+    (NaN fails that too) and the total mass lies within PMF_TOLERANCE of 1.
+    A batch of rows is checked once: its least cell and the row total
+    furthest from 1."""
+    if not low >= -PMF_TOLERANCE:
+        raise ValueError("pmf has negative or NaN mass")
+    if abs(total - 1.0) > PMF_TOLERANCE:
+        raise ValueError(f"pmf sums to {total!r}, not 1")
+
+
 class DiscreteDistribution:
     """Probability mass function over integer times 0..support_max."""
 
@@ -24,12 +35,7 @@ class DiscreteDistribution:
         arr = np.asarray(probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("pmf must be a non-empty 1-d array")
-        # one reduction rejects negative and NaN mass alike: NaN fails >=
-        if not arr.min() >= -PMF_TOLERANCE:
-            raise ValueError("pmf has negative or NaN mass")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PMF_TOLERANCE:
-            raise ValueError(f"pmf sums to {total!r}, not 1")
+        check_mass(arr.min(), float(arr.sum()))
         # values are kept exactly as given so build -> serialize -> build is
         # the identity; in-tolerance deviation from 1 is harmless downstream
         self.probs = np.maximum(arr, 0.0)
@@ -38,6 +44,16 @@ class DiscreteDistribution:
         self.cum = np.cumsum(self.probs)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def wrap(cls, probs, cum) -> "DiscreteDistribution":
+        """The distribution over `probs` as given, nothing copied or checked:
+        the caller has run check_mass on them, clamped them at 0 and summed
+        them in index order into `cum`, as the constructor does."""
+        dist = cls.__new__(cls)
+        dist.probs = probs
+        dist.cum = cum
+        return dist
 
     @classmethod
     def delta(cls, t: int) -> "DiscreteDistribution":

@@ -1,12 +1,13 @@
 """Planning loop that interleaves search with execution on a shared clock.
 
 Search effort is the clock: expanding one node costs 1/speed seconds of plan
-time. Each cycle runs a burst of expansions, tries to schedule a goal the
-burst reached, absorbs happenings that are no longer decisions, and asks the
-mode's decision rule (`MODES`) for ("dispatch" | "focus" | None, step). The
-"disp" rule, `_decide`, commits the next pending start mid-search when acting
-now beats deliberating in estimated success probability, and pins its time
-into every surviving node. The "nodisp" rule never commits, so the plan is
+time. Each cycle runs a burst of at most t_wait expansions, cut to what is
+left of the expansion budget, tries to schedule a goal the burst reached,
+absorbs happenings that are no longer decisions, and asks the mode's
+decision rule (`MODES`) for ("dispatch" | "focus" | None, step). The "disp"
+rule, `_decide`, commits the next pending start mid-search when acting now
+beats deliberating in estimated success probability, and pins its time into
+every surviving node. The "nodisp" rule never commits, so the plan is
 scheduled only once a goal node survives a feasibility check at the time the
 search actually finished.
 
@@ -14,13 +15,19 @@ Scoring reads what the loop already knows. Each node carries the suffix
 minima of its start tmaxes, so latest_start is a lookup. run_search keeps one
 memo per burst that maps h to a _Scores: the completion profile, its
 expected effort, q_known's whole-support tables and values by deadline, and
-lpf's values by success index. Step pos is event pos + 1 of a node's
-network; networks hold positions only, no event names. The start children
-of one expansion share one network, built once by expand. A pin extends the
-node's network by its two edges, and tighten makes the pinned network the
-node's once its chain still fits; no network is changed in place, so a
-shared one stays as its siblings read it. _try_finish extends a node's
-network by one edge per uncommitted start.
+lpf's values by success index. _argmax_q and _decide fill it for every h
+among their nodes that it lacks with one batched estimate_completion call,
+so a cycle builds its profiles and their tables in one pass. _decide scores
+nothing when no start is pending: p_nd is only ever compared with a pending
+start's p_d.
+
+Step pos is event pos + 1 of a node's network; networks hold positions
+only, no event names. The start children of one expansion share one
+network, built once by expand. A pin extends the node's network by its two
+edges, and tighten makes the pinned network the node's once its chain still
+fits; no network is changed in place, so a shared one stays as its siblings
+read it. _try_finish extends a node's network by one edge per uncommitted
+start.
 """
 
 import math
@@ -37,7 +44,6 @@ from .search import (
     latest_start,
     make_root,
     q_known,
-    q_tables,
     tighten,
 )
 
@@ -80,40 +86,39 @@ DDA_PARAMS = DdaParams()
 
 
 class _Scores:
-    """The completion profile of nodes at one h, its expected effort e, and
-    what scoring reads of it: q_known's tables, built on first use, its
-    value by deadline, and lpf's value by the clipped success index it
-    reads."""
+    """The completion profile of nodes at one h, its expected effort e,
+    q_known's whole-support tables and its value by deadline, and lpf's
+    value by the clipped success index it reads."""
 
     __slots__ = ("profile", "e", "tables", "q", "lpf")
 
-    def __init__(self, profile):
+    def __init__(self, profile, mean, tables):
         self.profile = profile
-        self.e = max(1, round(profile.mean()))
-        self.tables = None
+        self.e = max(1, round(mean))
+        self.tables = tables
         self.q = {}
         self.lpf = {}
 
 
-def _profile(nd, stats, profiles):
-    """The _Scores for nodes at nd.h, memoised in `profiles` until the search
+def _score(nodes, stats, profiles):
+    """Give `profiles` a _Scores for every h among `nodes` that it lacks,
+    from one estimate_completion call; the memo holds until the search
     statistics next change."""
-    entry = profiles.get(nd.h)
-    if entry is None:
-        entry = profiles[nd.h] = _Scores(estimate_completion(nd, stats))
-    return entry
+    hs = list(dict.fromkeys(nd.h for nd in nodes if nd.h not in profiles))
+    if hs:
+        for h, scores in zip(hs, estimate_completion(hs, stats)):
+            profiles[h] = _Scores(*scores)
 
 
 def _argmax_q(pool, m, t_now, speed, stats, profiles):
+    _score(pool, stats, profiles)
     best = None
     best_q = -INF
     for nd in pool:
         d = deadline_steps(latest_start(nd, m), t_now, speed)
-        entry = _profile(nd, stats, profiles)
+        entry = profiles[nd.h]
         q = entry.q.get(d)
         if q is None:
-            if entry.tables is None:
-                entry.tables = q_tables(entry.profile)
             q = entry.q[d] = q_known(entry.profile, d, DDA_PARAMS, entry.tables)
         if best is None or q > best_q or (q == best_q and nd.generation_tick < best.generation_tick):
             best = nd
@@ -146,18 +151,19 @@ def _burst(task, node, m_exec, stats, memo, pruned_dups, counts, t_u):
     return None, frontier
 
 
-def _chain_log_failure(nodes, c, t_b, t_now, speed, stats, profiles):
+def _chain_log_failure(nodes, c, t_b, t_now, speed, profiles):
     """Joint log failure of finishing every node's subtree before its window.
 
     Nodes are charged sequentially: each one waits for the expected effort of
     those before it plus its own before its success is evaluated. lpf reads
     the running sum at min(e, d - 1 - offset), so its value is kept by that
-    index; below 0 it would add log(1.0) = 0.0.
+    index; below 0 it would add log(1.0) = 0.0. `profiles` holds a _Scores
+    for every node's h.
     """
     total = 0.0
     offset = t_b
     for nd in nodes:
-        entry = _profile(nd, stats, profiles)
+        entry = profiles[nd.h]
         e = entry.e
         offset += e
         d = deadline_steps(latest_start(nd, c), t_now, speed)
@@ -171,19 +177,25 @@ def _chain_log_failure(nodes, c, t_b, t_now, speed, stats, profiles):
 
 
 def _decide(open_list, m, t_now, speed, stats, dparams, counts, profiles):
-    """Compare acting now against deliberating; ('dispatch'|'focus'|None, step)."""
-    p_nd = 1.0 - math.exp(_chain_log_failure(open_list, m, dparams.t_wait, t_now,
-                                             speed, stats, profiles))
+    """Compare acting now against deliberating; ('dispatch'|'focus'|None, step).
+
+    p_nd is only ever compared with a pending start's p_d, so with no
+    pending start there is nothing to score."""
     groups = {}
     for nd in open_list:
         if len(nd.prefix) > m and nd.prefix[m][0] == "start":
             groups.setdefault(nd.prefix[m], []).append(nd)
+    if not groups:
+        return None, None
+    _score(open_list, stats, profiles)
+    p_nd = 1.0 - math.exp(_chain_log_failure(open_list, m, dparams.t_wait, t_now,
+                                             speed, profiles))
     best_disp = None
     best_focus = None
     for step in sorted(groups):
         nodes = groups[step]
         p_d = 1.0 - math.exp(_chain_log_failure(nodes, m + 1, 0, t_now, speed,
-                                                stats, profiles))
+                                                profiles))
         explored = (
             counts.get((m, step), 0) >= dparams.min_subtree_expansions
             and len(nodes) >= dparams.min_sim_open
@@ -382,8 +394,8 @@ def run_search(task, mode="nodisp", speed=100.0, dispatch_params=None,
                 focus_step = None
         chosen = _argmax_q(pool, m, t_now, speed, stats, profiles)
         open_list.remove(chosen)
-        goal_node, leftovers = _burst(task, chosen, m, stats, memo, pruned_dups,
-                                      counts, dparams.t_wait)
+        goal_node, leftovers = _burst(task, chosen, m, stats, memo, pruned_dups, counts,
+                                      min(dparams.t_wait, max_expansions - stats.expansions))
         profiles.clear()
         open_list.extend(leftovers)
         t_now = stats.expansions / speed

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dda import FAILURE_FLOOR, DdaParams
-from ..dist import DiscreteDistribution
+from ..dist import DiscreteDistribution, check_mass
 from ..stn import EPSILON_SEPARATION, Stn
 
 INF = math.inf
@@ -336,51 +336,119 @@ def is_goal(task, node: SearchNode) -> bool:
 # -- completion estimates and urgency ---------------------------------------
 
 ESTIMATE_SUPPORT_CAP = 200
-# log(k + 0.5), the log of the upper edge of grid cell k, for every k a
-# discretized lognormal can reach
-_LOG_CELL_EDGES = np.array([math.log(k + 0.5) for k in range(ESTIMATE_SUPPORT_CAP + 1)])
+# what a row of the flat layout reads in cell k: +inf at k = 0, so Phi = 1
+# there, which closes the row before it; -inf at k = 1, so Phi = 0; and
+# log(k - 0.5), the log of the upper edge of grid cell k - 1, from k = 2 on
+_EDGE_TABLE = np.array([INF, -INF] + [math.log(k + 0.5)
+                                      for k in range(1, ESTIMATE_SUPPORT_CAP)])
 _SQRT2 = math.sqrt(2.0)
 
 
-def discretized_lognormal(mean: float, cv: float) -> DiscreteDistribution:
-    """Integer-grid distribution with the given mean and relative spread.
+def _profile_rows(rows):
+    """(profile, mean, q tables) of the discretized lognormal of each
+    (mean, cv) row, in one pass over all of them.
 
-    Cell k (1 <= k < cap) holds Phi(edge k) - Phi(edge k-1) of the lognormal,
-    and the last cell takes the rest of the mass. The arithmetic around erf
-    runs on arrays; each operation rounds as the scalar form would.
+    Cell k (1 <= k < cap) of a row holds Phi(edge k) - Phi(edge k-1) of the
+    lognormal, and the last cell takes the rest of the mass; a row with no
+    spread is a point mass. The rows lie end to end in flat arrays: Phi, the
+    cell masses, the clamp and the log-failure table are each one numpy
+    operation over all of them, elementwise, so each cell rounds as it would
+    alone. Sums, running sums, the dot product of the mean and running
+    minima run on each row's own 1-D slice, as numpy rounds a row's own
+    array. The masses are checked as DiscreteDistribution checks them, once
+    for the batch.
     """
-    if mean <= 0:
-        return DiscreteDistribution.delta(0)
-    sigma2 = math.log(1.0 + cv * cv)
-    # below about 1.05e-8, cv * cv vanishes next to 1 and sigma would be 0
-    if cv < 1e-9 or sigma2 == 0.0:
-        return DiscreteDistribution.delta(max(1, round(mean)))
-    sigma = math.sqrt(sigma2)
-    mu = math.log(mean) - sigma2 / 2.0
-    cap = int(math.ceil(math.exp(mu + 3.29 * sigma)))
-    cap = max(2, min(cap, ESTIMATE_SUPPORT_CAP))
-    z = (_LOG_CELL_EDGES[1:cap] - mu) / sigma / _SQRT2
-    # phi[k-1] = Phi(edge k) = 0.5 * (1 + erf(z)), the mass below edge k
-    phi = np.fromiter(map(math.erf, z.tolist()), float, cap - 1)
-    phi += 1.0
-    phi *= 0.5
-    probs = np.empty(cap + 1)
-    probs[0] = 0.0
-    probs[1] = phi[0]
-    np.subtract(phi[1:], phi[:-1], out=probs[2:cap])
-    probs[cap] = 1.0 - phi[-1]
-    probs /= probs.sum()
-    return DiscreteDistribution(probs)
+    spread = []
+    points = []
+    for i, (mean, cv) in enumerate(rows):
+        if mean <= 0:
+            points.append((i, 0))
+            continue
+        sigma2 = math.log(1.0 + cv * cv)
+        # below about 1.05e-8, cv * cv vanishes next to 1 and sigma would be 0
+        if cv < 1e-9 or sigma2 == 0.0:
+            points.append((i, max(1, round(mean))))
+            continue
+        sigma = math.sqrt(sigma2)
+        mu = math.log(mean) - sigma2 / 2.0
+        cap = int(math.ceil(math.exp(mu + 3.29 * sigma)))
+        spread.append((i, max(2, min(cap, ESTIMATE_SUPPORT_CAP)) + 1, mu, sigma))
+    # the rows lie end to end, the spread ones first
+    k = len(spread)
+    order = [r[0] for r in spread] + [i for i, _ in points]
+    lengths = [r[1] for r in spread] + [t + 1 for _, t in points]
+    starts = [0]
+    for length in lengths:
+        starts.append(starts[-1] + length)
+    n = starts.pop()
+    masses = np.zeros(n)
+    if spread:
+        # each row reads [+inf, -inf, edges...]; one +inf closes the last
+        counts = lengths[:k] + [1]
+        edges = np.concatenate([_EDGE_TABLE[:length] for length in counts])
+        mu = np.array([r[2] for r in spread] + [0.0]).repeat(counts)
+        sigma = np.array([r[3] for r in spread] + [1.0]).repeat(counts)
+        z = (edges - mu) / sigma / _SQRT2
+        # phi[j] = Phi(z[j]) = 0.5 * (1 + erf(z[j])), so a row's masses are
+        # the differences of its Phi from 0 up to 1, past a first cell that
+        # reads the row before it
+        phi = np.fromiter(map(math.erf, z.tolist()), float, len(z))
+        phi += 1.0
+        phi *= 0.5
+        spread_masses = masses[:len(z) - 1]
+        np.subtract(phi[1:], phi[:-1], out=spread_masses)
+        masses[starts[:k]] = 0.0
+        sums = [np.add.reduce(masses[a:a + length]) for a, length in zip(starts, lengths[:k])]
+        spread_masses /= np.array(sums).repeat(lengths[:k])
+    if points:
+        masses[[starts[j] + t for j, (_, t) in enumerate(points, k)]] = 1.0
+    low = np.minimum.reduce(masses)
+    np.maximum(masses, 0.0, out=masses)
+    cum = np.empty(n)
+    ends = []
+    for a, length in zip(starts, lengths):
+        # add.accumulate is cumsum, without its wrapper
+        np.add.accumulate(masses[a:a + length], out=cum[a:a + length])
+        ends.append(a + length - 1)
+    totals = cum[ends]
+    check_mass(low, float(totals[np.abs(totals - 1.0).argmax()]))
+    steps = np.arange(n, dtype=float) - np.array(starts, dtype=float).repeat(lengths)
+    tables = _q_tables(cum, steps, starts, lengths)
+    out = [None] * len(rows)
+    for i, a, length, table in zip(order, starts, lengths, tables):
+        probs = masses[a:a + length]
+        out[i] = (DiscreteDistribution.wrap(probs, cum[a:a + length]),
+                  float(probs.dot(steps[a:a + length])), table)
+    return out
 
 
-def estimate_completion(node: SearchNode, stats: SearchStats) -> DiscreteDistribution:
-    """Distribution over expansions still needed beneath this node."""
-    if node.h <= 0:
-        return DiscreteDistribution.delta(0)
-    mean = node.h * stats.expansion_delay()
+def _q_tables(cum, steps, starts, lengths):
+    """q_known's tables for each row of the flat running sums `cum`, rows
+    that start at `starts` and run `lengths` cells, each cell at index
+    `steps` of its row: the log-failure of each running sum, and the running
+    least rate log_fail[t] / t over t = 1..k at index k - 1."""
+    log_fail = np.log(np.maximum(1.0 - cum, FAILURE_FLOOR))
+    # a row's first cell has no rate; dividing it by 1 keeps it finite
+    rate = log_fail / np.maximum(steps, 1.0)
+    return [(log_fail[a:a + length], np.minimum.accumulate(rate[a + 1:a + length]))
+            for a, length in zip(starts, lengths)]
+
+
+def discretized_lognormal(mean: float, cv: float) -> DiscreteDistribution:
+    """Integer-grid distribution with the given mean and relative spread:
+    one row of _profile_rows."""
+    return _profile_rows([(mean, cv)])[0][0]
+
+
+def estimate_completion(hs, stats: SearchStats):
+    """(profile, mean, q tables) for each h in `hs`: the distribution over
+    expansions still needed beneath a node at h, its mean and q_known's
+    tables, from one _profile_rows pass over all of them."""
+    delay = stats.expansion_delay()
+    std = stats.h_error_std()
     # per-step heuristic errors accumulate over h steps
-    cv = min(2.0, stats.h_error_std() / math.sqrt(node.h))
-    return discretized_lognormal(mean, cv)
+    return _profile_rows([(h * delay, min(2.0, std / math.sqrt(h))) if h > 0 else (0.0, 0.0)
+                          for h in hs])
 
 
 def deadline_steps(latest: float, t_now: float, speed: float) -> int:
@@ -394,12 +462,9 @@ def deadline_steps(latest: float, t_now: float, speed: float) -> int:
 
 
 def q_tables(profile: DiscreteDistribution):
-    """q_known's tables over the profile's whole support: the log-failure of
-    each running sum, and the running least rate log_fail[t] / t over
-    t = 1..k at index k - 1."""
-    log_fail = np.log(np.maximum(1.0 - profile.cum, FAILURE_FLOOR))
-    best_rate = np.minimum.accumulate(log_fail[1:] / np.arange(1, len(log_fail)))
-    return log_fail, best_rate
+    """q_known's tables over the profile's whole support (see _q_tables)."""
+    n = len(profile.cum)
+    return _q_tables(profile.cum, np.arange(n, dtype=float), [0], [n])[0]
 
 
 def q_known(profile: DiscreteDistribution, d: int, params: DdaParams,

@@ -11,9 +11,12 @@ tests check it against a from-scratch Floyd-Warshall closure of the edges
 they record.
 
 A network grows in one body: extend copies the matrix into one scratch
-matrix of the final size, gives each new event the origin row and relaxes
-the new edges in place, each through the same formula; add_event and
-add_constraint are extend with one event or one edge. probe does the same
+matrix of the final size (a plain copy when no event is added), gives each
+new event the origin row and relaxes the new edges in place, each through
+the same formula; add_event and add_constraint are extend with one event or
+one edge. An edge that can change only its source's row costs two numpy
+calls, one that relaxes the whole matrix three, and the consistency check
+one reduction of the diagonal. probe does the same
 for tentative events and edges that never enter the network: it returns
 only the origin row, and stops after the last edge that relaxes the whole
 matrix, since every edge past it writes only the row of a new event, which
@@ -94,7 +97,9 @@ class Stn:
         new edge, as adding each event one at a time would leave it.
         A new event sits at or after the origin, so its only outgoing edge
         runs to the origin and onward from there; it gets the origin row and
-        an empty column."""
+        an empty column. With no new event it is a copy."""
+        if not n_new:
+            return self.dist.copy()
         m = len(self.dist)
         n = m + n_new
         dist = np.empty((n, n))
@@ -135,18 +140,22 @@ def _relax(dist, edges, row_only):
       (_consistent) sees any negative diagonal an earlier step would have
       seen.
     Every entry a relaxation offers is dist[i, u] + (b + dist[v, j]), in that
-    association.
+    association, except that a row-only edge offers (b + 0.0) + dist[v, j],
+    one numpy call fewer and bit for bit the same, sign of zero included.
+    Its dist[u, u] is the +0.0 that _grow wrote, since no earlier edge
+    enters u, and a sum is -0.0 only when both of its terms are. So neither 0.0 + (b + x) nor (b + 0.0) + x is ever -0.0, and both
+    equal b + x when b is not -0.0, and 0.0 + x when it is.
     """
     n = len(dist)
     via = np.empty(n)
     through = None
     for (u, v, b), row in zip(edges, row_only):
-        np.add(b, dist[v], out=via)
         if row:
             source = dist[u]
-            np.add(source[u], via, out=via)
+            np.add(b + 0.0, dist[v], out=via)
             np.minimum(source, via, out=source)
         else:
+            np.add(b, dist[v], out=via)
             if through is None:
                 through = np.empty((n, n))
             np.add(dist[:, u, None], via, out=through)
@@ -156,5 +165,5 @@ def _relax(dist, edges, row_only):
 def _consistent(dist):
     """No negative cycle: no diagonal entry below 0. Once a network is
     inconsistent its matrix means nothing; only the flag is kept exact."""
-    return not dist.diagonal().min() < 0
+    return not np.minimum.reduce(dist.diagonal()) < 0
 

@@ -27,7 +27,6 @@ from copeplan.kds import Block, KdsSolution, solve_kds_dp as _solve_kds_dp, succ
 from copeplan.planner.search import (
     ESTIMATE_SUPPORT_CAP,
     deadline_steps,
-    estimate_completion,
     tighten as tighten_search,
 )
 from copeplan.stn import EPSILON_SEPARATION
@@ -310,9 +309,30 @@ def latest_start(node, c):
     return min(vals) if vals else INF
 
 
+def estimate_completion(h, stats):
+    """search.estimate_completion for one h, through the scalar
+    discretized_lognormal above; a spread whose cv * cv vanishes next to 1
+    is a point mass, as search's lognormal makes it."""
+    if h <= 0:
+        return DiscreteDistribution.delta(0)
+    mean = h * stats.expansion_delay()
+    cv = min(2.0, stats.h_error_std() / math.sqrt(h))
+    if math.log(1.0 + cv * cv) == 0.0:
+        return DiscreteDistribution.delta(max(1, round(mean)))
+    return discretized_lognormal(mean, cv)
+
+
+def q_tables(profile):
+    """search.q_tables from the profile's own running sums: the log-failure
+    of each, and each running least rate as the min over a fresh slice."""
+    log_fail = np.log(np.maximum(1.0 - profile.cum, FAILURE_FLOOR))
+    rates = log_fail[1:] / np.arange(1, len(log_fail))
+    return log_fail, np.array([rates[: k + 1].min() for k in range(len(rates))])
+
+
 def _scores(nd, stats, profiles):
     if nd.h not in profiles:
-        prof = estimate_completion(nd, stats)
+        prof = estimate_completion(nd.h, stats)
         profiles[nd.h] = (prof, max(1, round(prof.mean())))
     return profiles[nd.h]
 

@@ -345,6 +345,17 @@ def test_plan_solves_and_repeats_identically(capsys):
     assert first.startswith("# config ")
 
 
+@pytest.mark.parametrize("budget", [1, 3])
+def test_plan_spends_no_more_expansions_than_its_budget(capsys, budget):
+    """A burst stops at the expansion budget: the demo task, which nodisp
+    solves in 6 expansions, reports the budget reached and no more."""
+    assert main(["plan", path("demo_task.json"), "--mode", "nodisp",
+                 "--max-expansions", str(budget)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith(f"solved false expansions {budget} ")
+    assert last.endswith("reason expansion limit")
+
+
 def test_plan_stream_then_validate(tmp_path, capsys):
     out = tmp_path / "demo.plan"
     assert main(["plan", path("demo_task.json"), "--mode", "disp",

@@ -176,12 +176,9 @@ def test_discretized_lognormal_matches_moments():
 def test_estimate_completion_uses_delay_and_dispersion():
     stats = SearchStats()
     stats.delay_sum, stats.expansions = 20.0, 10
-    root = make_root(micro_task())
-    root.h = 3.0
-    est = estimate_completion(root, stats)
-    assert est.pairs() == [(6, 1.0)]
-    root.h = 0.0
-    assert estimate_completion(root, stats).pairs() == [(0, 1.0)]
+    (est, mean, _), (done, _, _) = estimate_completion([3.0, 0.0], stats)
+    assert est.pairs() == [(6, 1.0)] and mean == 6.0
+    assert done.pairs() == [(0, 1.0)]
 
 
 def test_deadline_steps_grid():
@@ -285,6 +282,66 @@ def test_discretized_lognormal_without_spread_is_a_point_mass():
         assert discretized_lognormal(mean, cv).pairs() == [(max(1, round(mean)), 1.0)]
         with pytest.raises(ZeroDivisionError):
             reference_kernels.discretized_lognormal(mean, cv)
+
+
+def _reference_row(mean, cv):
+    """The scalar reference's profile of one (mean, cv) row, a point mass
+    where cv * cv vanishes next to 1, with its tables and mean."""
+    if mean > 0 and cv >= 1e-9 and math.log(1.0 + cv * cv) == 0.0:
+        profile = DiscreteDistribution.delta(max(1, round(mean)))
+    else:
+        profile = reference_kernels.discretized_lognormal(mean, cv)
+    return profile, reference_kernels.q_tables(profile), profile.mean()
+
+
+def _same_row(got, want):
+    (profile, mean, tables), (ref, ref_tables, ref_mean) = got, want
+    assert profile.probs.tobytes() == ref.probs.tobytes()
+    assert profile.cum.tobytes() == ref.cum.tobytes()
+    assert [t.tobytes() for t in tables] == [t.tobytes() for t in ref_tables]
+    assert mean == ref_mean and math.copysign(1.0, mean) == math.copysign(1.0, ref_mean)
+
+
+def test_batched_profiles_match_the_scalar_reference_row_by_row():
+    """Each row of a batched pass, in any order and in batches that mix
+    capped, uncapped, two-cell, point-mass, h <= 0 and cv * cv vanishing
+    rows, has the reference's masses, running sums, q tables and mean bit
+    for bit, and the same bytes it has alone."""
+    rng = np.random.default_rng(12)
+    fixed = [(0.0, 0.5), (-2.0, 1.0), (5.0, 0.0), (5.0, 5e-10), (6.3, 1e-8),
+             (0.4, 1.1e-8), (0.3, 0.1), (150.0, 2.0), (1e4, 0.5), (2.5, 2.0),
+             (1234.0, 0.0)]
+    kinds = set()
+    for _ in range(150):
+        rows = [fixed[int(i)] for i in rng.integers(0, len(fixed), size=int(rng.integers(0, 4)))]
+        rows += [(float(np.exp(rng.uniform(-2.0, 6.0))), float(rng.uniform(0.0, 2.0)))
+                 for _ in range(int(rng.integers(1, 40)))]
+        rows = [rows[int(i)] for i in rng.permutation(len(rows))]
+        got = search._profile_rows(rows)
+        assert len(got) == len(rows)
+        for row, out in zip(rows, got):
+            _same_row(out, _reference_row(*row))
+            alone = search._profile_rows([row])[0]
+            assert out[0].probs.tobytes() == alone[0].probs.tobytes()
+            assert out[1] == alone[1]
+            kinds.add(out[0].support_max)
+    assert {0, 2, search.ESTIMATE_SUPPORT_CAP, 1234} <= kinds
+
+
+def test_estimate_completion_matches_the_reference_per_h():
+    """estimate_completion over the distinct h of a batch, under drawn
+    search statistics, gives each h the reference's profile, tables and
+    mean; h <= 0 is a point mass at 0."""
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        stats = SearchStats()
+        for _ in range(int(rng.integers(0, 30))):
+            stats.note_expansion(int(rng.integers(0, 5)))
+            stats.note_h_step(float(rng.integers(0, 30)), float(rng.integers(0, 30)))
+        hs = list(dict.fromkeys(float(h) for h in rng.integers(-2, 40, size=12)))
+        for h, got in zip(hs, estimate_completion(hs, stats)):
+            ref = reference_kernels.estimate_completion(h, stats)
+            _same_row(got, (ref, reference_kernels.q_tables(ref), ref.mean()))
 
 
 def _check_tighten_against_reference(monkeypatch, verdicts):
@@ -593,6 +650,8 @@ def test_decisions_match_per_node_references(monkeypatch):
     argmax, chain, decide = engine._argmax_q, engine._chain_log_failure, engine._decide
     _check_tighten_against_reference(monkeypatch, [])
     seen = {"argmax": 0, "chain": 0, "dispatch": 0, "focus": 0, None: 0}
+    # the statistics of the _decide call that runs each chain
+    deciding = {}
 
     def checked_argmax(pool, m, t_now, speed, stats, profiles):
         got = argmax(pool, m, t_now, speed, stats, profiles)
@@ -601,13 +660,15 @@ def test_decisions_match_per_node_references(monkeypatch):
         seen["argmax"] += 1
         return got
 
-    def checked_chain(nodes, c, t_b, t_now, speed, stats, profiles):
-        got = chain(nodes, c, t_b, t_now, speed, stats, profiles)
-        assert got == reference_kernels.chain_log_failure(nodes, c, t_b, t_now, speed, stats)
+    def checked_chain(nodes, c, t_b, t_now, speed, profiles):
+        got = chain(nodes, c, t_b, t_now, speed, profiles)
+        assert got == reference_kernels.chain_log_failure(nodes, c, t_b, t_now, speed,
+                                                          deciding["stats"])
         seen["chain"] += 1
         return got
 
     def checked_decide(open_list, m, t_now, speed, stats, dparams, counts, profiles):
+        deciding["stats"] = stats
         got = decide(open_list, m, t_now, speed, stats, dparams, counts, profiles)
         assert got == reference_kernels.decide(open_list, m, t_now, speed, stats,
                                                dparams, counts)
@@ -814,35 +875,68 @@ def test_disp_that_cannot_commit_equals_nodisp(monkeypatch):
 
 
 def test_decision_cycle_builds_each_profile_once(monkeypatch):
-    """Inside one _decide, p_nd's chain and every candidate group's chain
-    read one profile memo, so no h has its profile built twice."""
+    """Between two bursts the search statistics stand still, and the
+    profile memo builds each h once, in one estimate_completion call per
+    scoring: _decide's p_nd chain and every candidate group's chain read
+    the profiles of its one call, and the next _argmax_q builds only what
+    that call did not. A _decide with no pending start builds nothing."""
     cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", "bench.json"))
     built = []
-    repeats = []
-    cycles = 0
-    estimate, decide = engine.estimate_completion, engine._decide
+    seen = {"builds": 0, "decides": 0, "idle decides": 0}
+    estimate, burst, decide = engine.estimate_completion, engine._burst, engine._decide
 
-    def counting_estimate(nd, stats):
-        built.append(nd.h)
-        return estimate(nd, stats)
+    def counting_estimate(hs, stats):
+        assert len(set(hs)) == len(hs)
+        assert not set(hs) & set(built)
+        built.extend(hs)
+        seen["builds"] += 1
+        return estimate(hs, stats)
 
-    def checked_decide(*args, **kwargs):
-        nonlocal cycles
+    def clearing_burst(*args):
+        out = burst(*args)
         built.clear()
-        out = decide(*args, **kwargs)
-        cycles += 1
-        repeats.extend(h for h in set(built) if built.count(h) > 1)
+        return out
+
+    def checked_decide(open_list, m, *args):
+        builds = seen["builds"]
+        out = decide(open_list, m, *args)
+        assert seen["builds"] - builds <= 1
+        pending = any(len(nd.prefix) > m and nd.prefix[m][0] == "start" for nd in open_list)
+        if not pending:
+            assert out == (None, None) and seen["builds"] == builds
+            seen["idle decides"] += 1
+        seen["decides"] += 1
         return out
 
     monkeypatch.setattr(engine, "estimate_completion", counting_estimate)
+    monkeypatch.setattr(engine, "_burst", clearing_burst)
     monkeypatch.setattr(engine, "_decide", checked_decide)
     for task in benchmark_tasks(cfg)[:3]:
         run_search(task, mode="disp", speed=6.0,
                    dispatch_params=cfg.dispatch_params(),
                    max_expansions=cfg.max_expansions)
-    assert cycles > 0
-    assert repeats == []
+    assert min(seen.values()) > 0, seen
+
+
+def test_decide_without_a_pending_start_scores_nothing(monkeypatch):
+    """With no start pending at position m, _decide answers (None, None)
+    before it builds a profile or runs a chain, and leaves the memo empty."""
+    def refuse(*_):
+        raise AssertionError("scored without a pending start")
+
+    monkeypatch.setattr(engine, "_chain_log_failure", refuse)
+    monkeypatch.setattr(engine, "estimate_completion", refuse)
+    task = micro_task()
+    root = make_root(task)
+    children = expand(task, root, tick=1)
+    assert any(nd.prefix[0][0] == "start" for nd in children)
+    profiles = {}
+    # the root has no step at 0; neither it nor the children have one at 1
+    for open_list, m in (([root], 0), ([root] + children, 1)):
+        assert engine._decide(open_list, m, 0.0, 10.0, SearchStats(), DispatchParams(),
+                              {}, profiles) == (None, None)
+    assert profiles == {}
 
 
 def _drive_to_closures(task):

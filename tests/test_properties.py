@@ -525,6 +525,29 @@ def test_probe_matches_recompute_of_the_grown_network(net, n_new, data):
         assert probed.tolist() == tmax
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(networks(), st.integers(0, 4), st.data())
+def test_extend_matches_step_by_step_growth_sign_bits_included(net, n_new, data):
+    """Stn.extend leaves the matrix the reference's one-step-at-a-time
+    growth leaves, every sign bit included, on networks whose zero entries
+    may be -0.0 and edges whose bounds may be -0.0."""
+    base = _network(*net)
+    flip = np.array(data.draw(st.lists(st.booleans(), min_size=base.dist.size,
+                                       max_size=base.dist.size)))
+    base.dist = np.where(flip.reshape(base.dist.shape) & (base.dist == 0.0), -0.0, base.dist)
+    n = len(base.dist) + n_new
+    index = st.integers(0, n - 1)
+    edges = data.draw(st.lists(
+        st.tuples(index, index, st.integers(-16, 64).map(lambda k: k / 8.0) | st.just(-0.0))
+        .filter(lambda e: e[0] != e[1]),
+        max_size=8))
+    got = base.extend(n_new, edges)
+    want = reference_kernels.grow(base, n_new, edges)
+    assert got.consistent == want.consistent
+    if want.consistent:
+        assert got.dist.tobytes() == want.dist.tobytes()
+
+
 @st.composite
 def relaxed_cases(draw):
     """A small random task, a state, open actions and a timed-literal count.

@@ -269,6 +269,19 @@ def test_extend_matches_step_by_step_growth():
     assert min(outcomes.values()) > 30
 
 
+def test_row_only_edge_keeps_the_sign_of_zero():
+    """A row-only edge with b = -0.0 into a row holding -0.0 offers +0.0, as
+    dist[u, u] + (b + x) does, not the -0.0 of b + x."""
+    base = Stn()
+    # t1 and t2 at most 5 after the origin, t2 at or before t1
+    base.dist = np.array([[0.0, 5.0, 5.0], [0.0, 0.0, -0.0], [0.0, 5.0, 0.0]])
+    edges = [(3, 1, -0.0)]
+    got = base.extend(1, edges)
+    want = reference_kernels.grow(base, 1, edges)
+    assert got.dist[3, 2] == 0.0 and not np.signbit(got.dist[3, 2])
+    assert got.dist.tobytes() == want.dist.tobytes()
+
+
 def test_probe_answers_without_growing_the_network():
     s = NamedStn().add_event("a").add_constraint(ORIGIN, "a", 4.5).add_constraint("a", ORIGIN, -2.0)
     s = s.stn
