@@ -23,11 +23,13 @@ start's p_d.
 
 Step pos is event pos + 1 of a node's network; networks hold positions
 only, no event names. The start children of one expansion share one
-network, built once by expand. A pin extends the node's network by its two
-edges, and tighten makes the pinned network the node's once its chain still
-fits; no network is changed in place, so a shared one stays as its siblings
-read it. _try_finish extends a node's network by one edge per uncommitted
-start.
+network, built once by expand. A commit extends each distinct network among
+its nodes once, by the pin's two edges, and gives the pinned network one
+probe memo (see search.tighten); tighten makes it the network of each node
+whose chain still fits, so nodes that shared a network share the pinned one
+and probe each relaxed chain once. No network is changed in place, so a
+shared one stays as its nodes read it. _try_finish extends a node's network
+by one edge per uncommitted start.
 """
 
 import math
@@ -220,32 +222,38 @@ def _never_commit(*_):
 MODES = ("disp", "nodisp")
 
 
-def _pin(task, node, pos, when):
+def _pin(task, node, pos, when, pins):
     """Fix t(step pos) = when in the node's network; None if that breaks it
-    or the node's chain no longer fits. The node's network is extended by
-    the pin's two edges and refused at once when inconsistent; otherwise
-    tighten probes the pinned network with the chain and makes it the
-    node's. The old network is never written, and a refused pin leaves the
-    node as it was."""
-    ev = pos + 1
-    stn = node.stn.extend(0, ((0, ev, when), (ev, 0, -when)))
-    if not stn.consistent or not tighten(task, node, stn):
+    or the node's chain no longer fits. `pins` maps each network this pin
+    has already extended to (pinned network, its probe memo); a network
+    not yet there is extended by the pin's two edges. The pinned network is
+    refused at once when inconsistent; otherwise tighten probes it with the
+    chain and makes it the node's. The old network is never written, and a
+    refused pin leaves the node as it was."""
+    pinned = pins.get(node.stn)
+    if pinned is None:
+        ev = pos + 1
+        pinned = pins[node.stn] = node.stn.extend(0, ((0, ev, when), (ev, 0, -when))), {}
+    stn, memo = pinned
+    if not stn.consistent or not tighten(task, node, stn, memo):
         return None
     return node
 
 
 def _repin(task, node, executed):
     for pos, (_, when) in enumerate(executed):
-        if _pin(task, node, pos, when) is None:
+        if _pin(task, node, pos, when, {}) is None:
             return None
     return node
 
 
 def _commit(task, nodes, executed, step, when):
-    """Append (step, when) to `executed`; the nodes that survive pinning it."""
+    """Append (step, when) to `executed`; the nodes that survive pinning it,
+    each distinct network among them extended once."""
     m = len(executed)
     executed.append((step, when))
-    return [nd for nd in nodes if _pin(task, nd, m, when) is not None]
+    pins = {}
+    return [nd for nd in nodes if _pin(task, nd, m, when, pins) is not None]
 
 
 def _apply_dispatch(task, step, executed, open_list, memo, pruned_dups, t_now, records):

@@ -19,8 +19,16 @@ child whose network is inconsistent is refused before its relaxed plan. A
 start leaves til_count as it was, so every start child of one expansion has
 the same own edges: the first that passes its condition checks extends the
 parent's network once, and its siblings take that network as their own.
-tighten then probes the child's network with its chain alone. No network is
-grown twice and no shared matrix is written in place.
+tighten then probes the child's network with its chain alone.
+
+Each network that several nodes share comes with one probe memo, which
+lives as long as the sharing: the start children of one expansion here, the
+nodes one pin fixes together in the engine. tighten keys it on what decides
+a probe's answer, the count of new events and the edges up to the probe's
+cut (stn.probe_edges), and stores the node's latest starts or its refusal,
+so a relaxed chain that a node on the same network has already probed is
+not probed again. No network is grown twice, no probe is repeated on one
+network, and no shared matrix or latest list is written in place.
 
 One constructor, _node, makes the root (the initial state on an empty
 network) and every child (make_child's state on its extended network): it
@@ -34,7 +42,7 @@ import numpy as np
 
 from ..dda import FAILURE_FLOOR, DdaParams
 from ..dist import DiscreteDistribution, check_mass
-from ..stn import EPSILON_SEPARATION, Stn
+from ..stn import EPSILON_SEPARATION, Stn, probe_edges
 
 INF = math.inf
 
@@ -83,9 +91,10 @@ class SearchStats:
 class SearchNode:
     """`props` is the node's state as a proposition bitmask. `stn` is the
     node's network, its pins included; a start child's is the network its
-    expansion's start children share, until a pin gives it one of its own.
-    `latest[c]` is the least latest feasible time of a start step at a
-    position >= c. tighten sets both."""
+    expansion's start children share, and a pin gives the nodes it fixes
+    together one pinned network. `latest[c]` is the least latest feasible
+    time of a start step at a position >= c; nodes on one network may share
+    the list, which is never written once set. tighten sets both."""
 
     prefix: tuple
     props: int
@@ -165,7 +174,7 @@ def relaxed_plan(task, props, opens, til_count):
     return chain
 
 
-def tighten(task, node: SearchNode, base: Stn):
+def tighten(task, node: SearchNode, base: Stn, memo: dict):
     """Make `base` the node's network and set its latest feasible starts
     against the relaxed chain.
 
@@ -176,6 +185,18 @@ def tighten(task, node: SearchNode, base: Stn):
     prefix tmax values in its origin row. Returns False when even the
     optimistic chain cannot fit, which callers treat as a dead end; the node
     is then left as it was.
+
+    `memo` is `base`'s probe memo: it maps (n_new, the probe's cut edges) to
+    the latest list that probe gave, or False for a refusal, and a key found
+    there is not probed again. The answer is a function of the key (see
+    stn.probe_edges), and the latest list reads it only at the prefix, whose
+    kinds every node on one shared network has in common: start siblings
+    differ only in which action their last step starts, and a pin shares a
+    network only among nodes that shared one. A list is never written once
+    set, so nodes may share it. The key compares bounds with ==, which holds
+    between 0.0 and -0.0, but no bound here is -0.0: durations and eps are
+    positive, a timed literal's time is finite, and x - y is -0.0 only when
+    x is -0.0 and y is 0.0.
     """
     edges = []
     eps = EPSILON_SEPARATION
@@ -210,28 +231,38 @@ def tighten(task, node: SearchNode, base: Stn):
         if goal_cut < INF:
             edges.append((0, ev, goal_cut))
         ev += 1
-    tmax = base.probe(ev - len(base.dist), edges)
-    if tmax is None:
+    n_new = ev - len(base.dist)
+    edges, row_only = probe_edges(len(base.dist), edges)
+    key = (n_new, tuple(edges))
+    latest = memo.get(key)
+    if latest is None:
+        tmax = base.probe(n_new, edges, row_only)
+        latest = memo[key] = False if tmax is None else _suffix_minima(node.prefix, tmax.tolist())
+    if latest is False:
         return False
     node.stn = base
-    tmax = tmax.tolist()
-    # suffix minima of the start tmaxes; of equal values the earlier is
-    # kept, as min over the list in position order would
-    latest = [INF] * (len(node.prefix) + 1)
-    low = INF
-    for pos in range(len(node.prefix) - 1, -1, -1):
-        if node.prefix[pos][0] == "start" and tmax[pos + 1] <= low:
-            low = tmax[pos + 1]
-        latest[pos] = low
     node.latest = latest
     return True
 
 
-def _node(task, prefix, props, opens, til_count, tick, stn):
+def _suffix_minima(prefix, tmax):
+    """latest[c], the least start tmax at a position >= c, for each c up to
+    len(prefix); step pos reads tmax[pos + 1]. Of equal values the earlier
+    is kept, as min over the list in position order would."""
+    latest = [INF] * (len(prefix) + 1)
+    low = INF
+    for pos in range(len(prefix) - 1, -1, -1):
+        if prefix[pos][0] == "start" and tmax[pos + 1] <= low:
+            low = tmax[pos + 1]
+        latest[pos] = low
+    return latest
+
+
+def _node(task, prefix, props, opens, til_count, tick, stn, memo):
     """The node of a state whose network is `stn`, tightened against its
-    relaxed chain; None when `stn` is inconsistent, when no relaxed plan
-    reaches the goal or when the chain does not fit. The root and every
-    child are made here."""
+    relaxed chain through `stn`'s probe memo (see tighten); None when `stn`
+    is inconsistent, when no relaxed plan reaches the goal or when the chain
+    does not fit. The root and every child are made here."""
     if not stn.consistent:
         return None
     chain = relaxed_plan(task, props, opens, til_count)
@@ -239,7 +270,7 @@ def _node(task, prefix, props, opens, til_count, tick, stn):
         return None
     node = SearchNode(prefix, props, opens, til_count, h=float(2 * len(chain) + len(opens)),
                       chain=tuple(chain), generation_tick=tick)
-    return node if tighten(task, node, stn) else None
+    return node if tighten(task, node, stn, memo) else None
 
 
 def make_child(task, parent: SearchNode, step, tick: int, shared=None):
@@ -253,10 +284,11 @@ def make_child(task, parent: SearchNode, step, tick: int, shared=None):
     network is the parent's extended by that event and its edges; when that
     network is inconsistent the child is None before its relaxed plan. A
     start child's edges are the same for every start child of the parent.
-    `shared` is a list that holds their network once built: expand passes
-    one per expansion, so the first start child that passes its condition
-    checks builds it and its siblings reuse it, building no edges. Without
-    `shared` the network is built for this child alone."""
+    `shared` is a list that holds their network and its probe memo once
+    built: expand passes one per expansion, so the first start child that
+    passes its condition checks builds them and its siblings reuse them,
+    building no edges and probing no chain a sibling has probed. Without
+    `shared` the network and memo are this child's alone."""
     eps = EPSILON_SEPARATION
     k = len(parent.prefix)
     new = k + 1
@@ -293,12 +325,12 @@ def make_child(task, parent: SearchNode, step, tick: int, shared=None):
         if masks[name].cond_over & ~props:
             return None
     if shared:
-        stn = shared[0]
+        stn, memo = shared[0]
     else:
-        stn = parent.stn.extend(1, ([(new, k, -eps)] if k else []) + own)
+        stn, memo = parent.stn.extend(1, ([(new, k, -eps)] if k else []) + own), {}
         if shared is not None:
-            shared.append(stn)
-    return _node(task, parent.prefix + (step,), props, opens, til_count, tick, stn)
+            shared.append((stn, memo))
+    return _node(task, parent.prefix + (step,), props, opens, til_count, tick, stn, memo)
 
 
 def candidate_steps(task, node: SearchNode):
@@ -315,8 +347,8 @@ def candidate_steps(task, node: SearchNode):
 
 def expand(task, node: SearchNode, tick: int):
     children = []
-    # the network every start child of this expansion shares, built by the
-    # first one that passes its condition checks
+    # the network and probe memo every start child of this expansion
+    # shares, made by the first one that passes its condition checks
     shared = []
     for step in candidate_steps(task, node):
         child = make_child(task, node, step, tick, shared)
@@ -326,7 +358,7 @@ def expand(task, node: SearchNode, tick: int):
 
 
 def make_root(task):
-    return _node(task, (), task.mask(task.init), (), 0, 0, Stn())
+    return _node(task, (), task.mask(task.init), (), 0, 0, Stn(), {})
 
 
 def is_goal(task, node: SearchNode) -> bool:

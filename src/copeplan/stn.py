@@ -18,9 +18,10 @@ one edge. An edge that can change only its source's row costs two numpy
 calls, one that relaxes the whole matrix three, and the consistency check
 one reduction of the diagonal. probe does the same
 for tentative events and edges that never enter the network: it returns
-only the origin row, and stops after the last edge that relaxes the whole
-matrix, since every edge past it writes only the row of a new event, which
-nothing reads.
+only the origin row. probe_edges cuts a probe's edges after the last one
+that relaxes the whole matrix, since every edge past it writes only the row
+of a new event, which nothing reads; the cut edges and their flags are what
+probe takes, and with the count of new events they determine its answer.
 """
 
 import math
@@ -63,31 +64,22 @@ class Stn:
             s.consistent = _consistent(s.dist)
         return s
 
-    def probe(self, n_new, edges):
+    def probe(self, n_new, edges, row_only):
         """The origin row after adding n_new events and then the edges, or
-        None when the result is inconsistent. Nothing is added to this
-        network, and its matrix is never written; unlike extend, probe
+        None when the result is inconsistent. row_only[k] is edges[k]'s
+        flag from _row_only; probe_edges gives both. Nothing is added to
+        this network, and its matrix is never written; unlike extend, probe
         checks no event index. The planner probes a node's network with the
-        node's relaxed chain, whose events never enter any network.
-
-        Only the edges up to the last one that relaxes the whole matrix are
-        relaxed. Each edge after it is row-only (see _row_only): it writes
-        the row of a new event, never the origin row, and leaves that row's
-        diagonal at 0, since its column holds nothing else. So neither the
-        origin row nor the consistency check can see it. With no edge to
-        relax, the answer is the origin row with an unbounded entry for each
-        new event, and no matrix is built.
+        node's relaxed chain, whose events never enter any network. With no
+        edge to relax, the answer is the origin row with an unbounded entry
+        for each new event, and no matrix is built.
         """
         if not self.consistent:
             return None
-        row_only = _row_only(len(self.dist), edges)
-        cut = len(edges)
-        while cut and row_only[cut - 1]:
-            cut -= 1
-        if cut == 0:
+        if not edges:
             return np.concatenate((self.dist[0], np.full(n_new, INF)))
         dist = self._grow(n_new)
-        _relax(dist, edges[:cut], row_only)
+        _relax(dist, edges, row_only)
         if not _consistent(dist):
             return None
         return dist[0]
@@ -108,6 +100,23 @@ class Stn:
         dist[m:, :m] = self.dist[0]
         dist.reshape(-1)[m * (n + 1)::n + 1] = 0.0
         return dist
+
+
+def probe_edges(m, edges):
+    """(edges, row_only) cut after the last edge that relaxes the whole
+    matrix, for a probe of a network of m events: the edges Stn.probe must
+    relax and their _row_only flags.
+
+    Each edge past the cut is row-only: it writes the row of a new event,
+    never the origin row, and leaves that row's diagonal at 0, since its
+    column holds nothing else. So neither the origin row nor the consistency
+    check can see it, and a probe's answer is a function of n_new and the
+    cut edges alone. The flags are worked out once, here."""
+    row_only = _row_only(m, edges)
+    cut = len(edges)
+    while cut and row_only[cut - 1]:
+        cut -= 1
+    return edges[:cut], row_only[:cut]
 
 
 def _row_only(m, edges):

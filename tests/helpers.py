@@ -16,7 +16,7 @@ from copeplan.cope import CopeInstance, CopeProcess, PrefixAction
 from copeplan.copem import CopemInstance
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import KdsInstance, KdsProcess
-from copeplan.stn import INF, Stn
+from copeplan.stn import INF, Stn, probe_edges
 
 
 def random_pmf(
@@ -88,6 +88,12 @@ def random_network(rng: np.random.Generator, max_events: int = 30,
         bound = int(rng.integers(-8, 33)) / 8.0
         s = s.add_constraint(int(u), int(v), bound)
     return s
+
+
+def probe(stn: Stn, n_new, edges):
+    """stn.probe of any edge list, cut and flagged by stn.probe_edges as the
+    planner's tighten cuts and flags its chain."""
+    return stn.probe(n_new, *probe_edges(len(stn.dist), edges))
 
 
 def solve(stn: Stn):

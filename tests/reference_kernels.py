@@ -225,13 +225,15 @@ def tighten(task, node, base):
     return True
 
 
-def pin(task, node, pos, when):
-    """engine._pin with the pinned network grown one edge at a time: refuse
-    it if inconsistent, then tighten against it (which may still refuse the
-    node, leaving it as it was)."""
+def pin(task, node, pos, when, pins):
+    """engine._pin with each node's pinned network grown on its own, one
+    edge at a time, and probed with a memo of its own: refuse it if
+    inconsistent, then tighten against it (which may still refuse the node,
+    leaving it as it was). `pins`, the commit's record of pinned networks
+    that engine._pin shares, is not read."""
     ev = pos + 1
     stn = grow(node.stn, 0, [(0, ev, when), (ev, 0, -when)])
-    if not stn.consistent or not tighten_search(task, node, stn):
+    if not stn.consistent or not tighten_search(task, node, stn, {}):
         return None
     return node
 

@@ -31,7 +31,7 @@ from copeplan.planner import (
 from copeplan.planner import engine, search
 from copeplan.planner.engine import _apply_dispatch, _auto_advance
 from copeplan.planner.search import SearchStats, make_child, q_tables
-from copeplan.stn import Stn
+from copeplan.stn import Stn, probe_edges
 
 import reference_kernels
 from helpers import edges_of, logged, props_of, recompute, recording, solve
@@ -346,16 +346,20 @@ def test_estimate_completion_matches_the_reference_per_h():
 
 def _check_tighten_against_reference(monkeypatch, verdicts):
     """Check every tighten call against the reference from now on, and
-    append each verdict to `verdicts`. A node tighten accepts takes the
-    reference's start tmaxes as `start_tmaxes`, which the reference scoring
-    reads; a refused node keeps its network and everything else."""
+    append (verdict, whether the memo answered it) to `verdicts`. A memo
+    hit, which probes nothing, is checked as a miss is. A node tighten
+    accepts takes the reference's start tmaxes as `start_tmaxes`, which the
+    reference scoring reads; a refused node keeps its network and everything
+    else."""
     real = search.tighten
 
-    def checked(task, node, base):
+    def checked(task, node, base, memo):
         ref = copy.copy(node)
         want = reference_kernels.tighten(task, ref, base)
         before = copy.copy(node)
-        got = real(task, node, base)
+        # a miss stores its answer, a hit adds nothing
+        known = len(memo)
+        got = real(task, node, base, memo)
         assert got == want
         if got:
             assert node.stn is base
@@ -370,7 +374,7 @@ def _check_tighten_against_reference(monkeypatch, verdicts):
             # every field as it was; Stn compares by identity, so the
             # network is the same object
             assert vars(node) == vars(before)
-        verdicts.append(got)
+        verdicts.append((got, len(memo) == known))
         return got
 
     monkeypatch.setattr(search, "tighten", checked)
@@ -380,7 +384,8 @@ def _check_tighten_against_reference(monkeypatch, verdicts):
 def _tighten_verdicts_against_reference(monkeypatch, tasks, dispatch_params,
                                         max_expansions):
     """Plan each task in both modes at speeds 6 and 100, checking every
-    tighten call against the reference; returns the verdicts seen."""
+    tighten call against the reference, memo hits among them; returns the
+    (verdict, memo hit) of each call."""
     verdicts = []
     _check_tighten_against_reference(monkeypatch, verdicts)
     for task in tasks:
@@ -394,12 +399,13 @@ def _tighten_verdicts_against_reference(monkeypatch, tasks, dispatch_params,
 def test_tighten_matches_persistent_network_reference(monkeypatch):
     """Every tighten call on shipped tasks, in both modes and at two speeds,
     gives the reference's verdict, network and suffix minima of its start
-    tmaxes bit for bit."""
+    tmaxes bit for bit, those the probe memo answers among them."""
     cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", "bench.json"))
     verdicts = _tighten_verdicts_against_reference(
         monkeypatch, benchmark_tasks(cfg)[:10], cfg.dispatch_params(), cfg.max_expansions)
-    assert True in verdicts and False in verdicts
+    # accepted and refused, each probed and answered by the memo
+    assert set(verdicts) == {(True, False), (True, True), (False, False), (False, True)}
 
 
 _EPS = search.EPSILON_SEPARATION
@@ -435,7 +441,7 @@ def test_tighten_bounds_the_chain_by_each_kind_of_timed_deletion(conds, goal, ti
     node = make_child(task, make_root(task), ("start", "w"), 1)
     assert [a.name for a in node.chain] == ["a"]
     ref = copy.copy(node)
-    assert search.tighten(task, node, node.stn) is True
+    assert search.tighten(task, node, node.stn, {}) is True
     assert reference_kernels.tighten(task, ref, node.stn) is True
     assert node.stn.dist.tobytes() == ref.stn.dist.tobytes()
     assert node.latest == [reference_kernels.latest_start(ref, c) for c in (0, 1)]
@@ -572,9 +578,9 @@ def test_pin_that_breaks_the_network_never_reaches_tighten(monkeypatch):
     node = make_child(task, make_root(task), ("start", "a"), 1)
     before = copy.copy(node)
     tightened = _counting(monkeypatch, engine, "tighten")
-    assert engine._pin(task, node, 0, 7.0) is None
+    assert engine._pin(task, node, 0, 7.0, {}) is None
     assert tightened == [] and vars(node) == vars(before)
-    assert engine._pin(task, node, 0, 1.0) is node and len(tightened) == 1
+    assert engine._pin(task, node, 0, 1.0, {}) is node and len(tightened) == 1
 
 
 def test_end_child_refused_when_its_end_condition_fails():
@@ -595,25 +601,38 @@ def test_end_child_refused_when_its_end_condition_fails():
 def test_start_siblings_share_one_network_never_written(monkeypatch):
     """While planning shipped tasks in both modes, every start child of one
     expansion holds the same network object, and no shared network's matrix
-    changes from the expansion that built it to the end of the run: pins,
-    reads and later probes never write it in place. A pin that a node on a
-    shared network accepts gives the node a network of its own, and a
-    refused pin leaves the node's network the same object."""
+    changes from the expansion or pin that built it to the end of the run:
+    pins, reads and later probes never write it in place. A pin that a node
+    accepts gives it a pinned network, and the nodes one commit pins on the
+    same network share one pinned network; a refused pin leaves the node's
+    network the same object."""
     real_expand, real_pin = engine.expand, engine._pin
     shared = []
     seen = {"expansions": 0, "siblings": 0, "pins on a shared network": 0,
-            "refused pins": 0}
+            "refused pins": 0, "pinned together": 0}
+    # the record of the pins of the current commit, and the pinned network
+    # that each network got in it
+    commit = {"pins": None, "pinned": {}}
 
-    def checked_pin(task, node, pos, when):
+    def checked_pin(task, node, pos, when, pins):
         stn = node.stn
         on_shared = any(stn is net for net, _ in shared)
         seen["pins on a shared network"] += on_shared
-        out = real_pin(task, node, pos, when)
+        if pins is not commit["pins"]:
+            commit["pins"], commit["pinned"] = pins, {}
+        out = real_pin(task, node, pos, when, pins)
         if out is None:
             assert node.stn is stn
             seen["refused pins"] += 1
-        elif on_shared:
-            assert node.stn is not stn
+            return out
+        assert node.stn is not stn
+        pinned = commit["pinned"]
+        if stn in pinned:
+            assert node.stn is pinned[stn]
+            seen["pinned together"] += 1
+        else:
+            pinned[stn] = node.stn
+            shared.append((node.stn, node.stn.dist.tobytes()))
         return out
 
     def checked_expand(task, node, tick):
@@ -639,6 +658,138 @@ def test_start_siblings_share_one_network_never_written(monkeypatch):
                        dispatch_params=cfg.dispatch_params(),
                        max_expansions=cfg.max_expansions)
             assert all(stn.dist.tobytes() == before for stn, before in shared)
+    assert min(seen.values()) > 0, seen
+
+
+def _goal_cut_task(tils=()):
+    """`a`, `b` and `c` each add `g` at their end and last 2, 3 and 2; `d`
+    adds `done`. A timed literal deletes `g` at 10, so every chain ends by
+    its goal cut, and the cut comes after the edge of each open interval."""
+    return Task(
+        propositions=fs("g", "done"),
+        actions=(DurativeAction("a", 2.0, add_end=fs("g")),
+                 DurativeAction("b", 3.0, add_end=fs("g")),
+                 DurativeAction("c", 2.0, add_end=fs("g")),
+                 DurativeAction("d", 1.0, add_end=fs("done"))),
+        init=fs(),
+        goal=fs("g", "done"),
+        tils=(TimedLiteral(10.0, "g", False),) + tils,
+    )
+
+
+def test_probe_memo_tells_apart_siblings_whose_own_edges_differ():
+    """The start siblings `a`, `b` and `c` have the same chain, `d`, and the
+    same new events; the goal cut keeps each one's open interval in its
+    probe's edges. `b`, which lasts longer, gets latest starts of its own,
+    while `a` and `c`, whose probe edges agree, share one list object. Each
+    equals the reference, which probes every sibling afresh."""
+    task = _goal_cut_task()
+    root = make_root(task)
+    children = {c.prefix[-1][1]: c for c in expand(task, root, 1)}
+    a, b, c = children["a"], children["b"], children["c"]
+    assert a.chain == b.chain == c.chain and [x.name for x in a.chain] == ["d"]
+    assert a.stn is b.stn is c.stn
+    for child in (a, b, c):
+        ref = copy.copy(child)
+        assert reference_kernels.tighten(task, ref, child.stn) is True
+        assert child.latest == [reference_kernels.latest_start(ref, k) for k in (0, 1)]
+    # the goal cut less each one's own duration
+    assert a.latest[0] == pytest.approx(10.0 - _EPS - 2.0, abs=1e-12)
+    assert b.latest[0] == pytest.approx(10.0 - _EPS - 3.0, abs=1e-12)
+    assert a.latest is c.latest
+
+
+def test_tighten_bounds_are_never_negative_zero(monkeypatch):
+    """The probe memo's key compares bounds with ==, which does not tell 0.0
+    from -0.0; no bound tighten emits is -0.0, even where one comes out
+    exactly 0: a timed literal at the duration of an action whose over-all
+    condition it deletes, one at eps deleting a start condition or a goal
+    fact, and one at -0.0."""
+    task = Task(
+        propositions=fs("p", "r", "s", "k", "done", "g", "h"),
+        actions=(DurativeAction("d", 1.0, cond_over=fs("p"), add_end=fs("done")),
+                 DurativeAction("e", 1.0, cond_start=fs("r"), add_end=fs("g")),
+                 DurativeAction("f", 2.0, cond_start=fs("s"), add_end=fs("h"))),
+        init=fs("p", "r", "s", "k"),
+        goal=fs("done", "g", "h", "k"),
+        tils=(TimedLiteral(-0.0, "s", False), TimedLiteral(_EPS, "r", False),
+              TimedLiteral(_EPS, "k", False), TimedLiteral(1.0, "p", False)),
+    )
+    bounds = []
+    real = Stn.probe
+
+    def noted(self, n_new, edges, row_only):
+        bounds.extend(b for _, _, b in edges)
+        return real(self, n_new, edges, row_only)
+
+    monkeypatch.setattr(Stn, "probe", noted)
+    chain = search.relaxed_plan(task, task.mask(task.init), (), 0)
+    node = search.SearchNode((), task.mask(task.init), (), 0, 0.0, tuple(chain), 0)
+    # the chain cannot start before its bounds of 0, so tighten refuses it
+    assert search.tighten(task, node, Stn(), {}) is False
+    # three bounds of 0, and the 0 that joins the chain's end to the goal
+    assert bounds.count(0.0) == 4
+    assert not any(b == 0.0 and math.copysign(1.0, b) < 0 for b in bounds)
+
+
+def test_each_shared_network_is_probed_and_pinned_once(monkeypatch):
+    """Planning the first 10 shipped tasks in both modes at speeds 6 and 100
+    makes the same tighten, make_child and expand calls as probing every
+    node afresh did (6,021, 7,586 and 1,653), but within one expansion or
+    one commit no network is probed twice with the same new events and cut
+    edges, and within one commit no network is extended twice."""
+    real_expand, real_commit = engine.expand, engine._commit
+    real_probe, real_extend = Stn.probe, Stn.extend
+    calls = {"tighten": 0, "make_child": 0, "expand": 0}
+    seen = {"expansion probes": 0, "commit probes": 0, "pins": 0}
+    scope = {"name": None, "probed": set(), "extended": set()}
+
+    def scoped(name, real):
+        def run(*args):
+            scope.update(name=name, probed=set(), extended=set())
+            try:
+                return real(*args)
+            finally:
+                scope["name"] = None
+        return run
+
+    def counted(name, real):
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+        return run
+
+    def probe(self, n_new, edges, row_only):
+        if scope["name"]:
+            key = (self, n_new, tuple(probe_edges(len(self.dist), edges)[0]))
+            assert key not in scope["probed"]
+            scope["probed"].add(key)
+            seen[scope["name"] + " probes"] += 1
+        return real_probe(self, n_new, edges, row_only)
+
+    def extend(self, n_new, edges):
+        if scope["name"] == "commit":
+            assert self not in scope["extended"]
+            scope["extended"].add(self)
+            seen["pins"] += 1
+        return real_extend(self, n_new, edges)
+
+    monkeypatch.setattr(engine, "expand", counted("expand", scoped("expansion", real_expand)))
+    monkeypatch.setattr(engine, "_commit", scoped("commit", real_commit))
+    monkeypatch.setattr(search, "make_child", counted("make_child", search.make_child))
+    monkeypatch.setattr(search, "tighten", counted("tighten", search.tighten))
+    monkeypatch.setattr(engine, "tighten", counted("tighten", engine.tighten))
+    monkeypatch.setattr(Stn, "probe", probe)
+    monkeypatch.setattr(Stn, "extend", extend)
+    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "bench.json"))
+    for task in benchmark_tasks(cfg)[:10]:
+        for mode in ("disp", "nodisp"):
+            for speed in (6.0, 100.0):
+                run_search(task, mode=mode, speed=speed,
+                           dispatch_params=cfg.dispatch_params(),
+                           max_expansions=cfg.max_expansions)
+    assert calls == {"tighten": 6021, "make_child": 7586, "expand": 1653}
     assert min(seen.values()) > 0, seen
 
 
@@ -749,7 +900,7 @@ def test_tighten_matches_reference_when_the_goal_expires(monkeypatch):
                           tils=tuple(sorted(tils, key=lambda lit: lit.time))))
     verdicts = _tighten_verdicts_against_reference(
         monkeypatch, tasks, DispatchParams(), 400)
-    assert True in verdicts and False in verdicts
+    assert {got for got, _ in verdicts} == {True, False}
 
 
 def test_nodisp_solves_micro_and_validates():
@@ -1036,8 +1187,8 @@ def test_pins_in_a_dispatch_match_the_grown_and_checked_reference(monkeypatch, t
     for label, pin in (("engine", engine._pin), ("reference", reference_kernels.pin)):
         verdicts = []
 
-        def noting(task, node, pos, when, pin=pin, verdicts=verdicts):
-            out = pin(task, node, pos, when)
+        def noting(task, node, pos, when, pins, pin=pin, verdicts=verdicts):
+            out = pin(task, node, pos, when, pins)
             verdicts.append((node.prefix, pos, when, out is not None))
             return out
 

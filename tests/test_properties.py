@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels
-from helpers import abstract_instances, props_of, recompute, recording, solve
+from helpers import abstract_instances, probe, props_of, recompute, recording, solve
 from copeplan import cope, copem, kds
 from copeplan.dist import DiscreteDistribution
 from copeplan.kds import (
@@ -519,7 +519,7 @@ def test_probe_matches_recompute_of_the_grown_network(net, n_new, data):
         for u, v, b in extra:
             grown = grown.add_constraint(u, v, b)
     consistent, _, tmax = recompute(grown)
-    probed = base.probe(n_new, extra)
+    probed = probe(base, n_new, extra)
     assert (probed is not None) == consistent
     if consistent:
         assert probed.tolist() == tmax

@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from copeplan.stn import EPSILON_SEPARATION, Stn
+from copeplan.stn import EPSILON_SEPARATION, Stn, probe_edges
 
 import reference_kernels
-from helpers import (ORIGIN, NamedStn, edges_of, random_network, recompute, recording,
-                     solve)
+from helpers import (ORIGIN, NamedStn, edges_of, probe, random_network, recompute,
+                     recording, solve)
 
 # Stn.extend with no recorder installed, as this module found it
 UNRECORDED_EXTEND = Stn.extend
@@ -188,7 +188,7 @@ def test_probe_matches_step_by_step_growth():
     outcomes = {True: 0, False: 0}
     for base, n_new, edges in _random_growths(31):
         before = base.dist.copy()
-        got = base.probe(n_new, edges)
+        got = probe(base, n_new, edges)
         want = reference_kernels.grow(base, n_new, edges)
         assert (got is None) == (not want.consistent)
         if want.consistent:
@@ -233,13 +233,16 @@ def _probe_draws(seed, trials=300):
 
 
 def test_probe_skips_the_row_only_tail_exactly():
-    """probe equals the origin row of the step-by-step growth when it stops
-    at the last full relaxation, when nothing relaxes the whole matrix and
-    when the base network is already inconsistent."""
+    """probe_edges cuts exactly the row-only tail, and probe of the cut
+    edges equals the origin row of the step-by-step growth of all of them
+    when the cut follows the last full relaxation, when nothing relaxes the
+    whole matrix and when the base network is already inconsistent."""
     seen = {"cut tail": 0, "no full edge": 0, "inconsistent base": 0,
             "consistent": 0, "inconsistent": 0}
     for base, n_new, edges, tail in _probe_draws(33):
-        got = base.probe(n_new, edges)
+        cut, row_only = probe_edges(len(base.dist), edges)
+        assert cut == edges[:len(edges) - tail] and len(row_only) == len(cut)
+        got = probe(base, n_new, edges)
         want = reference_kernels.grow(base, n_new, edges)
         assert (got is None) == (not want.consistent)
         if want.consistent:
@@ -286,20 +289,20 @@ def test_probe_answers_without_growing_the_network():
     s = NamedStn().add_event("a").add_constraint(ORIGIN, "a", 4.5).add_constraint("a", ORIGIN, -2.0)
     s = s.stn
     edges = edges_of(s)
-    assert np.array_equal(s.probe(0, []), s.dist[0])
+    assert np.array_equal(probe(s, 0, []), s.dist[0])
     # x0 >= a + 1 and x1 >= x0 + 2 leave every upper bound where it was
-    row = s.probe(2, [(2, 1, -1.0), (3, 2, -2.0)])
+    row = probe(s, 2, [(2, 1, -1.0), (3, 2, -2.0)])
     assert np.array_equal(row, [0.0, 4.5, math.inf, math.inf])
     # a chain edge that relaxes the whole matrix: this network's matrix
     # stays as it was
     before = s.dist.tobytes()
-    row = s.probe(1, [(2, 1, -1.0), (0, 2, 10.0)])
+    row = probe(s, 1, [(2, 1, -1.0), (0, 2, 10.0)])
     assert np.array_equal(row, [0.0, 4.5, 10.0])
     assert s.dist.tobytes() == before
     # x0 >= a + 1 >= 3 cannot also sit at or before 1
-    assert s.probe(1, [(2, 1, -1.0), (0, 2, 1.0)]) is None
+    assert probe(s, 1, [(2, 1, -1.0), (0, 2, 1.0)]) is None
     # a self-loop below 0 is a negative cycle even at the tail of the edges
-    assert s.probe(1, [(0, 1, 3.0), (2, 2, -1.0)]) is None
+    assert probe(s, 1, [(0, 1, 3.0), (2, 2, -1.0)]) is None
     assert len(s.dist) == 2 and edges_of(s) == edges
 
 
