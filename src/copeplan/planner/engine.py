@@ -34,6 +34,7 @@ by one edge per uncommitted start.
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..dda import DdaParams, lpf
 from .search import (
@@ -128,13 +129,17 @@ def _argmax_q(pool, m, t_now, speed, stats, profiles):
     return best
 
 
+# the burst's order: least h first, then the earliest generated
+_BEST_FIRST = attrgetter("h", "generation_tick")
+
+
 def _burst(task, node, m_exec, stats, memo, pruned_dups, counts, t_u):
     """Expand up to t_u nodes inside one subtree; returns (goal_or_None, leftovers)."""
     frontier = [node]
     for _ in range(t_u):
         if not frontier:
             break
-        chosen = min(frontier, key=lambda nd: (nd.h, nd.generation_tick))
+        chosen = min(frontier, key=_BEST_FIRST)
         frontier.remove(chosen)
         if is_goal(task, chosen):
             return chosen, frontier

@@ -10,7 +10,10 @@ feasible start of each pending step.
 
 A node's state is a bitmask over the task's numbered propositions
 (Task.bit), so applying a step, testing a condition and the relaxed pass are
-integer & and | on the masks Task compiles once.
+integer & and | on the masks Task compiles once. What the per-node work
+reads that depends on the task alone is compiled there too: the relaxed
+pass walks Task.relaxed_actions and Task.end_masks, and tighten reads each
+chain action's deadline bound and the goal cut from Task.chain_bounds.
 
 Events are positions, never names: a network holds the origin, then one
 event per step in prefix order, so step pos is event pos + 1. Every child's
@@ -23,12 +26,13 @@ tighten then probes the child's network with its chain alone.
 
 Each network that several nodes share comes with one probe memo, which
 lives as long as the sharing: the start children of one expansion here, the
-nodes one pin fixes together in the engine. tighten keys it on what decides
-a probe's answer, the count of new events and the edges up to the probe's
-cut (stn.probe_edges), and stores the node's latest starts or its refusal,
-so a relaxed chain that a node on the same network has already probed is
-not probed again. No network is grown twice, no probe is repeated on one
-network, and no shared matrix or latest list is written in place.
+nodes one pin fixes together in the engine. tighten keys it on the compiled
+values that fix a probe's answer, the count of new events and the edges up
+to the probe's cut (stn.probe_edges), before it lays out any chain, and
+stores the node's latest starts or its refusal, so a relaxed chain that a
+node on the same network has already probed is neither laid out nor probed
+again. No network is grown twice, no probe is repeated on one network, and
+no shared matrix or latest list is written in place.
 
 One constructor, _node, makes the root (the initial state on an empty
 network) and every child (make_child's state on its extended network): it
@@ -134,32 +138,39 @@ def relaxed_plan(task, props, opens, til_count):
     every achiever the goal needs.
     """
     facts = props | task.til_adds[til_count]
-    masks = task.masks
-    pending = [masks[name] for name, _ in opens]
-    # actions not yet applied; one whose precondition holds but that adds
-    # nothing new never will, as facts only grow
-    waiting = list(zip(task.actions, masks.values()))
+    ends = task.end_masks
+    pending = [ends[name] for name, _ in opens]
+    # actions not yet applied, as Task.relaxed_actions tuples; one whose
+    # precondition holds but that adds nothing new never will, as facts
+    # only grow
+    waiting = task.relaxed_actions
     applied = []
     progress = True
     while progress:
         progress = False
-        still = []
-        for m in pending:
-            if m.cond_end & ~facts:
-                still.append(m)
-            elif m.add_end & ~facts:
-                facts |= m.add_end
-                progress = True
-        pending = still
+        if pending:
+            still = []
+            for end in pending:
+                cond_end, add_end = end
+                if cond_end & ~facts:
+                    still.append(end)
+                elif add_end & ~facts:
+                    facts |= add_end
+                    progress = True
+            pending = still
+        # ~facts, kept as facts grow
+        missing = ~facts
         left = []
-        for a, m in waiting:
-            if m.relaxed_pre & ~facts:
-                left.append((a, m))
+        for entry in waiting:
+            a, pre, adds, conds = entry
+            if pre & missing:
+                left.append(entry)
                 continue
-            new = m.adds & ~facts
+            new = adds & missing
             if new:
-                applied.append((a, m.conds, new))
+                applied.append((a, conds, new))
                 facts |= new
+                missing = ~facts
                 progress = True
         waiting = left
     if pending or task.goal_mask & ~facts:
@@ -178,71 +189,84 @@ def tighten(task, node: SearchNode, base: Stn, memo: dict):
     """Make `base` the node's network and set its latest feasible starts
     against the relaxed chain.
 
-    The chain actions are laid out sequentially after the last step, bounded
-    by upcoming timed deletions of their conditions (and of goal facts);
-    open intervals bound the chain's finish from below. One Stn.probe of
+    The chain actions are laid out sequentially after the last step, each
+    bounded by the upcoming timed deletions of its conditions, and the
+    chain's finish by those of goal facts (Task.chain_bounds at the node's
+    til_count); open intervals bound the finish from below. One Stn.probe of
     `base` with the chain, which is never added to any network, gives the
     prefix tmax values in its origin row. Returns False when even the
     optimistic chain cannot fit, which callers treat as a dead end; the node
     is then left as it was.
 
-    `memo` is `base`'s probe memo: it maps (n_new, the probe's cut edges) to
-    the latest list that probe gave, or False for a refusal, and a key found
-    there is not probed again. The answer is a function of the key (see
-    stn.probe_edges), and the latest list reads it only at the prefix, whose
-    kinds every node on one shared network has in common: start siblings
-    differ only in which action their last step starts, and a pin shares a
-    network only among nodes that shared one. A list is never written once
-    set, so nodes may share it. The key compares bounds with ==, which holds
-    between 0.0 and -0.0, but no bound here is -0.0: durations and eps are
-    positive, a timed literal's time is finite, and x - y is -0.0 only when
-    x is -0.0 and y is 0.0.
+    `memo` is `base`'s probe memo: it maps a key of the probe to the latest
+    list that probe gave, or False for a refusal, and a key found there is
+    not probed again, nor is its chain laid out. The answer is a function
+    of n_new and the edges up to the probe's cut (stn.probe_edges). `base`
+    holds the origin and one event per prefix step, so every index in those
+    edges is fixed by the network, and their values by:
+    - the chain length and whether a final block (for the opens or the goal
+      cut) exists, which give n_new;
+    - when the goal is cut, the last edge bounds the finish, so the cut
+      keeps every edge: each chain action's (bound, duration), each open's
+      (pos, duration) and the goal cut;
+    - else the cut falls just after the last bounded action's deadline
+      edge: the (bound, duration) of each action before it, and its bound.
+    The key holds exactly these values, so two calls share a key exactly
+    when they share n_new and the cut edges. The latest list reads the
+    answer only at the prefix, whose kinds every node on one shared network
+    has in common: start siblings differ only in which action their last
+    step starts, and a pin shares a network only among nodes that shared
+    one. A list is never written once set, so nodes may share it. The key
+    compares bounds with ==, which holds between 0.0 and -0.0, but no bound
+    is -0.0 (see Task._compile_chain_bounds).
     """
-    edges = []
-    eps = EPSILON_SEPARATION
-    # the upcoming timed deletions, in time order
-    deletions = [(lit.time, task.bit[lit.prop])
-                 for lit in task.tils[node.til_count:] if not lit.add]
-    last = len(node.prefix)
-    ev = last + 1
-    for a in node.chain:
-        edges.append((ev, last, -eps))
-        m = task.masks[a.name]
-        bound = INF
-        for time, bit in deletions:
-            if bit & m.conds:
-                cut = time - eps
-                if bit & (m.cond_over | m.cond_end):
-                    cut = time - a.duration
-                bound = min(bound, cut)
-        if bound < INF:
-            edges.append((0, ev, bound))
-        edges.append((ev + 1, ev, -a.duration))
-        last = ev + 1
-        ev += 2
-    goal_cut = INF
-    for time, bit in deletions:
-        if bit & task.goal_mask:
-            goal_cut = min(goal_cut, time - eps)
-    if node.opens or goal_cut < INF:
-        edges.append((ev, last, 0.0))
-        for name, pos in node.opens:
-            edges.append((ev, pos + 1, -task.by_name[name].duration))
-        if goal_cut < INF:
-            edges.append((0, ev, goal_cut))
-        ev += 1
-    n_new = ev - len(base.dist)
-    edges, row_only = probe_edges(len(base.dist), edges)
-    key = (n_new, tuple(edges))
+    bounds, goal_cut = task.chain_bounds[node.til_count]
+    steps = [bounds[a.name] for a in node.chain]
+    final = bool(node.opens) or goal_cut < INF
+    n_new = 2 * len(steps) + final
+    if goal_cut < INF:
+        by_name = task.by_name
+        key = (n_new, tuple(steps), goal_cut,
+               tuple([(pos, by_name[name].duration) for name, pos in node.opens]))
+    else:
+        # the steps up to the last bounded one
+        k = len(steps)
+        while k and steps[k - 1][0] == INF:
+            k -= 1
+        key = (n_new, tuple(steps[:k - 1]), steps[k - 1][0]) if k else (n_new, (), INF)
     latest = memo.get(key)
     if latest is None:
-        tmax = base.probe(n_new, edges, row_only)
+        tmax = base.probe(n_new, *_chain_edges(task, node, steps, goal_cut, len(base.dist)))
         latest = memo[key] = False if tmax is None else _suffix_minima(node.prefix, tmax.tolist())
     if latest is False:
         return False
     node.stn = base
     node.latest = latest
     return True
+
+
+def _chain_edges(task, node, steps, goal_cut, m):
+    """(edges, row_only) of tighten's probe of a network of m events, cut
+    by stn.probe_edges: the chain's (bound, duration) steps laid out after
+    the last step, then the final block when there are opens or a goal cut."""
+    eps = EPSILON_SEPARATION
+    edges = []
+    last = len(node.prefix)
+    ev = last + 1
+    for bound, duration in steps:
+        edges.append((ev, last, -eps))
+        if bound < INF:
+            edges.append((0, ev, bound))
+        edges.append((ev + 1, ev, -duration))
+        last = ev + 1
+        ev += 2
+    if node.opens or goal_cut < INF:
+        edges.append((ev, last, 0.0))
+        for name, pos in node.opens:
+            edges.append((ev, pos + 1, -task.by_name[name].duration))
+        if goal_cut < INF:
+            edges.append((0, ev, goal_cut))
+    return probe_edges(m, edges)
 
 
 def _suffix_minima(prefix, tmax):
@@ -268,8 +292,8 @@ def _node(task, prefix, props, opens, til_count, tick, stn, memo):
     chain = relaxed_plan(task, props, opens, til_count)
     if chain is None:
         return None
-    node = SearchNode(prefix, props, opens, til_count, h=float(2 * len(chain) + len(opens)),
-                      chain=tuple(chain), generation_tick=tick)
+    node = SearchNode(prefix, props, opens, til_count, float(2 * len(chain) + len(opens)),
+                      tuple(chain), tick)
     return node if tighten(task, node, stn, memo) else None
 
 

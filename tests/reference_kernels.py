@@ -2,8 +2,10 @@
 the temporal network's growth in copeplan.stn (a growth of a network with
 a recorded edge log is logged too, see helpers.logged), the planner's
 per-node kernels in copeplan.planner.search (with the relaxed plan on
-proposition sets, its set algebra rebuilt on every test, and child networks
-grown eagerly with every event looked up by name through helpers.NamedStn),
+proposition sets, its set algebra rebuilt on every test, the timed-deletion
+bounds that copeplan.planner.task compiles rescanned on every call, and
+child networks grown eagerly with every event looked up by name through
+helpers.NamedStn),
 copeplan.planner.engine's pin as a network grown one edge at a time and
 checked before tighten, the decision cycle's scoring in copeplan.planner.engine (every
 quantity recomputed per node and per call), the KDS dynamic program in
@@ -174,46 +176,93 @@ def relaxed_plan(task, props, opens, til_count):
     return [a for a in applied if a.name in selected]
 
 
+def deadline_bound(task, a, til_count):
+    """The latest start that the timed deletions at index til_count or later
+    leave action `a`, rescanned: t - eps for a deletion at t of a condition
+    `a` needs only at its start, t - duration for one it needs over its
+    interval or at its end, the least of them; inf if none touches its
+    conditions."""
+    eps = EPSILON_SEPARATION
+    conds = a.cond_start | a.cond_over | a.cond_end
+    bound = INF
+    for lit in task.tils[til_count:]:
+        if not lit.add and lit.prop in conds:
+            cut = lit.time - eps
+            if lit.prop in a.cond_over or lit.prop in a.cond_end:
+                cut = lit.time - a.duration
+            bound = min(bound, cut)
+    return bound
+
+
+def goal_cut(task, til_count):
+    """The latest time the goal may be reached under the timed deletions at
+    index til_count or later, rescanned: t - eps for the earliest deletion
+    at t of a goal fact; inf if none."""
+    cut = INF
+    for lit in task.tils[til_count:]:
+        if not lit.add and lit.prop in task.goal:
+            cut = min(cut, lit.time - EPSILON_SEPARATION)
+    return cut
+
+
+def chain_edges(task, node):
+    """(n_new, edges) of search.tighten's probe of the node's own network,
+    laid out in full as (u, v, b) index edges with every bound rescanned:
+    each chain action's start eps after the last step, its deadline bound,
+    its end; then, when there are opens or a goal cut, one final event at or
+    after the chain's end and each open's end, bounded by the goal cut."""
+    eps = EPSILON_SEPARATION
+    edges = []
+    last = len(node.prefix)
+    ev = last + 1
+    for a in node.chain:
+        edges.append((ev, last, -eps))
+        bound = deadline_bound(task, a, node.til_count)
+        if bound < INF:
+            edges.append((0, ev, bound))
+        edges.append((ev + 1, ev, -a.duration))
+        last = ev + 1
+        ev += 2
+    cut = goal_cut(task, node.til_count)
+    if node.opens or cut < INF:
+        edges.append((ev, last, 0.0))
+        for name, pos in node.opens:
+            edges.append((ev, pos + 1, -task.by_name[name].duration))
+        if cut < INF:
+            edges.append((0, ev, cut))
+        ev += 1
+    return ev - len(node.prefix) - 1, edges
+
+
 def tighten(task, node, base):
     """search.tighten with the relaxed chain appended to `base` one event or
-    edge at a time, every event looked up by name; on success the node takes
-    `base` as its network and its (pos, tmax) per start step as
-    `start_tmaxes`."""
+    edge at a time, every event looked up by name and every bound rescanned;
+    on success the node takes `base` as its network and its (pos, tmax) per
+    start step as `start_tmaxes`."""
     net = prefix_network(base, len(node.prefix))
     eps = EPSILON_SEPARATION
-    future = task.tils[node.til_count:]
     prev = f"s{len(node.prefix) - 1}" if node.prefix else ORIGIN
     last = prev
     for i, a in enumerate(node.chain):
         ev = f"r{i}"
         net = add_named_event(net, ev)
         net = add_named_constraint(net, ev, last, -eps)
-        conds = a.cond_start | a.cond_over | a.cond_end
-        bound = INF
-        for lit in future:
-            if not lit.add and lit.prop in conds:
-                cut = lit.time - eps
-                if lit.prop in a.cond_over or lit.prop in a.cond_end:
-                    cut = lit.time - a.duration
-                bound = min(bound, cut)
+        bound = deadline_bound(task, a, node.til_count)
         if bound < INF:
             net = add_named_constraint(net, ORIGIN, ev, bound)
         nxt = f"r{i}d"
         net = add_named_event(net, nxt)
         net = add_named_constraint(net, nxt, ev, -a.duration)
         last = nxt
-    goal_cut = INF
-    for lit in future:
-        if not lit.add and lit.prop in task.goal:
-            goal_cut = min(goal_cut, lit.time - eps)
-    if node.opens or goal_cut < INF:
+    cut = goal_cut(task, node.til_count)
+    if node.opens or cut < INF:
         g = "rg"
         net = add_named_event(net, g)
         net = add_named_constraint(net, g, last, 0.0)
         for name, pos in node.opens:
             net = add_named_constraint(net, g, f"s{pos}", -task.by_name[name].duration)
-        if goal_cut < INF:
-            net = add_named_constraint(net, ORIGIN, g, goal_cut)
+        if cut < INF:
+            net = add_named_constraint(net, ORIGIN, g, cut)
     if not net.stn.consistent:
         return False
     node.stn = base

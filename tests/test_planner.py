@@ -793,6 +793,168 @@ def test_each_shared_network_is_probed_and_pinned_once(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+def _relay_task(scale=1.0):
+    """Five actions and eight timed literals, at times multiplied by
+    `scale`. `load` needs `gate` at its start, `haul` needs `power` over its
+    interval and `lamp` needs `light` at its end, and a literal deletes each
+    of them; `light` and `aux` are added first; `g3`, a goal fact, is
+    deleted at 14; two literals, an add and a delete, share time 20, past
+    every plan. Shipped tasks have one timed literal each."""
+    return Task(
+        propositions=fs("free", "gate", "power", "light", "aux", "p1", "g1", "g2", "g3"),
+        actions=(
+            DurativeAction("load", 1.0, cond_start=fs("free", "gate"), del_start=fs("free"),
+                           add_end=fs("free", "p1")),
+            DurativeAction("haul", 2.0, cond_start=fs("free", "p1"), cond_over=fs("power"),
+                           del_start=fs("free"), add_end=fs("free", "g1")),
+            DurativeAction("lamp", 1.5, cond_start=fs("free"), cond_end=fs("light"),
+                           del_start=fs("free"), add_end=fs("free", "g2")),
+            DurativeAction("tag", 0.5, cond_start=fs("free", "aux"), del_start=fs("free"),
+                           add_end=fs("free", "g3")),
+            DurativeAction("relight", 1.0, cond_start=fs("free"), del_start=fs("free"),
+                           add_end=fs("free", "light")),
+        ),
+        init=fs("free", "gate", "power"),
+        goal=fs("g1", "g2", "g3"),
+        tils=tuple(TimedLiteral(time * scale, prop, add) for time, prop, add in (
+            (0.5, "light", True), (1.0, "aux", True), (4.0, "gate", False),
+            (9.0, "power", False), (12.0, "light", False), (14.0, "g3", False),
+            (20.0, "gate", True), (20.0, "aux", False))),
+    )
+
+
+def _relay_tasks():
+    return [_relay_task(1.0), _relay_task(0.5)]
+
+
+def _shipped_tasks():
+    """The first 10 shipped tasks."""
+    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "bench.json"))
+    return benchmark_tasks(cfg)[:10]
+
+
+def test_compiled_chain_bounds_equal_the_deletion_rescan():
+    """For every count c of applied timed literals, Task.chain_bounds holds
+    each action's (bound, duration) and the goal cut that rescanning the
+    timed deletions at index c or later gives, bit for bit, on the relay
+    tasks and on shipped ones. At c = 0 the relay task bounds `load` and
+    `tag` by their start conditions, `haul` by its over-all one, `lamp` by
+    its end one and the goal by `g3`."""
+    for task in _relay_tasks() + _shipped_tasks():
+        assert len(task.chain_bounds) == len(task.tils) + 1
+        for c, (bounds, goal_cut) in enumerate(task.chain_bounds):
+            assert list(bounds) == [a.name for a in task.actions]
+            for a in task.actions:
+                want = (reference_kernels.deadline_bound(task, a, c), a.duration)
+                assert repr(bounds[a.name]) == repr(want), (c, a.name)
+            assert repr(goal_cut) == repr(reference_kernels.goal_cut(task, c)), c
+    bounds, goal_cut = _relay_task().chain_bounds[0]
+    assert {name: bound for name, (bound, _) in bounds.items()} == {
+        "load": 4.0 - _EPS, "haul": 7.0, "lamp": 10.5, "tag": 20.0 - _EPS,
+        "relight": math.inf}
+    assert goal_cut == 14.0 - _EPS
+
+
+def test_tighten_and_relaxed_plan_match_references_with_several_timed_literals(monkeypatch):
+    """While the relay tasks plan in both modes at speeds 6 and 100, every
+    tighten call gives the reference's verdict and start tmaxes, memo hits
+    among them, and every relaxed plan is the chain the reference builds
+    from the actions' own sets."""
+    real = search.relaxed_plan
+    chains = []
+
+    def checked(task, props, opens, til_count):
+        got = real(task, props, opens, til_count)
+        assert got == reference_kernels.relaxed_plan(task, props_of(task, props), opens,
+                                                     til_count)
+        chains.append(got)
+        return got
+
+    monkeypatch.setattr(search, "relaxed_plan", checked)
+    verdicts = _tighten_verdicts_against_reference(
+        monkeypatch, _relay_tasks(), DispatchParams(), 400)
+    assert {(True, False), (True, True), (False, False)} <= set(verdicts)
+    assert len(chains) > 100
+
+
+def _twin_task():
+    """Start siblings whose chains give the probe memo's key its hard cases.
+    `x1`, `x2` and `y` need `s` at their start, which a literal deletes at
+    50, so each is bounded by 50 - eps; `x1` and `x2` also share a duration,
+    `y` lasts longer. `u`, `v` and `w` are unbounded, and `w` adds both
+    goals that `u` and `v` add one each. At the root, starting `x1` or `x2`
+    leaves chains that differ only in names, starting `y` one whose last
+    bounded action is shorter than theirs, and starting `w` one whose cut
+    edges equal those of starting `u` but with one action fewer."""
+    goals = ("gx1", "gx2", "gy", "gu", "gv")
+    return Task(
+        propositions=fs("s", *goals),
+        actions=(
+            DurativeAction("x1", 1.0, cond_start=fs("s"), add_end=fs("gx1")),
+            DurativeAction("x2", 1.0, cond_start=fs("s"), add_end=fs("gx2")),
+            DurativeAction("y", 2.0, cond_start=fs("s"), add_end=fs("gy")),
+            DurativeAction("u", 1.0, add_end=fs("gu")),
+            DurativeAction("v", 1.0, add_end=fs("gv")),
+            DurativeAction("w", 1.0, add_end=fs("gu", "gv")),
+        ),
+        init=fs("s"),
+        goal=frozenset(goals),
+        tils=(TimedLiteral(50.0, "s", False),),
+    )
+
+
+class _KeyLog(dict):
+    """A probe memo that notes the key of its last lookup."""
+
+    def get(self, key, default=None):
+        self.last = key
+        return super().get(key, default)
+
+
+def test_probe_memo_key_groups_calls_as_their_cut_edges_do(monkeypatch):
+    """Within each probe memo, two tighten calls share a key exactly when
+    the chains they lay out give stn.probe_edges the same n_new and cut
+    edges, on which the probe's answer depends: a coarser key would hand one
+    node another's latest starts, a finer one would probe again. Checked
+    over the first 10 shipped tasks, the relay tasks and the twin task, both
+    modes, speeds 6 and 100; memos shared by several calls, and memos that
+    hold several keys, both occur."""
+    real = search.tighten
+    # id(memo) -> (memo, the _KeyLog tighten reads in its place, (key, cut)
+    # of each call); holding the memo keeps its id from being reused
+    logs = {}
+
+    def noted(task, node, base, memo):
+        _, log, pairs = logs.setdefault(id(memo), (memo, _KeyLog(), []))
+        assert len(base.dist) == len(node.prefix) + 1
+        n_new, edges = reference_kernels.chain_edges(task, node)
+        cut = (n_new, tuple(probe_edges(len(base.dist), edges)[0]))
+        got = real(task, node, base, log)
+        pairs.append((log.last, cut))
+        return got
+
+    monkeypatch.setattr(search, "tighten", noted)
+    monkeypatch.setattr(engine, "tighten", noted)
+    cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "bench.json"))
+    for task in _shipped_tasks() + _relay_tasks() + [_twin_task()]:
+        for mode in ("disp", "nodisp"):
+            for speed in (6.0, 100.0):
+                run_search(task, mode=mode, speed=speed,
+                           dispatch_params=cfg.dispatch_params(),
+                           max_expansions=cfg.max_expansions)
+    seen = {"calls answered by a shared key": 0, "memos with several keys": 0}
+    for _, _, pairs in logs.values():
+        by_key, by_cut = {}, {}
+        for key, cut in pairs:
+            assert by_key.setdefault(key, cut) == cut
+            assert by_cut.setdefault(cut, key) == key
+        seen["calls answered by a shared key"] += len(pairs) - len(by_key)
+        seen["memos with several keys"] += len(by_key) > 1
+    assert min(seen.values()) > 0, seen
+
+
 def test_decisions_match_per_node_references(monkeypatch):
     """Every _argmax_q, _chain_log_failure and _decide call while planning
     shipped tasks in both modes at speeds 6 and 100 returns what the
