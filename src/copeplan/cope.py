@@ -19,6 +19,7 @@ strictly before its bound). Post-prefix plan remainder is folded into ID_i.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .dist import DiscreteDistribution
@@ -101,14 +102,22 @@ class InitiationFunction:
             raise ValueError("prefix has duplicate action ids")
         if set(self.start_times) != seen:
             raise ValueError("start times must cover exactly the chosen prefix")
-        clock = None
-        for action in proc.prefix:
-            s = self.start_times[action.action_id]
-            if s < 0:
-                raise ValueError("start times must be >= 0")
-            if clock is not None and s < clock:
-                raise ValueError("prefix actions may not overlap or reorder")
-            clock = s + action.duration
+        times = [self.start_times[a.action_id] for a in proc.prefix]
+        if min(times, default=0) < 0:
+            raise ValueError("start times must be >= 0")
+        if _prefix_end(proc.prefix, times) is None:
+            raise ValueError("prefix actions may not overlap or reorder")
+
+
+def _prefix_end(prefix, times):
+    """When a prefix whose actions start at `times` ends (-inf when it is
+    empty), or None when an action starts before the one before it ends."""
+    clock = -math.inf
+    for action, s in zip(prefix, times):
+        if s < clock:
+            return None
+        clock = s + action.duration
+    return clock
 
 
 def effective_deadlines(inst, f: InitiationFunction) -> list[int]:
@@ -178,14 +187,10 @@ def enumerate_initiation_functions(inst, candidate_times=None, cap: int = KIDCOP
         if not proc.prefix:
             continue
         for times in itertools.product(candidate_times, repeat=len(proc.prefix)):
-            clock = None
-            ok = True
-            for action, s in zip(proc.prefix, times):
-                if clock is not None and s < clock:
-                    ok = False
-                    break
-                clock = s + action.duration
-            if not ok or clock > proc.induced_deadline:
+            # order and deadline first, before a function is built: validate
+            # would raise for every tuple out of order
+            end = _prefix_end(proc.prefix, times)
+            if end is None or end > proc.induced_deadline:
                 continue
             f = InitiationFunction(c, dict(zip((a.action_id for a in proc.prefix), times)))
             try:

@@ -252,6 +252,10 @@ def benchmark_tasks(config: BenchmarkConfig) -> list:
     return tasks
 
 
+CSV_COLUMNS = ("speed", "mode", "dt", "instance_id", "solved", "expansions",
+               "dispatches", "first_dispatch_time", "completion_time")
+
+
 def benchmark_runs(config: BenchmarkConfig):
     """Yield (row, task, PlanResult) per (speed, mode, instance), sorted by
     that key.
@@ -278,27 +282,15 @@ def benchmark_runs(config: BenchmarkConfig):
                         if decided > scheduled + 1e-9:
                             raise RuntimeError(
                                 f"decision after start on instance {idx} ({mode}, {speed})")
-                row = {
-                    "speed": speed,
-                    "mode": mode,
-                    "dt": dparams.dt,
-                    "instance_id": idx,
-                    "solved": res.solved,
-                    "expansions": res.expansions,
-                    "dispatches": res.dispatches,
-                    "first_dispatch_time": res.first_dispatch_time,
-                    "completion_time": res.completion_time,
-                }
+                # the columns past the run's key are PlanResult fields
+                row = dict(zip(CSV_COLUMNS, (speed, mode, dparams.dt, idx)))
+                row.update((c, getattr(res, c)) for c in CSV_COLUMNS[4:])
                 yield row, task, res
 
 
 def run_benchmark(config: BenchmarkConfig) -> list:
     """One validated row per (speed, mode, instance), sorted by that key."""
     return [row for row, _, _ in benchmark_runs(config)]
-
-
-CSV_COLUMNS = ("speed", "mode", "dt", "instance_id", "solved", "expansions",
-               "dispatches", "first_dispatch_time", "completion_time")
 
 
 def _cell(value) -> str:

@@ -21,15 +21,16 @@ so a cycle builds its profiles and their tables in one pass. _decide scores
 nothing when no start is pending: p_nd is only ever compared with a pending
 start's p_d.
 
-Step pos is event pos + 1 of a node's network; networks hold positions
-only, no event names. The start children of one expansion share one
-network, built once by expand. A commit extends each distinct network among
-its nodes once, by the pin's two edges, and gives the pinned network one
-probe memo (see search.tighten); tighten makes it the network of each node
-whose chain still fits, so nodes that shared a network share the pinned one
-and probe each relaxed chain once. No network is changed in place, so a
-shared one stays as its nodes read it. _try_finish extends a node's network
-by one edge per uncommitted start.
+The engine never reads a network's event layout: it pins through
+search.pin_edges and reads times through search.earliest and
+search.schedule. A pin extends a node's network through search.grown, so a
+commit extends each distinct network among its nodes once, by the new
+happening's two edges, and gives the pinned network one probe memo (see
+search.tighten); tighten makes it the network of each node whose chain
+still fits, so nodes that shared a network share the pinned one and probe
+each relaxed chain once. A revived duplicate is pinned once with every
+executed happening. No network is changed in place, so a shared one stays
+as its nodes read it, and a refused pin leaves the node as it was.
 """
 
 import math
@@ -41,12 +42,16 @@ from .search import (
     INF,
     SearchStats,
     deadline_steps,
+    earliest,
     estimate_completion,
     expand,
+    grown,
     is_goal,
     latest_start,
     make_root,
+    pin_edges,
     q_known,
+    schedule,
     tighten,
 )
 
@@ -227,28 +232,17 @@ def _never_commit(*_):
 MODES = ("disp", "nodisp")
 
 
-def _pin(task, node, pos, when, pins):
-    """Fix t(step pos) = when in the node's network; None if that breaks it
-    or the node's chain no longer fits. `pins` maps each network this pin
-    has already extended to (pinned network, its probe memo); a network
-    not yet there is extended by the pin's two edges. The pinned network is
-    refused at once when inconsistent; otherwise tighten probes it with the
-    chain and makes it the node's. The old network is never written, and a
+def _pin(task, node, edges, grow):
+    """Add the pin `edges` (search.pin_edges) to the node's network; None if
+    that breaks it or the node's chain no longer fits. The pinned network
+    comes from search.grown, so the nodes pinned through one `grow` dict on
+    one network share the pinned network and its probe memo. It is refused
+    at once when inconsistent; otherwise tighten probes it with the chain
+    and makes it the node's. The old network is never written, and a
     refused pin leaves the node as it was."""
-    pinned = pins.get(node.stn)
-    if pinned is None:
-        ev = pos + 1
-        pinned = pins[node.stn] = node.stn.extend(0, ((0, ev, when), (ev, 0, -when))), {}
-    stn, memo = pinned
+    stn, memo = grown(grow, node.stn, 0, edges)
     if not stn.consistent or not tighten(task, node, stn, memo):
         return None
-    return node
-
-
-def _repin(task, node, executed):
-    for pos, (_, when) in enumerate(executed):
-        if _pin(task, node, pos, when, {}) is None:
-            return None
     return node
 
 
@@ -257,15 +251,15 @@ def _commit(task, nodes, executed, step, when):
     each distinct network among them extended once."""
     m = len(executed)
     executed.append((step, when))
-    pins = {}
-    return [nd for nd in nodes if _pin(task, nd, m, when, pins) is not None]
+    edges, grow = pin_edges(executed, m), {}
+    return [nd for nd in nodes if _pin(task, nd, edges, grow) is not None]
 
 
 def _apply_dispatch(task, step, executed, open_list, memo, pruned_dups, t_now, records):
     """Commit `step` as the next executed happening and reconcile all state."""
     m = len(executed)
     matching = [nd for nd in open_list if len(nd.prefix) > m and nd.prefix[m] == step]
-    when = max(t_now, float(min(-nd.stn.dist[m + 1, 0] for nd in matching)))
+    when = max(t_now, min(earliest(nd, m) for nd in matching))
     records.append((t_now, step[1], when))
     open_list[:] = _commit(task, matching, executed, step, when)
 
@@ -276,7 +270,8 @@ def _apply_dispatch(task, step, executed, open_list, memo, pruned_dups, t_now, r
         if pfx[:n] != exec_steps[:n]:
             del memo[key]
             freed.append(key)
-    # a duplicate pruned against a now-contradicted entry gets another chance
+    # a duplicate pruned against a now-contradicted entry gets another
+    # chance, pinned once with every executed happening
     for key in freed:
         dups = pruned_dups.pop(key, None)
         if not dups:
@@ -289,7 +284,7 @@ def _apply_dispatch(task, step, executed, open_list, memo, pruned_dups, t_now, r
                 and len(child.prefix) >= len(exec_steps)
                 and child.prefix[: len(exec_steps)] == exec_steps
             )
-            if ok and _repin(task, child, executed) is not None:
+            if ok and _pin(task, child, pin_edges(executed), {}) is not None:
                 memo[key] = child.prefix
                 open_list.append(child)
                 revived = True
@@ -305,7 +300,7 @@ def _auto_advance(task, executed, open_list, t_now):
     node agrees on them.
 
     Every open node's prefix[:m] is the executed steps (_apply_dispatch keeps
-    only matching nodes and _repin checks the prefix), and an end at
+    only matching nodes and a revival checks the prefix), and an end at
     position m has its start at some pos < m, so that start is committed and
     executed[pos] holds its time."""
     while open_list:
@@ -330,13 +325,9 @@ def _auto_advance(task, executed, open_list, t_now):
 def _try_finish(task, node, executed, records, stats, t_now):
     """Schedule the whole plan; starts not yet committed may not predate now."""
     m = len(executed)
-    stn = node.stn.extend(0, [
-        (pos + 1, 0, -t_now)
-        for pos, step in enumerate(node.prefix) if pos >= m and step[0] == "start"
-    ])
-    if not stn.consistent:
+    times = schedule(node, m, t_now)
+    if times is None:
         return None
-    times = {pos: float(-stn.dist[pos + 1, 0]) for pos in range(len(node.prefix))}
     recs = list(records)
     happenings = []
     for pos, step in enumerate(node.prefix):
@@ -346,7 +337,7 @@ def _try_finish(task, node, executed, records, stats, t_now):
                 recs.append((t_now, step[1], times[pos]))
         elif step[0] == "end":
             happenings.append((times[pos], "end", step[1]))
-    completion = max(times.values(), default=t_now)
+    completion = max(times, default=t_now)
     first = min((t for t, kind, _ in happenings if kind == "start"), default=completion)
     return PlanResult(
         solved=True,

@@ -12,27 +12,34 @@ A node's state is a bitmask over the task's numbered propositions
 (Task.bit), so applying a step, testing a condition and the relaxed pass are
 integer & and | on the masks Task compiles once. What the per-node work
 reads that depends on the task alone is compiled there too: the relaxed
-pass walks Task.relaxed_actions and Task.end_masks, and tighten reads each
-chain action's deadline bound and the goal cut from Task.chain_bounds.
+pass walks Task.relaxed_actions and the end masks of Task.masks, and tighten
+reads each chain action's deadline bound and the goal cut from
+Task.chain_bounds.
 
 Events are positions, never names: a network holds the origin, then one
-event per step in prefix order, so step pos is event pos + 1. Every child's
-network is its parent's extended by the child's event and edges, and a
-child whose network is inconsistent is refused before its relaxed plan. A
-start leaves til_count as it was, so every start child of one expansion has
-the same own edges: the first that passes its condition checks extends the
-parent's network once, and its siblings take that network as their own.
+event per step in prefix order, so step pos is event pos + 1. This module
+alone knows that layout: the engine pins with pin_edges and reads times
+through earliest and schedule.
+
+A node's network grows three ways: a child's is its parent's extended by
+the child's event and edges, a commit pins an executed happening into every
+node that survives it, and a revived duplicate is pinned with every
+executed happening at once. Each goes through grown, which extends a
+network by given events and edges once per `grow` dict and gives the result
+one probe memo. A network is fixed by the constraints added to it, so nodes
+whose networks and added edges agree share the extended one: the start
+children of one expansion (a start leaves til_count as it was, so their
+edges are equal), and the nodes one commit pins on one network. A child
+whose network is inconsistent is refused before its relaxed plan, and
 tighten then probes the child's network with its chain alone.
 
-Each network that several nodes share comes with one probe memo, which
-lives as long as the sharing: the start children of one expansion here, the
-nodes one pin fixes together in the engine. tighten keys it on the compiled
-values that fix a probe's answer, the count of new events and the edges up
-to the probe's cut (stn.probe_edges), before it lays out any chain, and
-stores the node's latest starts or its refusal, so a relaxed chain that a
-node on the same network has already probed is neither laid out nor probed
-again. No network is grown twice, no probe is repeated on one network, and
-no shared matrix or latest list is written in place.
+The probe memo lives as long as its grow dict. tighten keys it on the
+compiled values that fix a probe's answer, the count of new events and the
+edges up to the probe's cut (stn.probe_edges), before it lays out any
+chain, and stores the node's latest starts or its refusal, so a relaxed
+chain that a node on the same network has already probed is neither laid
+out nor probed again. No network is grown twice, no probe is repeated on
+one network, and no shared matrix or latest list is written in place.
 
 One constructor, _node, makes the root (the initial state on an empty
 network) and every child (make_child's state on its extended network): it
@@ -138,8 +145,8 @@ def relaxed_plan(task, props, opens, til_count):
     every achiever the goal needs.
     """
     facts = props | task.til_adds[til_count]
-    ends = task.end_masks
-    pending = [ends[name] for name, _ in opens]
+    masks = task.masks
+    pending = [masks[name] for name, _ in opens]
     # actions not yet applied, as Task.relaxed_actions tuples; one whose
     # precondition holds but that adds nothing new never will, as facts
     # only grow
@@ -150,12 +157,11 @@ def relaxed_plan(task, props, opens, til_count):
         progress = False
         if pending:
             still = []
-            for end in pending:
-                cond_end, add_end = end
-                if cond_end & ~facts:
-                    still.append(end)
-                elif add_end & ~facts:
-                    facts |= add_end
+            for m in pending:
+                if m.cond_end & ~facts:
+                    still.append(m)
+                elif m.add_end & ~facts:
+                    facts |= m.add_end
                     progress = True
             pending = still
         # ~facts, kept as facts grow
@@ -297,7 +303,19 @@ def _node(task, prefix, props, opens, til_count, tick, stn, memo):
     return node if tighten(task, node, stn, memo) else None
 
 
-def make_child(task, parent: SearchNode, step, tick: int, shared=None):
+def grown(grow, network, n_new, edges):
+    """(`network` extended by n_new events and the `edges` tuple, its probe
+    memo), built once per `grow` dict: a later call with the same network
+    object, n_new and edges gets the same pair. Stn has no __eq__, so a
+    network keys by identity."""
+    key = (network, n_new, edges)
+    pair = grow.get(key)
+    if pair is None:
+        pair = grow[key] = network.extend(n_new, edges), {}
+    return pair
+
+
+def make_child(task, parent: SearchNode, step, tick: int, grow=None):
     """Apply one snap step; None when conditions or time make it impossible.
 
     A start step must be applicable in the parent (its start conditions
@@ -305,55 +323,45 @@ def make_child(task, parent: SearchNode, step, tick: int, shared=None):
     conditions are checked here.
 
     The child's event is k + 1 for a prefix of length k, and the child's
-    network is the parent's extended by that event and its edges; when that
-    network is inconsistent the child is None before its relaxed plan. A
-    start child's edges are the same for every start child of the parent.
-    `shared` is a list that holds their network and its probe memo once
-    built: expand passes one per expansion, so the first start child that
-    passes its condition checks builds them and its siblings reuse them,
-    building no edges and probing no chain a sibling has probed. Without
-    `shared` the network and memo are this child's alone."""
+    network is the parent's extended by that event and its edges, through
+    grown and `grow`; when that network is inconsistent the child is None
+    before its relaxed plan. expand passes one `grow` per expansion, so the
+    start children, whose edges are equal, share one network and probe
+    memo, and no chain a sibling has probed is probed again. Without `grow`
+    the network and memo are this child's alone."""
     eps = EPSILON_SEPARATION
     k = len(parent.prefix)
     new = k + 1
     kind, what = step[0], step[1]
     props, opens, til_count = parent.props, parent.opens, parent.til_count
     masks = task.masks
-    # own: the step's edges past its separation from the last step; only
-    # start children share a network, so the other kinds drop `shared`
+    # the step's separation from the last step, then its own edges
+    edges = [(new, k, -eps)] if k else []
     if kind == "til":
         lit = task.tils[what]
         bit = task.bit[lit.prop]
         props = (props | bit) if lit.add else (props & ~bit)
         til_count = what + 1
-        own = [(0, new, lit.time), (new, 0, -lit.time)]
-        shared = None
+        edges += ((0, new, lit.time), (new, 0, -lit.time))
     else:
         m = masks[what]
         if kind == "start":
             props = (props & ~m.del_start) | m.add_start
             opens += ((what, k),)
-            own = []
         else:
             if m.cond_end & ~props:
                 return None
             props = (props & ~m.del_end) | m.add_end
             opens = tuple(o for o in opens if o != (what, step[2]))
             d = task.by_name[what].duration
-            own = [(step[2] + 1, new, d), (new, step[2] + 1, -d)]
-            shared = None
+            edges += ((step[2] + 1, new, d), (new, step[2] + 1, -d))
         # a start or end comes before the next timed literal
-        if not shared and til_count < len(task.tils):
-            own.append((0, new, task.tils[til_count].time - eps))
+        if til_count < len(task.tils):
+            edges.append((0, new, task.tils[til_count].time - eps))
     for name, _ in opens:
         if masks[name].cond_over & ~props:
             return None
-    if shared:
-        stn, memo = shared[0]
-    else:
-        stn, memo = parent.stn.extend(1, ([(new, k, -eps)] if k else []) + own), {}
-        if shared is not None:
-            shared.append((stn, memo))
+    stn, memo = grown({} if grow is None else grow, parent.stn, 1, tuple(edges))
     return _node(task, parent.prefix + (step,), props, opens, til_count, tick, stn, memo)
 
 
@@ -371,11 +379,11 @@ def candidate_steps(task, node: SearchNode):
 
 def expand(task, node: SearchNode, tick: int):
     children = []
-    # the network and probe memo every start child of this expansion
-    # shares, made by the first one that passes its condition checks
-    shared = []
+    # the networks this expansion's children grow, which its start children
+    # share
+    grow = {}
     for step in candidate_steps(task, node):
-        child = make_child(task, node, step, tick, shared)
+        child = make_child(task, node, step, tick, grow)
         if child is not None:
             children.append(child)
     return children
@@ -387,6 +395,32 @@ def make_root(task):
 
 def is_goal(task, node: SearchNode) -> bool:
     return not task.goal_mask & ~node.props and not node.opens
+
+
+def pin_edges(executed, start=0):
+    """The edges that fix t(step pos) = when for each executed (step, when)
+    from position `start` on, as a tuple for grown."""
+    edges = []
+    for pos, (_, when) in enumerate(executed[start:], start):
+        edges += ((0, pos + 1, when), (pos + 1, 0, -when))
+    return tuple(edges)
+
+
+def earliest(node: SearchNode, pos: int) -> float:
+    """The earliest time of step pos in the node's network."""
+    return float(-node.stn.dist[pos + 1, 0])
+
+
+def schedule(node: SearchNode, m: int, t_now: float):
+    """The earliest time of each step of the node, by position, once every
+    start at position m or later is held at or after t_now; None when that
+    breaks the network. The node's network is not changed."""
+    stn = node.stn.extend(0, [(pos + 1, 0, -t_now)
+                              for pos, step in enumerate(node.prefix)
+                              if pos >= m and step[0] == "start"])
+    if not stn.consistent:
+        return None
+    return [float(-stn.dist[pos + 1, 0]) for pos in range(len(node.prefix))]
 
 
 # -- completion estimates and urgency ---------------------------------------

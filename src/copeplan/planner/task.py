@@ -7,9 +7,9 @@ the interval. Timed literals flip one proposition at a fixed wall time.
 
 A Task compiles, once, everything the planner's per-node work reads that
 depends on the task alone: each action's sets as proposition bitmasks, the
-tuples the relaxed plan walks, the end masks of open actions, and for each
-count of applied timed literals the deadline bound that the upcoming timed
-deletions put on each action and on the goal.
+tuples the relaxed plan walks, and for each count of applied timed literals
+the deadline bound that the upcoming timed deletions put on each action and
+on the goal.
 """
 
 import math
@@ -68,15 +68,14 @@ class Task:
     ActionMasks (in action order), `goal_mask` is the goal, and
     `til_adds[c]` holds every proposition a timed literal at index c or later
     adds. For the relaxed plan, `relaxed_actions` holds (action, relaxed_pre,
-    adds, conds) for each action in task order (see _relaxed) and
-    `end_masks` maps each action name to (cond_end, add_end). For a node
-    that has applied c timed literals, `chain_bounds[c]` is (bounds,
-    goal_cut): `bounds` maps each action name to (bound, duration), bound
-    being the latest start that the timed deletions at index c or later
-    leave the action (inf if none touches its conditions), and `goal_cut`
-    the latest time the goal may be reached (see _compile_chain_bounds).
-    These compiled fields take no part in ==, repr or the task's file
-    form."""
+    adds, conds) for each action in task order (see _relaxed), and an open
+    action ends on its `masks` entry's cond_end and add_end. For a node that
+    has applied c timed literals, `chain_bounds[c]` is (bounds, goal_cut):
+    `bounds` maps each action name to (bound, duration), bound being the
+    latest start that the timed deletions at index c or later leave the
+    action (inf if none touches its conditions), and `goal_cut` the latest
+    time the goal may be reached (see _compile_chain_bounds). These compiled
+    fields take no part in ==, repr or the task's file form."""
 
     propositions: frozenset
     actions: tuple
@@ -89,7 +88,6 @@ class Task:
     goal_mask: int = field(init=False, compare=False, repr=False)
     til_adds: tuple = field(init=False, compare=False, repr=False)
     relaxed_actions: tuple = field(init=False, compare=False, repr=False)
-    end_masks: dict = field(init=False, compare=False, repr=False)
     chain_bounds: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -124,7 +122,6 @@ class Task:
         self.til_adds = tuple(reversed(adds))
         self.relaxed_actions = tuple(_relaxed(a, m)
                                      for a, m in zip(self.actions, self.masks.values()))
-        self.end_masks = {name: (m.cond_end, m.add_end) for name, m in self.masks.items()}
         self.chain_bounds = self._compile_chain_bounds()
 
     def mask(self, props) -> int:

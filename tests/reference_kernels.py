@@ -274,14 +274,13 @@ def tighten(task, node, base):
     return True
 
 
-def pin(task, node, pos, when, pins):
+def pin(task, node, edges, _):
     """engine._pin with each node's pinned network grown on its own, one
-    edge at a time, and probed with a memo of its own: refuse it if
-    inconsistent, then tighten against it (which may still refuse the node,
-    leaving it as it was). `pins`, the commit's record of pinned networks
-    that engine._pin shares, is not read."""
-    ev = pos + 1
-    stn = grow(node.stn, 0, [(0, ev, when), (ev, 0, -when)])
+    of the pin's edges at a time, and probed with a memo of its own: refuse
+    it if inconsistent, then tighten against it (which may still refuse the
+    node, leaving it as it was). The grow dict through which engine._pin
+    shares pinned networks is not read."""
+    stn = grow(node.stn, 0, list(edges))
     if not stn.consistent or not tighten_search(task, node, stn, {}):
         return None
     return node

@@ -502,8 +502,8 @@ def test_extend_matches_step_by_step_growth_while_planning(monkeypatch):
         seen["inconsistent"] += not got.consistent
         return got
 
-    def checked_make_child(task, parent, step, tick, shared=None):
-        child = real_make_child(task, parent, step, tick, shared)
+    def checked_make_child(task, parent, step, tick, grow=None):
+        child = real_make_child(task, parent, step, tick, grow)
         if child is not None:
             want = reference_kernels.child_network(task, parent.stn, len(parent.prefix),
                                                    step, child.til_count)
@@ -578,9 +578,11 @@ def test_pin_that_breaks_the_network_never_reaches_tighten(monkeypatch):
     node = make_child(task, make_root(task), ("start", "a"), 1)
     before = copy.copy(node)
     tightened = _counting(monkeypatch, engine, "tighten")
-    assert engine._pin(task, node, 0, 7.0, {}) is None
+    late = search.pin_edges([(("start", "a"), 7.0)])
+    early = search.pin_edges([(("start", "a"), 1.0)])
+    assert engine._pin(task, node, late, {}) is None
     assert tightened == [] and vars(node) == vars(before)
-    assert engine._pin(task, node, 0, 1.0, {}) is node and len(tightened) == 1
+    assert engine._pin(task, node, early, {}) is node and len(tightened) == 1
 
 
 def test_end_child_refused_when_its_end_condition_fails():
@@ -600,27 +602,38 @@ def test_end_child_refused_when_its_end_condition_fails():
 
 def test_start_siblings_share_one_network_never_written(monkeypatch):
     """While planning shipped tasks in both modes, every start child of one
-    expansion holds the same network object, and no shared network's matrix
-    changes from the expansion or pin that built it to the end of the run:
-    pins, reads and later probes never write it in place. A pin that a node
-    accepts gives it a pinned network, and the nodes one commit pins on the
-    same network share one pinned network; a refused pin leaves the node's
+    expansion holds the same network object, and no network that
+    search.grown builds changes from then to the end of the run: pins, reads
+    and later probes never write it in place. A pin that a node accepts
+    gives it a pinned network, and the nodes one commit pins on the same
+    network share one pinned network; a refused pin leaves the node's
     network the same object."""
-    real_expand, real_pin = engine.expand, engine._pin
-    shared = []
+    real_expand, real_pin, real_grown = engine.expand, engine._pin, search.grown
+    # every network grown, with its matrix as built; and the networks that
+    # grown handed out more than once
+    built = []
+    shared = set()
     seen = {"expansions": 0, "siblings": 0, "pins on a shared network": 0,
             "refused pins": 0, "pinned together": 0}
-    # the record of the pins of the current commit, and the pinned network
-    # that each network got in it
-    commit = {"pins": None, "pinned": {}}
+    # the grow dict of the current commit, and the pinned network that each
+    # network got in it
+    commit = {"grow": None, "pinned": {}}
 
-    def checked_pin(task, node, pos, when, pins):
+    def checked_grown(grow, network, n_new, edges):
+        hit = (network, n_new, edges) in grow
+        stn, memo = real_grown(grow, network, n_new, edges)
+        if hit:
+            shared.add(stn)
+        else:
+            built.append((stn, stn.dist.tobytes()))
+        return stn, memo
+
+    def checked_pin(task, node, edges, grow):
         stn = node.stn
-        on_shared = any(stn is net for net, _ in shared)
-        seen["pins on a shared network"] += on_shared
-        if pins is not commit["pins"]:
-            commit["pins"], commit["pinned"] = pins, {}
-        out = real_pin(task, node, pos, when, pins)
+        seen["pins on a shared network"] += stn in shared
+        if grow is not commit["grow"]:
+            commit["grow"], commit["pinned"] = grow, {}
+        out = real_pin(task, node, edges, grow)
         if out is None:
             assert node.stn is stn
             seen["refused pins"] += 1
@@ -632,7 +645,6 @@ def test_start_siblings_share_one_network_never_written(monkeypatch):
             seen["pinned together"] += 1
         else:
             pinned[stn] = node.stn
-            shared.append((node.stn, node.stn.dist.tobytes()))
         return out
 
     def checked_expand(task, node, tick):
@@ -642,22 +654,24 @@ def test_start_siblings_share_one_network_never_written(monkeypatch):
             stn = starts[0].stn
             assert all(c.stn is stn for c in starts)
             assert stn is not node.stn
-            shared.append((stn, stn.dist.tobytes()))
             seen["expansions"] += 1
             seen["siblings"] += len(starts) > 1
         return children
 
+    monkeypatch.setattr(search, "grown", checked_grown)
+    monkeypatch.setattr(engine, "grown", checked_grown)
     monkeypatch.setattr(engine, "expand", checked_expand)
     monkeypatch.setattr(engine, "_pin", checked_pin)
     cfg = fileio.load(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", "bench.json"))
     for task in benchmark_tasks(cfg)[:10]:
         for mode in ("disp", "nodisp"):
+            built.clear()
             shared.clear()
             run_search(task, mode=mode, speed=cfg.speeds[0],
                        dispatch_params=cfg.dispatch_params(),
                        max_expansions=cfg.max_expansions)
-            assert all(stn.dist.tobytes() == before for stn, before in shared)
+            assert all(stn.dist.tobytes() == before for stn, before in built)
     assert min(seen.values()) > 0, seen
 
 
@@ -1304,63 +1318,87 @@ def window_task():
     )
 
 
-def _dispatch_a_against_a_pruned_duplicate(task, t_now):
-    """Dispatch start a at t_now over one open node (start a), with the
-    a-then-b closure pruned against a b-then-a closure, whose memo entry the
-    dispatch frees. Returns everything the dispatch touched."""
+_A_THEN_B = (("start", "a"), ("end", "a", 0), ("start", "b"), ("end", "b", 2))
+_B_THEN_A = (("start", "b"), ("end", "b", 0), ("start", "a"), ("end", "a", 2))
+_A_WITH_B = (("start", "a"), ("start", "b"), ("end", "a", 0), ("end", "b", 1))
+
+
+def _dispatch_against_a_pruned_duplicate(task, dispatches, owner_steps, dup_steps):
+    """Dispatch each (step, t_now) of `dispatches` in turn over one open
+    node whose prefix is the dispatched steps, with the `dup_steps` closure
+    pruned against the `owner_steps` closure, whose memo entry the last
+    dispatch frees. Returns the duplicate, its network before the
+    dispatches, and everything the dispatches touched."""
     root = make_root(task)
     memo = {root.key(): root.prefix}
     owner = root
-    for step in (("start", "b"), ("end", "b", 0), ("start", "a"), ("end", "a", 2)):
+    for step in owner_steps:
         owner = make_child(task, owner, step, tick=1)
         memo.setdefault(owner.key(), owner.prefix)
     dup = root
-    for step in (("start", "a"), ("end", "a", 0), ("start", "b"), ("end", "b", 2)):
+    for step in dup_steps:
         dup = make_child(task, dup, step, tick=1)
     assert memo[dup.key()] == owner.prefix
     pruned = {dup.key(): [dup]}
     before = (dup.stn, edges_of(dup.stn), dup.stn.dist.tobytes())
-    node = make_child(task, root, ("start", "a"), tick=1)
+    node = root
+    for step, _ in dispatches:
+        node = make_child(task, node, step, tick=1)
     memo[node.key()] = node.prefix
     open_list, executed, records = [node], [], []
-    _apply_dispatch(task, ("start", "a"), executed, open_list, memo, pruned,
-                    t_now=t_now, records=records)
+    for step, t_now in dispatches:
+        _apply_dispatch(task, step, executed, open_list, memo, pruned,
+                        t_now=t_now, records=records)
     return dup, before, open_list, executed, records, memo, pruned
 
 
-@pytest.mark.parametrize("t_now, dup_network", [
-    (0.0, "revived"),
+@pytest.mark.parametrize("dispatches, owner_steps, dup_steps, dup_network", [
+    (((("start", "a"), 0.0),), _B_THEN_A, _A_THEN_B, "revived"),
     # the pinned network holds, but c can no longer start by 3
-    (1.0, "consistent"),
+    (((("start", "a"), 1.0),), _B_THEN_A, _A_THEN_B, "consistent"),
     # b cannot even end before the window closes
-    (4.0, "inconsistent"),
-])
-def test_pins_in_a_dispatch_match_the_grown_and_checked_reference(monkeypatch, t_now,
-                                                                  dup_network):
-    """_apply_dispatch, with _commit's pins and _repin's, leaves what it
-    leaves when each pin grows and checks the pinned network before tighten
-    (reference_kernels.pin): the same verdicts, the same networks and
-    suffix minima of start tmaxes on every node, the same open list,
-    records, memo and kept duplicates. The three dispatch times revive the duplicate, refuse
-    it because its chain no longer fits after a consistent pin, and refuse
-    it because the pin breaks its network; the last two keep it unrevived."""
+    (((("start", "a"), 4.0),), _B_THEN_A, _A_THEN_B, "inconsistent"),
+    # two commits: the duplicate is revived with both pins
+    (((("start", "a"), 0.0), (("start", "b"), 0.5)), _A_THEN_B, _A_WITH_B, "revived"),
+    # two commits: the duplicate's pin of a holds, and that of b cannot
+    # end before the window closes
+    (((("start", "a"), 0.0), (("start", "b"), 4.5)), _A_THEN_B, _A_WITH_B,
+     "inconsistent"),
+], ids=["0.0-revived", "1.0-consistent", "4.0-inconsistent", "0.0,0.5-revived",
+        "0.0,4.5-inconsistent"])
+def test_pins_in_a_dispatch_match_the_grown_and_checked_reference(
+        monkeypatch, dispatches, owner_steps, dup_steps, dup_network):
+    """_apply_dispatch, with _commit's pins and the revival's, leaves what
+    it leaves when each pin grows and checks the pinned network before
+    tighten (reference_kernels.pin): the same verdicts, the same networks
+    and suffix minima of start tmaxes on every node, the same open list,
+    records, memo and kept duplicates. The dispatch times revive the
+    duplicate, refuse it because its chain no longer fits after a consistent
+    pin, and refuse it because the pin breaks its network; the last two
+    keep it unrevived. After two commits the duplicate is revived with both
+    pins, or kept unrevived when its pin of the first commit holds and that
+    of the second breaks its network. A revived duplicate's network is its
+    own grown alone with every executed happening's pin, and a refused one
+    keeps the network it had before the dispatches."""
     task = window_task()
     runs = {}
     for label, pin in (("engine", engine._pin), ("reference", reference_kernels.pin)):
         verdicts = []
 
-        def noting(task, node, pos, when, pins, pin=pin, verdicts=verdicts):
-            out = pin(task, node, pos, when, pins)
-            verdicts.append((node.prefix, pos, when, out is not None))
+        def noting(task, node, edges, grow, pin=pin, verdicts=verdicts):
+            out = pin(task, node, edges, grow)
+            verdicts.append((node.prefix, edges, out is not None))
             return out
 
         monkeypatch.setattr(engine, "_pin", noting)
         with recording():
             dup, before, open_list, executed, records, memo, pruned = (
-                _dispatch_a_against_a_pruned_duplicate(task, t_now))
+                _dispatch_against_a_pruned_duplicate(task, dispatches, owner_steps,
+                                                     dup_steps))
         if label == "engine" and dup_network != "revived":
             # a refused pin leaves the duplicate's network as it was
             after = dup.stn
+            assert after is before[0]
             assert (after, edges_of(after), after.dist.tobytes()) == before
         nodes = [dup] + open_list
         runs[label] = (
@@ -1372,22 +1410,25 @@ def test_pins_in_a_dispatch_match_the_grown_and_checked_reference(monkeypatch, t
             {key: [nd.prefix for nd in dups] for key, dups in pruned.items()},
         )
     assert runs["engine"] == runs["reference"]
-    verdicts, _, opened, executed, records, memo, kept = runs["engine"]
-    assert executed == [(("start", "a"), t_now)]
-    assert records == [(t_now, "a", t_now)]
-    dup_prefix = (("start", "a"), ("end", "a", 0), ("start", "b"), ("end", "b", 2))
-    dup_verdicts = [v for prefix, _, _, v in verdicts if prefix == dup_prefix]
+    verdicts, networks, opened, executed, records, memo, kept = runs["engine"]
+    assert executed == list(dispatches)
+    assert records == [(t_now, step[1], t_now) for step, t_now in dispatches]
+    dup_verdicts = [v for prefix, _, v in verdicts if prefix == dup_steps]
     assert dup_verdicts == [dup_network == "revived"]
+    # the duplicate's network pinned with every executed happening, alone
+    dup = make_root(task)
+    for step in dup_steps:
+        dup = make_child(task, dup, step, tick=1)
+    edges = [e for pos, (_, when) in enumerate(executed)
+             for e in ((0, pos + 1, when), (pos + 1, 0, -when))]
+    pinned = reference_kernels.grow(dup.stn, 0, edges)
     if dup_network == "revived":
-        assert dup_prefix in opened and kept == {}
+        assert dup_steps in opened and kept == {}
+        assert pinned.consistent and networks[0][2] == pinned.dist.tobytes()
     else:
-        assert dup_prefix not in opened
-        assert list(kept.values()) == [[dup_prefix]]
+        assert dup_steps not in opened
+        assert list(kept.values()) == [[dup_steps]]
         # which refusal it was: the pinned network alone
-        dup = make_root(task)
-        for step in dup_prefix:
-            dup = make_child(task, dup, step, tick=1)
-        pinned = reference_kernels.grow(dup.stn, 0, [(0, 1, t_now), (1, 0, -t_now)])
         assert pinned.consistent == (dup_network == "consistent")
 
 
